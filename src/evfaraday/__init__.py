@@ -25,7 +25,8 @@ from .modes import (ComplexField, GridSpec, ModeSuperposition, assoc_laguerre,
                     mode_field, petal_radius, radial_profile,
                     sample_superposition, width_function, width_function_exact)
 from .propagation import (PropagationPlan, aliasing_limit, default_step_size,
-                          grid_norm, make_plan, propagate_definite_l,
+                          exact_step_limit, exact_steps_per_plane, grid_norm,
+                          make_plan, propagate_definite_l,
                           propagate_superposition, superposition_evolution)
 
 __version__ = "0.1.0"

@@ -33,8 +33,8 @@ from .gratings import (HologramSpec, PlaneReference, SphericalReference,
                        spherical_focus_distance, synthesize_hologram)
 from .modes import (ComplexField, GridSpec, ModeSuperposition, mode_field,
                     petal_radius, width_function)
-from .propagation import (default_step_size, make_plan, propagate_definite_l,
-                          superposition_evolution)
+from .propagation import (exact_steps_per_plane, make_plan,
+                          propagate_definite_l, superposition_evolution)
 from .units import (parse_angle, parse_curvature, parse_energy, parse_field,
                     parse_length, parse_wavenumber)
 
@@ -87,6 +87,23 @@ def _beam(args) -> BeamParameters:
 
 def _energy_ev(p: BeamParameters) -> float:
     return p.kinetic_energy / p.constants.elementary_charge
+
+
+def _plane_stepping(args, grid: GridSpec, p: BeamParameters,
+                    z_target: float) -> tuple[float, int]:
+    """(dz, steps per output plane) of the exact scheme: --dz if given,
+    else one step per plane, split only where the plane spacing exceeds
+    exact_step_limit."""
+    if args.outputs < 1 or not z_target > 0:
+        raise CliUsageError("need at least one output plane at positive z")
+    spacing = z_target / args.outputs
+    if args.dz:
+        dz = parse_length(args.dz)
+        if not dz > 0:
+            raise CliUsageError("dz must be positive")
+        return dz, max(1, round(spacing / dz))
+    steps = exact_steps_per_plane(grid, p, spacing)
+    return spacing / steps, steps
 
 
 def _ensure_outdir(args) -> str:
@@ -167,16 +184,14 @@ def cmd_rotate(args) -> int:
         w0 = parse_length(args.w0)
         side = parse_length(args.grid_side)
         z_target = parse_length(args.z_max)
-    pre_grid = GridSpec(args.grid_n, side)
-    dz = parse_length(args.dz) if args.dz else default_step_size(pre_grid, p)
+    grid = GridSpec(args.grid_n, side)
+    dz, steps_per_output = _plane_stepping(args, grid, p, z_target)
     config = RunConfig(
         energy_ev=_energy_ev(p), field_t=p.field_bz, grid_n=args.grid_n,
         grid_side_m=side, dz_m=dz, z_max_m=z_target, outputs=args.outputs,
         outdir=args.outdir,
         superposition=ModeSuperposition.opposite_pair(args.l, w0, p))
-    grid = config.grid()
-    steps_per_output = max(1, round(z_target / (config.outputs * dz)))
-    plan = make_plan(grid, p, dz, steps_per_output)
+    plan = make_plan(grid, p, dz, steps_per_output, scheme="exact")
 
     radius = petal_radius(w0, args.l)
     outdir = _ensure_outdir(args)
@@ -229,17 +244,15 @@ def cmd_breathe(args) -> int:
     z_target = args.periods * math.pi / abs(k_l)
     side = (parse_length(args.grid_side) if args.grid_side
             else 6.0 * max(w0, w_b * w_b / w0))
-    pre_grid = GridSpec(args.grid_n, side)
-    dz = parse_length(args.dz) if args.dz else default_step_size(pre_grid, p)
+    grid = GridSpec(args.grid_n, side)
+    dz, steps_per_output = _plane_stepping(args, grid, p, z_target)
     config = RunConfig(
         energy_ev=_energy_ev(p), field_t=p.field_bz, grid_n=args.grid_n,
         grid_side_m=side, dz_m=dz, z_max_m=z_target, outputs=args.outputs,
         outdir=args.outdir,
         superposition=ModeSuperposition(
             ((ModeIndex(0, args.l), 1.0, w0),), p))
-    grid = config.grid()
-    steps_per_output = max(1, round(z_target / (config.outputs * dz)))
-    plan = make_plan(grid, p, dz)
+    plan = make_plan(grid, p, dz, scheme="exact")
 
     field = mode_field(grid, 0, args.l, w0)
     rows = [(0.0, effective_width(field, args.l), width_function(w0, p, 0.0))]
@@ -380,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--grid-n", type=int, default=512)
     r.add_argument("--grid-side", help="physical side length (default 8 w_B)")
     r.add_argument("--w0", help="waist (default: the magnetic width)")
-    r.add_argument("--dz", help="step length (default: the step-size rule)")
+    r.add_argument("--dz", help="step length "
+                               "(default: one exact step per output plane)")
     r.add_argument("--phi-max", default="0.5rad",
                    help="target rotation angle magnitude")
     r.add_argument("--z-max", help="propagation distance (overrides --phi-max)")
@@ -404,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--grid-n", type=int, default=256)
     b.add_argument("--grid-side",
                    help="physical side length (default: 6 x the widest excursion)")
-    b.add_argument("--dz", help="step length (default: the step-size rule)")
+    b.add_argument("--dz", help="step length "
+                               "(default: one exact step per output plane)")
     b.add_argument("--periods", type=float, default=2.0,
                    help="number of breathing periods to cover")
     b.add_argument("--outputs", type=int, default=64)

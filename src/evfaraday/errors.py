@@ -26,12 +26,24 @@ class NotAnEigenstateError(EvfError, ValueError):
     propagate self-similarly; use the numerical propagator instead."""
 
 
+class InvalidGridError(EvfError, ValueError):
+    """Grid sample count or side length is outside the supported range."""
+
+
+class InvalidModeError(EvfError, ValueError):
+    """Mode indices do not define the requested mode or superposition."""
+
+
+class EnvironmentSettingError(EvfError, ValueError):
+    """An EVF_* environment variable holds an unusable value."""
+
+
 class GridMismatchError(EvfError, ValueError):
     """Fields or plans defined on different grids were combined."""
 
 
 class StepTooLargeError(EvfError, ValueError):
-    """Propagation step violates the kinetic anti-aliasing bound."""
+    """Propagation step violates the step bound of its scheme."""
 
 
 class ContainmentError(EvfError, RuntimeError):

@@ -21,7 +21,8 @@ from .analysis import effective_width
 from .core import BeamParameters, base_wavenumber
 from .errors import CarrierResolutionError, OrderSeparationError
 from .modes import ComplexField, GridSpec
-from .propagation import aliasing_limit, make_plan, propagate_definite_l
+from .propagation import (exact_steps_per_plane, make_plan,
+                          propagate_definite_l)
 
 #: Far-field oversampling used to resolve the internal structure of orders.
 DEFAULT_PAD_FACTOR = 4
@@ -308,16 +309,19 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
                                z_max: float, n_scan: int = 48):
     """Fresnel-propagate (B = 0) and return (z, width) at the narrowest plane.
 
+    The n_scan planes are z_max / n_scan apart, each reached by one exact
+    free-space step (more only if the spacing exceeds exact_step_limit).
     The width is the axis-centred second-moment estimate; z is refined by a
     parabola through the minimum and its neighbours.
     """
     p0 = replace(p, field_bz=0.0)
-    dz = min(0.9 * aliasing_limit(field.grid, p0), z_max / n_scan)
-    steps_per_scan = max(1, round(z_max / n_scan / dz))
-    plan = make_plan(field.grid, p0, dz)
+    spacing = z_max / n_scan
+    steps_per_scan = exact_steps_per_plane(field.grid, p0, spacing)
+    plan = make_plan(field.grid, p0, spacing / steps_per_scan,
+                     scheme="exact")
     zs, widths = [0.0], [effective_width(field)]
     current = field
-    while zs[-1] < z_max:
+    for _ in range(n_scan):
         current = propagate_definite_l(current, 0, plan, steps_per_scan)
         zs.append(current.z_position - field.z_position)
         widths.append(effective_width(current))

@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import (BeamParameters, ModeIndex, larmor_wavenumber,
                    magnetic_width, paraxial_phase)
-from .errors import (GridAdequacyWarning, NotAnEigenstateError,
+from .errors import (GridAdequacyWarning, InvalidGridError,
+                     InvalidModeError, NotAnEigenstateError,
                      UnsupportedOrderError, ZeroFieldError)
 
 #: Highest polynomial degree the recurrence is validated for.
@@ -38,9 +39,10 @@ class GridSpec:
     def __post_init__(self):
         n = self.samples_per_side
         if n < 16 or n % 2 != 0:
-            raise ValueError("samples_per_side must be an even integer >= 16")
+            raise InvalidGridError(
+                f"samples_per_side must be an even integer >= 16, got {n}")
         if not self.physical_side_length > 0:
-            raise ValueError("physical_side_length must be positive")
+            raise InvalidGridError("physical_side_length must be positive")
 
     @property
     def pitch(self) -> float:
@@ -108,7 +110,7 @@ class ModeSuperposition:
                       relative_phase: float = 0.0) -> "ModeSuperposition":
         """Equal-weight superposition of the n = 0 modes with +l and -l."""
         if l == 0:
-            raise ValueError("opposite_pair needs l != 0")
+            raise InvalidModeError("opposite_pair needs l != 0")
         c = 1.0 / math.sqrt(2.0)
         return cls(((ModeIndex(0, +l), c, waist),
                     (ModeIndex(0, -l), c * cmath.exp(1j * relative_phase), waist)),

@@ -2,10 +2,20 @@
 magnetic channel.
 
 The quadratic confinement term is applied as a per-pixel phase and the
-transverse Laplacian as a per-spatial-frequency phase, combined with
-symmetric (Strang) splitting.  The angular-momentum part of the Zeeman
-interaction reduces to the exact scalar phase exp(-i l k_L z) on a
-definite-l component, so general beams are propagated as mode lists and
+transverse Laplacian as a per-spatial-frequency phase, combined in
+symmetric potential-kinetic-potential splits.  Two schemes share that
+sweep and differ only in the lengths of the factors:
+
+* ``"strang"``: half potential dz/2, kinetic dz; second order in dz.
+* ``"exact"``: half potential tan(Omega dz/2)/Omega, kinetic
+  sin(Omega dz)/Omega with Omega = |k_L|.  The transverse Hamiltonian is a
+  2-D harmonic oscillator (mass k0, frequency Omega), for which this
+  chirp-FFT-chirp product is the exact propagator at any dz (Namias 1980);
+  only the transverse sampling limits the step.
+
+At B = 0 both schemes have the same factors.  The angular-momentum part of
+the Zeeman interaction reduces to the exact scalar phase exp(-i l k_L z) on
+a definite-l component, so general beams are propagated as mode lists and
 each component is advanced independently.
 """
 
@@ -13,17 +23,21 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as _fft
 
 from .core import BeamParameters, base_wavenumber, larmor_wavenumber
-from .errors import ContainmentError, GridMismatchError, StepTooLargeError
+from .errors import (ContainmentError, EnvironmentSettingError,
+                     GridMismatchError, StepTooLargeError)
 from .modes import ComplexField, GridSpec, ModeSuperposition, mode_field
 
 #: Border-to-peak intensity ratio above which propagation refuses to continue.
 BORDER_INTENSITY_LIMIT = 1e-6
+
+#: Step schemes accepted by make_plan.
+SCHEMES = ("strang", "exact")
 
 
 def fft_workers() -> int:
@@ -31,7 +45,11 @@ def fft_workers() -> int:
     n = os.cpu_count() or 1
     cap = os.environ.get("EVF_THREADS")
     if cap:
-        n = max(1, min(n, int(cap)))
+        try:
+            n = max(1, min(n, int(cap)))
+        except ValueError:
+            raise EnvironmentSettingError(
+                f"EVF_THREADS must be an integer, got {cap!r}") from None
     return n
 
 
@@ -39,17 +57,18 @@ def fft_workers() -> int:
 class PropagationPlan:
     """Precomputed unit-modulus phase factors for one step length.
 
-    kinetic_phase is the full-step spectral factor exp(-i k_perp^2 dz/(2 k0))
-    in FFT layout; half_kinetic_phase is its square root used at the ends of
-    a Strang sweep; potential_phase is the per-pixel confinement factor
-    exp(-i k0 k_L^2 r^2 dz / 2).
+    kinetic_phase is the spectral factor exp(-i k_perp^2 b/(2 k0)) in FFT
+    layout; half_potential_phase is the per-pixel confinement factor
+    exp(-i k0 k_L^2 r^2 a/2) used at the ends of a sweep, and
+    potential_phase its square, used between steps.  The lengths a and b
+    depend on the scheme (see the module docstring).
     """
 
     grid: GridSpec
     params: BeamParameters
     dz: float
     kinetic_phase: np.ndarray
-    half_kinetic_phase: np.ndarray
+    half_potential_phase: np.ndarray
     potential_phase: np.ndarray
     steps_per_output: int = 1
 
@@ -60,11 +79,42 @@ def aliasing_limit(grid: GridSpec, p: BeamParameters) -> float:
     return 2.0 * math.pi * base_wavenumber(p) / kperp_max_sq
 
 
+def exact_step_limit(grid: GridSpec, p: BeamParameters) -> float:
+    """Largest exact-scheme dz whose chirps are sampled on the full grid.
+
+    Both factors must advance their phase by less than pi per sample along
+    each axis at the grid corner.  Kinetic: the spectral chirp of length
+    b = sin(Omega dz)/Omega steps by (pi/pitch)(b/k0)(2 pi/side), so
+    b < (N/2) aliasing_limit.  Potential: the merged interior chirp of
+    length 2a, a = tan(Omega dz/2)/Omega, steps by
+    k0 Omega^2 (side/2)(2a) pitch, so a < pi/(k0 Omega^2 side pitch).
+    At B = 0 only the kinetic bound remains, with b = dz.
+    """
+    b_max = 0.5 * grid.samples_per_side * aliasing_limit(grid, p)
+    omega = abs(larmor_wavenumber(p))
+    if omega == 0.0:
+        return b_max
+    a_max = math.pi / (base_wavenumber(p) * omega ** 2
+                       * grid.physical_side_length * grid.pitch)
+    limit = 2.0 * math.atan(omega * a_max) / omega
+    if omega * b_max < 1.0:
+        limit = min(limit, math.asin(omega * b_max) / omega)
+    return limit
+
+
+def exact_steps_per_plane(grid: GridSpec, p: BeamParameters,
+                          spacing: float) -> int:
+    """Fewest equal exact-scheme steps across spacing, each below
+    exact_step_limit: one unless the spacing reaches the limit."""
+    return math.floor(spacing / exact_step_limit(grid, p)) + 1
+
+
 def default_step_size(grid: GridSpec, p: BeamParameters) -> float:
-    """min(pi / (40 |k_L|), aliasing limit / 4).
+    """Strang step rule: min(pi / (40 |k_L|), aliasing limit / 4).
 
     Guarantees at least 40 steps per width-oscillation period while staying
-    well inside the anti-aliasing bound.
+    well inside the anti-aliasing bound.  The exact scheme needs no such
+    rule; see exact_steps_per_plane.
     """
     dz = aliasing_limit(grid, p) / 4.0
     k_l = larmor_wavenumber(p)
@@ -74,29 +124,47 @@ def default_step_size(grid: GridSpec, p: BeamParameters) -> float:
 
 
 def make_plan(grid: GridSpec, p: BeamParameters, dz: float,
-              steps_per_output: int = 1) -> PropagationPlan:
-    """Build the phase factors for step dz, enforcing the aliasing bound."""
+              steps_per_output: int = 1,
+              scheme: str = "strang") -> PropagationPlan:
+    """Build the phase factors for step dz, enforcing the scheme's bound:
+    aliasing_limit for "strang", exact_step_limit for "exact"."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if not dz > 0:
         raise ValueError("dz must be positive")
     if steps_per_output < 1:
         raise ValueError("steps_per_output must be a positive integer")
-    limit = aliasing_limit(grid, p)
-    if dz >= limit:
-        raise StepTooLargeError(
-            f"dz = {dz:.6e} m violates the anti-aliasing bound; maximum "
-            f"admissible dz on this grid is {limit:.6e} m")
     k0 = base_wavenumber(p)
     k_l = larmor_wavenumber(p)
+    omega = abs(k_l)
+    if scheme == "strang":
+        limit = aliasing_limit(grid, p)
+        if dz >= limit:
+            raise StepTooLargeError(
+                f"dz = {dz:.6e} m violates the anti-aliasing bound; maximum "
+                f"admissible dz on this grid is {limit:.6e} m")
+    else:
+        limit = exact_step_limit(grid, p)
+        if dz >= limit:
+            raise StepTooLargeError(
+                f"dz = {dz:.6e} m violates the exact-scheme sampling bound; "
+                f"exact_step_limit on this grid is {limit:.6e} m")
+    if scheme == "exact" and omega != 0.0:
+        half_length = math.tan(0.5 * omega * dz) / omega
+        kinetic_length = math.sin(omega * dz) / omega
+    else:
+        half_length, kinetic_length = dz / 2.0, dz
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
     kx, ky = np.meshgrid(k, k)
     k_sq = kx ** 2 + ky ** 2
     xg, yg = grid.meshgrid()
     r_sq = xg ** 2 + yg ** 2
+    confinement = k0 * k_l ** 2 * r_sq / 2.0
     return PropagationPlan(
         grid=grid, params=p, dz=dz,
-        kinetic_phase=np.exp(-1j * k_sq * dz / (2.0 * k0)),
-        half_kinetic_phase=np.exp(-1j * k_sq * dz / (4.0 * k0)),
-        potential_phase=np.exp(-1j * k0 * k_l ** 2 * r_sq * dz / 2.0),
+        kinetic_phase=np.exp(-1j * k_sq * kinetic_length / (2.0 * k0)),
+        half_potential_phase=np.exp(-1j * confinement * half_length),
+        potential_phase=np.exp(-1j * confinement * (2.0 * half_length)),
         steps_per_output=steps_per_output)
 
 
@@ -120,23 +188,21 @@ def _check_contained(amps: np.ndarray, context: str):
 
 def _strang_sweep(stack: np.ndarray, plan: PropagationPlan,
                   n_steps: int) -> np.ndarray:
-    """Advance v-envelopes by n_steps symmetric splits.
+    """Advance v-envelopes by n_steps >= 1 potential-kinetic-potential
+    splits, overwriting stack.
 
-    Interior half-kinetic factors are merged pairwise, so the sweep costs
-    one spectral round trip per step plus one to open the bracket.
+    Interior half-potential factors are merged pairwise, so the sweep ends
+    in real space after exactly n_steps spectral round trips.
     """
     workers = fft_workers()
-    half = plan.half_kinetic_phase
-    full = plan.kinetic_phase
-    pot = plan.potential_phase
-    spec = _fft.fft2(stack, workers=workers)
-    spec *= half
-    stack = _fft.ifft2(spec, workers=workers)
+    half = plan.half_potential_phase
+    full = plan.potential_phase
+    stack *= half
     for step in range(n_steps):
-        stack *= pot
-        spec = _fft.fft2(stack, workers=workers)
-        spec *= half if step == n_steps - 1 else full
-        stack = _fft.ifft2(spec, workers=workers)
+        spec = _fft.fft2(stack, workers=workers, overwrite_x=True)
+        spec *= plan.kinetic_phase
+        stack = _fft.ifft2(spec, workers=workers, overwrite_x=True)
+        stack *= half if step == n_steps - 1 else full
     return stack
 
 
@@ -169,7 +235,7 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
 
     Emits the initial field and then one field every
     plan.steps_per_output * plan.dz, n_outputs times.  All definite-l
-    components advance through the same Strang sweeps; the per-component
+    components advance through the same split-step sweeps; the per-component
     Zeeman phase is applied when a field is assembled.
     """
     if grid != plan.grid:
@@ -213,12 +279,7 @@ def propagate_superposition(s: ModeSuperposition, grid: GridSpec,
         raise ValueError(
             f"z_total = {z_total!r} is not a positive integer multiple of "
             f"dz = {plan.dz!r}")
-    stepped = PropagationPlan(
-        grid=plan.grid, params=plan.params, dz=plan.dz,
-        kinetic_phase=plan.kinetic_phase,
-        half_kinetic_phase=plan.half_kinetic_phase,
-        potential_phase=plan.potential_phase,
-        steps_per_output=n_steps)
+    stepped = replace(plan, steps_per_output=n_steps)
     for _, out in superposition_evolution(s, grid, stepped, 1):
         pass
     return out

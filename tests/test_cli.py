@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, larmor_wavenumber,
-                       magnetic_width, verdet_parameter)
+from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, GridSpec,
+                       exact_step_limit, larmor_wavenumber, magnetic_width,
+                       verdet_parameter)
 from evfaraday.cli import CliUsageError, RunConfig, main
 from evfaraday.fileio import load_field
 
@@ -217,6 +218,43 @@ class TestGrating:
 
     def test_spherical_needs_curvature(self):
         assert main(["grating", "--spherical", "--grid-n", "64"]) == 2
+
+
+class TestErrorBoundary:
+    """Invalid inputs print 'error:' and exit 2, never a traceback."""
+
+    SMALL_ROTATE = ["rotate", "-E", "60keV", "-B", "1T", "--grid-n", "128",
+                    "--grid-side", "600nm", "--phi-max", "0.05rad",
+                    "--outputs", "2"]
+
+    def test_rotate_l_zero(self, tmp_path, capsys):
+        assert main(self.SMALL_ROTATE + ["-l", "0",
+                                         "-o", str(tmp_path)]) == 2
+        assert "error: opposite_pair needs l != 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["rotate"], ["breathe"], ["grating", "--plane"]])
+    @pytest.mark.parametrize("grid_n", ["129", "8"])
+    def test_bad_grid_n(self, tmp_path, capsys, command, grid_n):
+        assert main(command + ["--grid-n", grid_n, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "even integer >= 16" in err
+
+    def test_non_integer_evf_threads(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EVF_THREADS", "abc")
+        assert main(self.SMALL_ROTATE + ["-o", str(tmp_path)]) == 2
+        assert "error: EVF_THREADS" in capsys.readouterr().err
+
+    def test_dz_above_exact_step_limit(self, tmp_path, capsys):
+        p = BeamParameters(60e3 * ELEMENTARY_CHARGE, 1.0)
+        limit = exact_step_limit(GridSpec(128, 600e-9), p)
+        dz = f"{1.5 * limit * 1e3:.6f}mm"
+        assert main(self.SMALL_ROTATE + ["--dz", dz,
+                                         "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"exact_step_limit on this grid is {limit:.6e} m" in err
 
 
 class TestRunConfig:

@@ -1,6 +1,6 @@
 """Split-step solver against closed-form oracles: stationary eigenstates,
 free-space Gaussian diffraction, the exact breathing law, rotation tracking,
-unitarity and convergence order."""
+unitarity and convergence order, for the Strang and the exact scheme."""
 
 import math
 
@@ -10,7 +10,9 @@ import pytest
 from evfaraday import (BeamParameters, ComplexField, ELEMENTARY_CHARGE,
                        GridSpec, ModeIndex, ModeSuperposition, aliasing_limit,
                        angular_intensity, base_wavenumber, default_step_size,
-                       effective_width, faraday_angle, fidelity, grid_norm,
+                       effective_width, exact_step_limit,
+                       exact_steps_per_plane, faraday_angle, fidelity,
+                       grid_norm,
                        larmor_wavenumber, magnetic_width, make_plan,
                        mode_field, pattern_orientation, petal_radius,
                        propagate_definite_l, propagate_superposition,
@@ -41,7 +43,7 @@ class TestPlan:
     def test_unit_modulus_factors(self, beam, w_b):
         grid = GridSpec(64, 8 * w_b)
         plan = make_plan(grid, beam, aliasing_limit(grid, beam) / 3)
-        for factors in (plan.kinetic_phase, plan.half_kinetic_phase,
+        for factors in (plan.kinetic_phase, plan.half_potential_phase,
                         plan.potential_phase):
             assert np.max(np.abs(np.abs(factors) - 1.0)) < 1e-12
 
@@ -273,3 +275,89 @@ class TestNormAndConvergence:
                np.linalg.norm(advance(dz0 / 2, base_steps * 2) - reference)]
         factor = err[0] / err[1]
         assert 3.0 < factor < 5.0
+
+
+class TestExactScheme:
+    def test_breathing_one_step_per_plane(self, beam, w_b):
+        # 64 planes per period, each reached by a single exact step
+        grid = GridSpec(256, 12 * w_b)
+        spacing = math.pi / abs(larmor_wavenumber(beam)) / 64
+        assert exact_steps_per_plane(grid, beam, spacing) == 1
+        plan = make_plan(grid, beam, spacing, scheme="exact")
+        w0 = 0.5 * w_b
+        field = mode_field(grid, 0, 0, w0)
+        worst = 0.0
+        for _ in range(64):
+            field = propagate_definite_l(field, 0, plan, 1)
+            oracle = width_function_exact(w0, beam, field.z_position)
+            worst = max(worst, abs(effective_width(field, 0) - oracle) / oracle)
+        assert worst < 1e-5
+
+    def test_eigenmodes_stationary_at_nine_steps_per_period(self, beam, w_b):
+        grid = GridSpec(128, 14 * w_b)
+        dz = math.pi / abs(larmor_wavenumber(beam)) / 9
+        plan = make_plan(grid, beam, dz, scheme="exact")
+        for n in range(3):
+            for l in range(-2, 3):
+                f0 = mode_field(grid, n, l, w_b)
+                fz = propagate_definite_l(f0, l, plan, 9)
+                assert fidelity(f0, fz) > 1 - 1e-9, (n, l)
+
+    def test_norm_conserved_over_many_large_steps(self, beam, w_b):
+        grid = GridSpec(128, 10 * w_b)
+        plan = make_plan(grid, beam, 0.9 * exact_step_limit(grid, beam),
+                         scheme="exact")
+        field = mode_field(grid, 0, 0, 0.7 * w_b)
+        out = propagate_definite_l(field, 0, plan, 500)
+        assert abs(grid_norm(out) - grid_norm(field)) < 1e-9
+
+    def test_equals_strang_at_zero_field(self, w_b):
+        p0 = BeamParameters(E60, 0.0)
+        grid = GridSpec(64, 8 * w_b)
+        dz = 0.5 * aliasing_limit(grid, p0)
+        strang = make_plan(grid, p0, dz)
+        exact = make_plan(grid, p0, dz, scheme="exact")
+        for name in ("kinetic_phase", "half_potential_phase",
+                     "potential_phase"):
+            assert np.array_equal(getattr(strang, name), getattr(exact, name))
+
+    def test_limit_at_zero_field_is_half_n_aliasing_limits(self, beam, w_b):
+        p0 = BeamParameters(E60, 0.0)
+        grid = GridSpec(256, 12 * w_b)
+        assert exact_step_limit(grid, p0) == pytest.approx(
+            128 * aliasing_limit(grid, p0), rel=1e-12)
+        # with the field on, sin(Omega dz)/Omega < dz only loosens the
+        # kinetic bound
+        assert exact_step_limit(grid, beam) > 128 * aliasing_limit(grid, beam)
+
+    def test_step_bound_names_exact_step_limit(self, beam, w_b):
+        grid = GridSpec(64, 8 * w_b)
+        limit = exact_step_limit(grid, beam)
+        with pytest.raises(StepTooLargeError,
+                           match=f"exact_step_limit.*{limit:.6e}"):
+            make_plan(grid, beam, 1.01 * limit, scheme="exact")
+        make_plan(grid, beam, 0.99 * limit, scheme="exact")
+        assert exact_steps_per_plane(grid, beam, 0.99 * limit) == 1
+        assert exact_steps_per_plane(grid, beam, 2.5 * limit) == 3
+
+    def test_unknown_scheme_rejected(self, beam, w_b):
+        grid = GridSpec(64, 8 * w_b)
+        with pytest.raises(ValueError, match="scheme"):
+            make_plan(grid, beam, 1e-8, scheme="leapfrog")
+
+    def test_one_fft_pair_per_step(self, beam, w_b, monkeypatch):
+        import scipy.fft
+        calls = []
+        for name in ("fft2", "ifft2"):
+            original = getattr(scipy.fft, name)
+            monkeypatch.setattr(
+                scipy.fft, name,
+                lambda x, *a, _f=original, _n=name, **kw:
+                    calls.append(_n) or _f(x, *a, **kw))
+        grid = GridSpec(64, 8 * w_b)
+        plan = make_plan(grid, beam, 1e-6, steps_per_output=3,
+                         scheme="exact")
+        s = ModeSuperposition.opposite_pair(1, w_b, beam)
+        planes = list(superposition_evolution(s, grid, plan, 2))
+        assert len(planes) == 3
+        assert calls.count("fft2") == calls.count("ifft2") == 2 * 3
