@@ -10,12 +10,11 @@ from .analysis import (AngularProfile, angular_intensity, circular_harmonic,
                        effective_width, fidelity, harmonic_fraction,
                        pattern_orientation, radial_peak_radius,
                        unwrap_orientations)
-from .core import (BOHR_MAGNETON, ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR,
-                   BeamParameters, ModeIndex, PhysicalConstants,
-                   base_wavenumber, beam_speed, faraday_angle, landau_energy,
-                   larmor_frequency, larmor_wavenumber, magnetic_term_energy,
-                   magnetic_width, mode_wavenumber, paraxial_phase,
-                   verdet_parameter)
+from .core import (BOHR_MAGNETON, ELECTRON_MASS, ELEMENTARY_CHARGE, G_FACTOR,
+                   HBAR, BeamParameters, ModeIndex, base_wavenumber,
+                   beam_speed, faraday_angle, landau_energy, larmor_frequency,
+                   larmor_wavenumber, magnetic_term_energy, magnetic_width,
+                   mode_wavenumber, paraxial_phase, verdet_parameter)
 from .gratings import (BinaryMask, HologramSpec, PlaneReference,
                        SphericalReference, default_carrier, design_value,
                        diffract_far_field, extract_order,
@@ -27,6 +26,6 @@ from .modes import (ComplexField, GridSpec, ModeSuperposition, assoc_laguerre,
 from .propagation import (PropagationPlan, aliasing_limit, default_step_size,
                           exact_step_limit, exact_steps_per_plane, grid_norm,
                           make_plan, propagate_definite_l,
-                          propagate_superposition, superposition_evolution)
+                          superposition_evolution)
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +30,11 @@ from .gratings import (HologramSpec, PlaneReference, SphericalReference,
                        default_carrier, diffract_far_field, extract_order,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
-from .modes import (ComplexField, GridSpec, ModeSuperposition, mode_field,
-                    petal_radius, width_function)
-from .propagation import (exact_steps_per_plane, make_plan,
+from .modes import (ComplexField, GridSpec, ModeSuperposition, petal_radius,
+                    width_function)
+# propagate_definite_l is unused here but kept importable: the benchmark's
+# instrumentation self-test (perfbench/tests) patches it at this import site.
+from .propagation import (exact_steps_per_plane, make_plan,  # noqa: F401
                           propagate_definite_l, superposition_evolution)
 from .units import (parse_angle, parse_curvature, parse_energy, parse_field,
                     parse_length, parse_wavenumber)
@@ -45,48 +46,12 @@ class CliUsageError(EvfError):
     """Invalid combination of command-line options."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one simulation run, validated before any
-    computation starts."""
-
-    energy_ev: float
-    field_t: float
-    grid_n: int
-    grid_side_m: float
-    dz_m: float
-    z_max_m: float
-    outputs: int
-    outdir: str
-    superposition: ModeSuperposition | None = None
-    hologram: HologramSpec | None = None
-
-    def __post_init__(self):
-        if not self.energy_ev > 0:
-            raise CliUsageError("energy must be positive")
-        if not math.isfinite(self.field_t):
-            raise CliUsageError("field must be finite")
-        if self.grid_n < 16:
-            raise CliUsageError("grid needs at least 16 samples per side")
-        for name in ("grid_side_m", "dz_m", "z_max_m"):
-            if not getattr(self, name) > 0:
-                raise CliUsageError(f"{name} must be positive")
-        if self.outputs < 1:
-            raise CliUsageError("need at least one output")
-
-    def beam(self) -> BeamParameters:
-        return BeamParameters(self.energy_ev * ELEMENTARY_CHARGE, self.field_t)
-
-    def grid(self) -> GridSpec:
-        return GridSpec(self.grid_n, self.grid_side_m)
-
-
 def _beam(args) -> BeamParameters:
     return BeamParameters(parse_energy(args.energy), parse_field(args.field))
 
 
 def _energy_ev(p: BeamParameters) -> float:
-    return p.kinetic_energy / p.constants.elementary_charge
+    return p.kinetic_energy / ELEMENTARY_CHARGE
 
 
 def _plane_stepping(args, grid: GridSpec, p: BeamParameters,
@@ -186,11 +151,7 @@ def cmd_rotate(args) -> int:
         z_target = parse_length(args.z_max)
     grid = GridSpec(args.grid_n, side)
     dz, steps_per_output = _plane_stepping(args, grid, p, z_target)
-    config = RunConfig(
-        energy_ev=_energy_ev(p), field_t=p.field_bz, grid_n=args.grid_n,
-        grid_side_m=side, dz_m=dz, z_max_m=z_target, outputs=args.outputs,
-        outdir=args.outdir,
-        superposition=ModeSuperposition.opposite_pair(args.l, w0, p))
+    pair = ModeSuperposition.opposite_pair(args.l, w0, p)
     plan = make_plan(grid, p, dz, steps_per_output, scheme="exact")
 
     radius = petal_radius(w0, args.l)
@@ -198,13 +159,13 @@ def cmd_rotate(args) -> int:
 
     zs, raw = [], []
     for i, (z, field) in enumerate(superposition_evolution(
-            config.superposition, grid, plan, config.outputs)):
+            pair, grid, plan, args.outputs)):
         profile = angular_intensity(field, radius, n_samples=512)
         zs.append(z)
         raw.append(pattern_orientation(profile, args.l))
         if args.snapshot_every and i % args.snapshot_every == 0:
             save_field(os.path.join(outdir, f"field_{i:04d}.field"), field,
-                       config.energy_ev, config.field_t,
+                       _energy_ev(p), p.field_bz,
                        note=f"rotation output {i}")
         if args.pgm_every and i % args.pgm_every == 0:
             write_intensity_pgm(os.path.join(outdir, f"frame_{i:04d}.pgm"),
@@ -246,21 +207,12 @@ def cmd_breathe(args) -> int:
             else 6.0 * max(w0, w_b * w_b / w0))
     grid = GridSpec(args.grid_n, side)
     dz, steps_per_output = _plane_stepping(args, grid, p, z_target)
-    config = RunConfig(
-        energy_ev=_energy_ev(p), field_t=p.field_bz, grid_n=args.grid_n,
-        grid_side_m=side, dz_m=dz, z_max_m=z_target, outputs=args.outputs,
-        outdir=args.outdir,
-        superposition=ModeSuperposition(
-            ((ModeIndex(0, args.l), 1.0, w0),), p))
-    plan = make_plan(grid, p, dz, scheme="exact")
+    mode = ModeSuperposition(((ModeIndex(0, args.l), 1.0, w0),), p)
+    plan = make_plan(grid, p, dz, steps_per_output, scheme="exact")
 
-    field = mode_field(grid, 0, args.l, w0)
-    rows = [(0.0, effective_width(field, args.l), width_function(w0, p, 0.0))]
-    for _ in range(config.outputs):
-        field = propagate_definite_l(field, args.l, plan, steps_per_output)
-        z = field.z_position
-        rows.append((z, effective_width(field, args.l),
-                     width_function(w0, p, z)))
+    rows = [(z, effective_width(field, args.l), width_function(w0, p, z))
+            for z, field in superposition_evolution(mode, grid, plan,
+                                                    args.outputs)]
     outdir = _ensure_outdir(args)
     write_text(os.path.join(outdir, "breathing.csv"),
                format_csv("beam width vs propagation distance; analytic "
@@ -457,7 +409,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EvfError as exc:
+    # the library rejects invalid input values with ValueError
+    except (EvfError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,10 @@ applied exactly where a formula needs a magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
-from .errors import EvanescentModeError, ZeroFieldError
+from .errors import EvanescentModeError, InvalidModeError, ZeroFieldError
 
 # CODATA 2018 recommended values (SI).  e and h are exact by definition in
 # the 2019 SI; hbar = h / (2 pi) rounded to the CODATA listing.
@@ -22,28 +23,8 @@ HBAR = 1.054571817e-34                # J s
 # k_L * beam_speed = omega_L hold to machine precision; agrees with the
 # CODATA listing 9.2740100783e-24 to 7e-10 relative.
 BOHR_MAGNETON = HBAR * ELEMENTARY_CHARGE / (2.0 * ELECTRON_MASS)  # J/T
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Constant set used by every formula; defaults are CODATA 2018."""
-
-    electron_mass: float = ELECTRON_MASS
-    elementary_charge: float = ELEMENTARY_CHARGE
-    hbar: float = HBAR
-    bohr_magneton: float = BOHR_MAGNETON
-    g_factor: float = 2.0
-
-    def __post_init__(self):
-        for name in ("electron_mass", "elementary_charge", "hbar",
-                     "bohr_magneton", "g_factor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        derived = self.hbar * self.elementary_charge / (2.0 * self.electron_mass)
-        if abs(derived - self.bohr_magneton) > 1e-6 * self.bohr_magneton:
-            raise ValueError(
-                "inconsistent constant set: bohr_magneton differs from "
-                f"hbar*e/(2m) = {derived:.9e} by more than 1e-6 relative")
+# Dirac value of the electron spin g-factor used in the Zeeman term.
+G_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,11 +37,10 @@ class BeamParameters:
 
     kinetic_energy: float
     field_bz: float
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if not self.kinetic_energy > 0:
-            raise ValueError("kinetic_energy must be positive")
+        if not 0 < self.kinetic_energy < math.inf:
+            raise ValueError("kinetic_energy must be positive and finite")
         if not math.isfinite(self.field_bz):
             raise ValueError("field_bz must be finite")
 
@@ -82,16 +62,21 @@ class ModeIndex:
     s: float = 0.0
 
     def __post_init__(self):
+        for name in ("n", "l"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise InvalidModeError(
+                    f"mode index {name} must be an integer, got {value!r}")
         if self.n < 0:
-            raise ValueError("radial index n must be >= 0")
+            raise InvalidModeError("radial index n must be >= 0")
         if float(self.s) not in _ALLOWED_SPINS:
             raise ValueError("spin s must be -1/2, 0 or +1/2")
 
 
 def larmor_frequency(p: BeamParameters) -> float:
     """Signed Larmor angular frequency |e| B_z / (2m), in rad/s."""
-    c = p.constants
-    return c.elementary_charge * p.field_bz / (2.0 * c.electron_mass)
+    return ELEMENTARY_CHARGE * p.field_bz / (2.0 * ELECTRON_MASS)
 
 
 def magnetic_width(p: BeamParameters) -> float:
@@ -101,19 +86,17 @@ def magnetic_width(p: BeamParameters) -> float:
     """
     if p.field_bz == 0.0:
         raise ZeroFieldError("magnetic width diverges at B_z = 0")
-    c = p.constants
-    return 2.0 * math.sqrt(c.hbar / (c.elementary_charge * abs(p.field_bz)))
+    return 2.0 * math.sqrt(HBAR / (ELEMENTARY_CHARGE * abs(p.field_bz)))
 
 
 def base_wavenumber(p: BeamParameters) -> float:
     """Plane-wave wavenumber sqrt(2 m E) / hbar, in rad/m."""
-    c = p.constants
-    return math.sqrt(2.0 * c.electron_mass * p.kinetic_energy) / c.hbar
+    return math.sqrt(2.0 * ELECTRON_MASS * p.kinetic_energy) / HBAR
 
 
 def beam_speed(p: BeamParameters) -> float:
     """Longitudinal speed sqrt(2 E / m) of the non-relativistic beam."""
-    return math.sqrt(2.0 * p.kinetic_energy / p.constants.electron_mass)
+    return math.sqrt(2.0 * p.kinetic_energy / ELECTRON_MASS)
 
 
 def larmor_wavenumber(p: BeamParameters) -> float:
@@ -122,17 +105,15 @@ def larmor_wavenumber(p: BeamParameters) -> float:
     k_L = sqrt(m / 2E) mu_B B_z / hbar, signed with B_z.  It equals the
     Larmor frequency divided by the beam speed.
     """
-    c = p.constants
-    return (math.sqrt(c.electron_mass / (2.0 * p.kinetic_energy))
-            * c.bohr_magneton * p.field_bz / c.hbar)
+    return (math.sqrt(ELECTRON_MASS / (2.0 * p.kinetic_energy))
+            * BOHR_MAGNETON * p.field_bz / HBAR)
 
 
 def magnetic_term_energy(p: BeamParameters, m: ModeIndex) -> float:
     """Transverse-plus-Zeeman energy (2n+|l|+1) hbar |w_L| + (l+gs) hbar w_L."""
-    c = p.constants
     w_l = larmor_frequency(p)
-    return ((2 * m.n + abs(m.l) + 1) * c.hbar * abs(w_l)
-            + (m.l + c.g_factor * m.s) * c.hbar * w_l)
+    return ((2 * m.n + abs(m.l) + 1) * HBAR * abs(w_l)
+            + (m.l + G_FACTOR * m.s) * HBAR * w_l)
 
 
 def landau_energy(p: BeamParameters, m: ModeIndex, k: float) -> float:
@@ -140,8 +121,7 @@ def landau_energy(p: BeamParameters, m: ModeIndex, k: float) -> float:
 
     The longitudinal kinetic term enters with a positive sign.
     """
-    c = p.constants
-    return (c.hbar * k) ** 2 / (2.0 * c.electron_mass) + magnetic_term_energy(p, m)
+    return (HBAR * k) ** 2 / (2.0 * ELECTRON_MASS) + magnetic_term_energy(p, m)
 
 
 def mode_wavenumber(p: BeamParameters, m: ModeIndex) -> float:
@@ -163,11 +143,10 @@ def paraxial_phase(p: BeamParameters, m: ModeIndex, z: float) -> float:
 
     k_0 z - (2n+|l|+1) |k_L| z - (l + g s) k_L z.
     """
-    c = p.constants
     k_l = larmor_wavenumber(p)
     rate = (base_wavenumber(p)
             - (2 * m.n + abs(m.l) + 1) * abs(k_l)
-            - (m.l + c.g_factor * m.s) * k_l)
+            - (m.l + G_FACTOR * m.s) * k_l)
     return rate * z
 
 
@@ -178,6 +157,5 @@ def faraday_angle(p: BeamParameters, z: float) -> float:
 
 def verdet_parameter(p: BeamParameters) -> float:
     """Rotation angle per tesla and per metre, sqrt(m/2E) mu_B / hbar."""
-    c = p.constants
-    return (math.sqrt(c.electron_mass / (2.0 * p.kinetic_energy))
-            * c.bohr_magneton / c.hbar)
+    return (math.sqrt(ELECTRON_MASS / (2.0 * p.kinetic_energy))
+            * BOHR_MAGNETON / HBAR)

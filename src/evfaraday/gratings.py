@@ -30,6 +30,16 @@ DEFAULT_PAD_FACTOR = 4
 #: Acceptable neighbour leakage into an extraction window.
 LEAKAGE_LIMIT = 0.01
 
+#: Widening of the grid an isolated chirped order is re-embedded on.
+CHIRPED_EMBED_FACTOR = 2
+
+#: Low-pass cutoff of chirped-order isolation, as a fraction of the
+#: chirp's spatial-frequency band.
+CHIRPED_CUTOFF_FRACTION = 0.25
+
+#: Planes of the free-space focus scan.
+FOCUS_SCAN_PLANES = 48
+
 
 @dataclass(frozen=True)
 class PlaneReference:
@@ -259,24 +269,23 @@ def spherical_focus_distance(spec: HologramSpec, p: BeamParameters) -> float:
     return base_wavenumber(p) / (2.0 * abs(spec.reference.curvature))
 
 
-def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec, sign: int,
-                          embed_factor: int = 2,
-                          cutoff_fraction: float = 0.25) -> ComplexField:
+def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
+                          sign: int) -> ComplexField:
     """Isolate the exp(i sign C r^2) component of a spherical-reference mask.
 
     Demodulates the chirp, low-passes to a band the other orders only leak
-    into weakly, restores the chirp, and re-embeds on a grid embed_factor
-    times wider so the field can be Fresnel-propagated without touching the
-    border.  Returns a unit-norm field at the mask plane.
+    into weakly, restores the chirp, and re-embeds on a grid
+    CHIRPED_EMBED_FACTOR times wider so the field can be Fresnel-propagated
+    without touching the border.  Returns a unit-norm field at the mask plane.
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be -1 or +1")
     if not isinstance(spec.reference, SphericalReference):
         raise ValueError("isolate_chirped_order needs a spherical reference")
     grid = mask.grid
-    big = GridSpec(grid.samples_per_side * embed_factor,
-                   grid.physical_side_length * embed_factor)
-    values = _embed(mask.values, embed_factor).astype(np.complex128)
+    big = GridSpec(grid.samples_per_side * CHIRPED_EMBED_FACTOR,
+                   grid.physical_side_length * CHIRPED_EMBED_FACTOR)
+    values = _embed(mask.values, CHIRPED_EMBED_FACTOR).astype(np.complex128)
     xg, yg = big.meshgrid()
     r_sq = xg ** 2 + yg ** 2
     c = spec.reference.curvature
@@ -285,7 +294,7 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec, sign: int,
     k = 2.0 * np.pi * np.fft.fftfreq(big.samples_per_side, d=big.pitch)
     kx, ky = np.meshgrid(k, k)
     chirp_band = 2.0 * abs(c) * (grid.physical_side_length / 2.0)
-    cutoff = cutoff_fraction * chirp_band
+    cutoff = CHIRPED_CUTOFF_FRACTION * chirp_band
     keep = (kx ** 2 + ky ** 2) <= cutoff ** 2
     low = _fft.ifft2(_fft.fft2(demod) * keep)
     component = low * np.exp(1j * sign * c * r_sq)
@@ -306,22 +315,23 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec, sign: int,
 
 
 def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
-                               z_max: float, n_scan: int = 48):
+                               z_max: float):
     """Fresnel-propagate (B = 0) and return (z, width) at the narrowest plane.
 
-    The n_scan planes are z_max / n_scan apart, each reached by one exact
-    free-space step (more only if the spacing exceeds exact_step_limit).
+    The FOCUS_SCAN_PLANES planes are z_max / FOCUS_SCAN_PLANES apart, each
+    reached by one exact free-space step (more only if the spacing exceeds
+    exact_step_limit).
     The width is the axis-centred second-moment estimate; z is refined by a
     parabola through the minimum and its neighbours.
     """
     p0 = replace(p, field_bz=0.0)
-    spacing = z_max / n_scan
+    spacing = z_max / FOCUS_SCAN_PLANES
     steps_per_scan = exact_steps_per_plane(field.grid, p0, spacing)
     plan = make_plan(field.grid, p0, spacing / steps_per_scan,
                      scheme="exact")
     zs, widths = [0.0], [effective_width(field)]
     current = field
-    for _ in range(n_scan):
+    for _ in range(FOCUS_SCAN_PLANES):
         current = propagate_definite_l(current, 0, plan, steps_per_scan)
         zs.append(current.z_position - field.z_position)
         widths.append(effective_width(current))

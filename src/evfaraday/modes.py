@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +39,8 @@ class GridSpec:
 
     def __post_init__(self):
         n = self.samples_per_side
-        if n < 16 or n % 2 != 0:
+        if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                or n < 16 or n % 2 != 0):
             raise InvalidGridError(
                 f"samples_per_side must be an even integer >= 16, got {n}")
         if not self.physical_side_length > 0:

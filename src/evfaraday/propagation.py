@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
@@ -206,13 +206,34 @@ def _strang_sweep(stack: np.ndarray, plan: PropagationPlan,
     return stack
 
 
+def _evolve(stack: np.ndarray, ls: np.ndarray, plan: PropagationPlan,
+            steps_per_plane: int, n_planes: int):
+    """Yield (z, amplitudes) of the summed definite-l components in stack
+    at z = 0 and after each of n_planes sweeps of steps_per_plane steps.
+
+    The one propagation core: the components share every split-step
+    sweep, and each one's Zeeman phase exp(-i l k_L z) is applied exactly,
+    once, where the plane is summed.  Every yielded plane passes the
+    containment check.  stack is overwritten.
+    """
+    k_l = larmor_wavenumber(plan.params)
+    z = 0.0
+    for plane in range(n_planes + 1):
+        if plane:
+            stack = _strang_sweep(stack, plan, steps_per_plane)
+            z += steps_per_plane * plan.dz
+        out = np.tensordot(np.exp(-1j * ls * k_l * z), stack, axes=1)
+        _check_contained(out, f"field at z = {z:.6e} m")
+        yield z, out
+
+
 def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
                          n_steps: int) -> ComplexField:
     """Advance one OAM eigencomponent by n_steps * dz.
 
     The caller asserts the field has azimuthal dependence exp(i l phi); the
     Zeeman interaction is then the exact scalar phase exp(-i l k_L dz) per
-    step and is applied once at the end.
+    step.
     """
     if field.grid != plan.grid:
         raise GridMismatchError("field and plan grids differ")
@@ -220,13 +241,9 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
         raise ValueError("n_steps must be >= 0")
     if n_steps == 0:
         return ComplexField(field.grid, field.z_position, field.amplitudes.copy())
-    _check_contained(field.amplitudes, "input field")
-    stack = _strang_sweep(field.amplitudes[np.newaxis].copy(), plan, n_steps)
-    _check_contained(stack[0], "propagated field")
-    advance = n_steps * plan.dz
-    zeeman = np.exp(-1j * l * larmor_wavenumber(plan.params) * advance)
-    return ComplexField(field.grid, field.z_position + advance,
-                        stack[0] * zeeman)
+    *_, (advance, out) = _evolve(field.amplitudes[np.newaxis].copy(),
+                                 np.array([l]), plan, n_steps, 1)
+    return ComplexField(field.grid, field.z_position + advance, out)
 
 
 def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
@@ -234,52 +251,17 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     """Yield (z, ComplexField) for a superposition propagated from z = 0.
 
     Emits the initial field and then one field every
-    plan.steps_per_output * plan.dz, n_outputs times.  All definite-l
-    components advance through the same split-step sweeps; the per-component
-    Zeeman phase is applied when a field is assembled.
+    plan.steps_per_output * plan.dz, n_outputs times.
     """
     if grid != plan.grid:
         raise GridMismatchError("grid and plan grids differ")
     if n_outputs < 1:
         raise ValueError("n_outputs must be >= 1")
-    k_l = larmor_wavenumber(plan.params)
     ls = np.array([idx.l for idx, _, _ in s.terms])
     stack = np.stack([coeff * mode_field(grid, idx.n, idx.l, w).amplitudes
                       for idx, coeff, w in s.terms])
-
-    def assemble(z):
-        out = np.tensordot(np.exp(-1j * ls * k_l * z), stack, axes=1)
-        return ComplexField(grid, z, out)
-
-    # residual grid correction so the assembled sum starts at unit norm
-    initial = assemble(0.0)
-    stack /= math.sqrt(grid_norm(initial))
-    initial = assemble(0.0)
-    _check_contained(initial.amplitudes, "initial field")
-    yield 0.0, initial
-
-    z = 0.0
-    for _ in range(n_outputs):
-        stack = _strang_sweep(stack, plan, plan.steps_per_output)
-        z += plan.steps_per_output * plan.dz
-        out = assemble(z)
-        _check_contained(out.amplitudes, f"field at z = {z:.6e} m")
-        yield z, out
-
-
-def propagate_superposition(s: ModeSuperposition, grid: GridSpec,
-                            plan: PropagationPlan, z_total: float) -> ComplexField:
-    """Propagate a superposition from z = 0 to z_total in one sweep.
-
-    z_total must be an integer multiple of plan.dz.
-    """
-    ratio = z_total / plan.dz
-    n_steps = round(ratio)
-    if n_steps < 1 or abs(ratio - n_steps) > 1e-9:
-        raise ValueError(
-            f"z_total = {z_total!r} is not a positive integer multiple of "
-            f"dz = {plan.dz!r}")
-    stepped = replace(plan, steps_per_output=n_steps)
-    for _, out in superposition_evolution(s, grid, stepped, 1):
-        pass
-    return out
+    # residual grid correction so the sum (every Zeeman phase is 1 at
+    # z = 0) starts at unit norm
+    stack /= math.sqrt(grid_norm(ComplexField(grid, 0.0, stack.sum(axis=0))))
+    for z, out in _evolve(stack, ls, plan, plan.steps_per_output, n_outputs):
+        yield z, ComplexField(grid, z, out)

@@ -10,8 +10,8 @@ import pytest
 
 from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, GridSpec,
                        exact_step_limit, larmor_wavenumber, magnetic_width,
-                       verdet_parameter)
-from evfaraday.cli import CliUsageError, RunConfig, main
+                       verdet_parameter, width_function_exact)
+from evfaraday.cli import main
 from evfaraday.fileio import load_field
 
 
@@ -167,6 +167,23 @@ class TestBreathe:
         assert np.allclose(rows[:, 1], w_b, rtol=0.01)
         assert np.allclose(rows[:, 2], w_b, rtol=0.01)
 
+    @pytest.mark.filterwarnings(
+        "error::evfaraday.errors.GridAdequacyWarning")
+    def test_mismatched_waist_follows_exact_law(self, tmp_path, capsys):
+        outdir = tmp_path / "br"
+        assert main(["breathe", "--w0-rel", "0.5", "--grid-n", "160",
+                     "--periods", "1", "--outputs", "16",
+                     "-o", str(outdir)]) == 0
+        rows = read_csv(outdir / "breathing.csv")
+        p = BeamParameters(60e3 * ELEMENTARY_CHARGE, 1.0)
+        w0 = 0.5 * magnetic_width(p)
+        period = math.pi / abs(larmor_wavenumber(p))
+        assert rows.shape[0] == 17
+        assert np.allclose(rows[:, 0], np.arange(17) * period / 16,
+                           rtol=1e-12, atol=0)
+        exact = np.array([width_function_exact(w0, p, z) for z in rows[:, 0]])
+        assert np.max(np.abs(rows[:, 1] - exact) / exact) < 1e-5
+
     def test_zero_field_rejected(self):
         assert main(["breathe", "-B", "0T"]) == 2
 
@@ -227,6 +244,28 @@ class TestErrorBoundary:
                     "--grid-side", "600nm", "--phi-max", "0.05rad",
                     "--outputs", "2"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rotate", "-E", "0keV"], "kinetic_energy must be positive"),
+        (["rotate", "-E", "1e400keV"], "kinetic_energy must be positive"),
+        (["rotate", "-B", "1e400T"], "field_bz must be finite"),
+        (["rotate", "--w0=-5nm"], "waists must be positive"),
+        (["rotate", "--outputs", "0"], "at least one output plane"),
+        (["breathe", "--periods", "0"], "at least one output plane"),
+        (["quantities", "-E", "0keV", "-B", "1T"],
+         "kinetic_energy must be positive"),
+        (["grating", "-l", "0"], "vorticity l must be >= 1"),
+        (["grating", "--kx=-1m-1"], "needs k_x > 0"),
+        (["grating", "--spherical", "--curvature", "0m-2"], "needs C != 0"),
+        (["grating", "--pad", "0", "--diffract"], "pad_factor must be >= 1"),
+    ])
+    def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
+                            message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+
     def test_rotate_l_zero(self, tmp_path, capsys):
         assert main(self.SMALL_ROTATE + ["-l", "0",
                                          "-o", str(tmp_path)]) == 2
@@ -255,28 +294,6 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"exact_step_limit on this grid is {limit:.6e} m" in err
-
-
-class TestRunConfig:
-    def test_validates_before_computation(self):
-        good = dict(energy_ev=60e3, field_t=1.0, grid_n=128,
-                    grid_side_m=1e-6, dz_m=1e-7, z_max_m=1e-4,
-                    outputs=4, outdir="out")
-        RunConfig(**good)
-        for key, bad in (("energy_ev", -1.0), ("grid_n", 8),
-                         ("grid_side_m", 0.0), ("dz_m", -1e-9),
-                         ("z_max_m", 0.0), ("outputs", 0),
-                         ("field_t", math.nan)):
-            with pytest.raises(CliUsageError):
-                RunConfig(**{**good, key: bad})
-
-    def test_derived_objects(self):
-        config = RunConfig(energy_ev=60e3, field_t=1.0, grid_n=128,
-                           grid_side_m=1e-6, dz_m=1e-7, z_max_m=1e-4,
-                           outputs=4, outdir="out")
-        assert config.beam().kinetic_energy == pytest.approx(
-            60e3 * ELEMENTARY_CHARGE)
-        assert config.grid().samples_per_side == 128
 
 
 class TestEntryPoints:

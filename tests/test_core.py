@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from evfaraday import (BeamParameters, ModeIndex, PhysicalConstants,
-                       base_wavenumber, beam_speed, faraday_angle,
-                       landau_energy, larmor_frequency, larmor_wavenumber,
+from evfaraday import (BeamParameters, ModeIndex, base_wavenumber,
+                       beam_speed, core, faraday_angle, landau_energy,
+                       larmor_frequency, larmor_wavenumber,
                        magnetic_term_energy, magnetic_width, mode_wavenumber,
                        paraxial_phase, verdet_parameter)
-from evfaraday.errors import EvanescentModeError, ZeroFieldError
+from evfaraday.errors import (EvanescentModeError, InvalidModeError,
+                              ZeroFieldError)
 
 # CODATA 2018 literals, restated here so the oracles do not depend on the
 # package's own constant definitions.
@@ -27,24 +28,18 @@ def beam_at(energy_j, bz):
 
 class TestPhysicalConstants:
     def test_default_set_is_consistent(self):
-        c = PhysicalConstants()
-        derived = c.hbar * c.elementary_charge / (2 * c.electron_mass)
-        assert abs(derived - c.bohr_magneton) <= 1e-6 * c.bohr_magneton
-        assert abs(c.bohr_magneton - 9.2740100783e-24) < 1e-8 * 9.274e-24
-
-    def test_all_positive_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(hbar=-HBAR)
-        with pytest.raises(ValueError):
-            PhysicalConstants(g_factor=0.0)
-
-    def test_inconsistent_magneton_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            PhysicalConstants(bohr_magneton=9.3e-24)
+        assert (core.ELECTRON_MASS, core.ELEMENTARY_CHARGE, core.HBAR) == (
+            M_E, Q_E, HBAR)
+        derived = HBAR * Q_E / (2 * M_E)
+        assert abs(derived - core.BOHR_MAGNETON) <= 1e-6 * core.BOHR_MAGNETON
+        assert abs(core.BOHR_MAGNETON - 9.2740100783e-24) < 1e-8 * 9.274e-24
+        assert core.G_FACTOR == 2.0
 
     def test_beam_validation(self):
         with pytest.raises(ValueError):
             BeamParameters(0.0, 1.0)
+        with pytest.raises(ValueError):
+            BeamParameters(math.inf, 1.0)
         with pytest.raises(ValueError):
             BeamParameters(E60, math.nan)
 
@@ -54,6 +49,12 @@ class TestPhysicalConstants:
         with pytest.raises(ValueError):
             ModeIndex(0, 0, 0.3)
         ModeIndex(0, -3, 0.5)
+
+    def test_mode_index_rejects_non_integers(self):
+        for n, l in ((0, 1.5), (1.0, 0), (True, 1), (0, False)):
+            with pytest.raises(InvalidModeError, match="must be an integer"):
+                ModeIndex(n, l)
+        ModeIndex(np.int64(1), np.int64(-2))
 
 
 class TestLarmorFrequency:
@@ -225,7 +226,7 @@ class TestParaxialPhase:
         p = beam_at(E60, 1.0)
         z = 1e-7
         k_l = larmor_wavenumber(p)
-        g = p.constants.g_factor
+        g = core.G_FACTOR
         diff = (paraxial_phase(p, ModeIndex(0, 1, +0.5), z)
                 - paraxial_phase(p, ModeIndex(0, 1, -0.5), z))
         assert diff == pytest.approx(-g * k_l * z, rel=1e-6)

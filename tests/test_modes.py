@@ -14,8 +14,9 @@ from evfaraday import (ComplexField, GridSpec, ModeIndex, ModeSuperposition,
                        mode_field, pattern_orientation, petal_radius,
                        radial_profile, sample_superposition, width_function,
                        width_function_exact)
-from evfaraday.errors import (GridAdequacyWarning, NotAnEigenstateError,
-                              UnsupportedOrderError, ZeroFieldError)
+from evfaraday.errors import (GridAdequacyWarning, InvalidGridError,
+                              NotAnEigenstateError, UnsupportedOrderError,
+                              ZeroFieldError)
 
 
 def laguerre_series(n, alpha, x):
@@ -297,6 +298,12 @@ class TestGridSpec:
             GridSpec(17, 1e-6)
         with pytest.raises(ValueError):
             GridSpec(64, 0.0)
+
+    def test_samples_per_side_must_be_an_integer(self):
+        for n in (64.0, True, "64"):
+            with pytest.raises(InvalidGridError, match="even integer"):
+                GridSpec(n, 1e-6)
+        assert GridSpec(np.int64(64), 1e-6).samples_per_side == 64
 
     def test_pixel_centres_avoid_origin(self):
         grid = GridSpec(64, 1e-6)

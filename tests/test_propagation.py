@@ -11,13 +11,12 @@ from evfaraday import (BeamParameters, ComplexField, ELEMENTARY_CHARGE,
                        GridSpec, ModeIndex, ModeSuperposition, aliasing_limit,
                        angular_intensity, base_wavenumber, default_step_size,
                        effective_width, exact_step_limit,
-                       exact_steps_per_plane, faraday_angle, fidelity,
-                       grid_norm,
+                       exact_steps_per_plane, fidelity, grid_norm,
                        larmor_wavenumber, magnetic_width, make_plan,
                        mode_field, pattern_orientation, petal_radius,
-                       propagate_definite_l, propagate_superposition,
-                       superposition_evolution, unwrap_orientations,
-                       width_function, width_function_exact)
+                       propagate_definite_l, superposition_evolution,
+                       unwrap_orientations, width_function,
+                       width_function_exact)
 from evfaraday.errors import (ContainmentError, GridMismatchError,
                               StepTooLargeError)
 
@@ -216,24 +215,6 @@ class TestSuperpositionRotation:
                                            petal_radius(magnetic_width(p), 1), 1)
             angles[bz] = measured
         assert np.allclose(angles[1.0], -angles[-1.0], atol=1e-9)
-
-    def test_propagate_superposition_single_shot(self, beam, w_b):
-        grid = GridSpec(128, 12 * w_b)
-        dz = 0.5 * aliasing_limit(grid, beam)
-        plan = make_plan(grid, beam, dz)
-        s = ModeSuperposition.opposite_pair(1, w_b, beam)
-        out = propagate_superposition(s, grid, plan, 40 * dz)
-        assert out.z_position == pytest.approx(40 * dz, rel=1e-12)
-        prof = angular_intensity(out, petal_radius(w_b, 1), 256)
-        expected = faraday_angle(beam, out.z_position)
-        assert pattern_orientation(prof, 1) == pytest.approx(expected, rel=2e-2)
-
-    def test_non_multiple_z_rejected(self, beam, w_b):
-        grid = GridSpec(64, 8 * w_b)
-        plan = make_plan(grid, beam, 1e-8)
-        s = ModeSuperposition.opposite_pair(1, w_b, beam)
-        with pytest.raises(ValueError):
-            propagate_superposition(s, grid, plan, 10.37e-8)
 
 
 class TestThreadCap:
