@@ -284,6 +284,12 @@ def cmd_grating(args) -> int:
                else default_carrier(grid))
         reference = PlaneReference(k_x)
     spec = HologramSpec(args.l, phi0, reference)
+    if args.diffract:
+        # reject the analysis inputs before any output is written
+        p = BeamParameters(parse_energy(args.energy), 0.0)
+        if not args.spherical and args.pad < 1:
+            raise CliUsageError(
+                f"pad_factor must be >= 1, got --pad {args.pad}")
     mask = synthesize_hologram(spec, grid)
     outdir = _ensure_outdir(args)
     write_mask_pgm(os.path.join(outdir, "mask.pgm"), mask.values)
@@ -291,7 +297,6 @@ def cmd_grating(args) -> int:
           f"of {mask.values.size}")
     if not args.diffract:
         return 0
-    p = BeamParameters(parse_energy(args.energy), 0.0)
     if args.spherical:
         report = _spherical_focus_report(mask, spec, p)
         write_text(os.path.join(outdir, "focus.json"),

@@ -96,7 +96,11 @@ def write_intensity_pgm(path: str, intensity: np.ndarray) -> float:
     """
     peak = float(intensity.max())
     if peak > 0:
-        scaled = np.rint(255.0 * intensity / peak)
+        # rint(255 * intensity / peak) in one buffer, in the same
+        # operation order, so the bytes do not depend on the buffering
+        scaled = np.multiply(intensity, 255.0)
+        scaled /= peak
+        np.rint(scaled, out=scaled)
     else:
         scaled = np.zeros_like(intensity)
     write_pgm(path, scaled.astype(np.uint8))

@@ -21,7 +21,7 @@ from .analysis import effective_width
 from .core import BeamParameters, base_wavenumber
 from .errors import CarrierResolutionError, OrderSeparationError
 from .modes import ComplexField, GridSpec
-from .propagation import (exact_steps_per_plane, make_plan,
+from .propagation import (exact_steps_per_plane, fft_workers, make_plan,
                           propagate_definite_l)
 
 #: Far-field oversampling used to resolve the internal structure of orders.
@@ -152,6 +152,34 @@ def _embed(values: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
+def _padded_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
+    """fftshift(fft2(ifftshift(_embed(values, pad_factor)), norm="ortho"))
+    of a real n x n array, without transforming the zero padding.
+
+    Both shifts become a (-1)^(x+y) sign on the input, which needs the
+    padded side m = n * pad_factor and n even (GridSpec makes n even).  The
+    pass along y runs over the n columns only, stored transposed so each is
+    a contiguous row; its output lands at the ifftshifted column positions
+    of a zeroed m x m array, where one in-place pass along x finishes it.
+    """
+    n = values.shape[0]
+    m = n * pad_factor
+    h = n // 2
+    workers = fft_workers()
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    signed = values.T * np.multiply.outer(sign, sign)
+    cols = np.zeros((n, m), dtype=np.complex128)
+    cols[:, :h] = signed[:, h:]
+    cols[:, m - h:] = signed[:, :h]
+    cols = _fft.fft(cols, axis=1, norm="ortho", overwrite_x=True,
+                    workers=workers)
+    out = np.zeros((m, m), dtype=np.complex128)
+    out[:, :h] = cols[h:].T
+    out[:, m - h:] = cols[:h].T
+    return _fft.fft(out, axis=1, norm="ortho", overwrite_x=True,
+                    workers=workers)
+
+
 def diffract_far_field(mask: BinaryMask, illumination_energy: float,
                        pad_factor: int = DEFAULT_PAD_FACTOR) -> ComplexField:
     """Centred unitary Fourier transform of the mask as a unit-amplitude
@@ -167,8 +195,7 @@ def diffract_far_field(mask: BinaryMask, illumination_energy: float,
         raise ValueError("illumination energy must be positive")
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
-    padded = _embed(mask.values, pad_factor).astype(np.complex128)
-    far = _fft.fftshift(_fft.fft2(_fft.ifftshift(padded), norm="ortho"))
+    far = _padded_spectrum(mask.values, pad_factor)
     freq_side = 1.0 / mask.grid.pitch
     out_grid = GridSpec(mask.grid.samples_per_side * pad_factor, freq_side)
     return ComplexField(out_grid, 0.0, far)
@@ -185,20 +212,17 @@ def _aperture_kernel(n: int, pad_factor: int) -> np.ndarray:
     """Far-field intensity kernel of the bare inscribed-circle aperture."""
     idx = np.arange(n) - n / 2 + 0.5
     xg, yg = np.meshgrid(idx, idx)
-    disk = (xg ** 2 + yg ** 2 <= (n / 2.0) ** 2).astype(np.complex128)
-    padded = _embed(disk, pad_factor)
-    far = _fft.fftshift(_fft.fft2(_fft.ifftshift(padded), norm="ortho"))
-    return np.abs(far) ** 2
+    disk = (xg ** 2 + yg ** 2 <= (n / 2.0) ** 2).astype(np.float64)
+    return np.abs(_padded_spectrum(disk, pad_factor)) ** 2
 
 
-def _window_sum(intensity: np.ndarray, centre_row: int, centre_col: int,
-                half: int) -> float:
-    m = intensity.shape[0]
-    r0, r1 = centre_row - half, centre_row + half
+def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
+    """Sum over all rows of the band and columns centre_col +- half;
+    nan if those columns leave the band."""
     c0, c1 = centre_col - half, centre_col + half
-    if r0 < 0 or c0 < 0 or r1 > m or c1 > m:
+    if c0 < 0 or c1 > band.shape[1]:
         return math.nan
-    return float(intensity[r0:r1, c0:c1].sum())
+    return float(band[:, c0:c1].sum())
 
 
 def extract_order(far_field: ComplexField, spec: HologramSpec,
@@ -233,12 +257,16 @@ def extract_order(far_field: ComplexField, spec: HologramSpec,
         raise OrderSeparationError(
             f"order {order:+d} window falls outside the sampled far field")
 
-    intensity = np.abs(far_field.amplitudes) ** 2
+    # all windows span the same rows; the bounds check above implies
+    # half <= m/2, so these rows lie inside the far field
+    rows = slice(centre - half, centre + half)
+    intensity = np.abs(far_field.amplitudes[rows]) ** 2
     kernel = _aperture_kernel(n_mask, pad_factor)
     kernel_total = float(kernel.sum())
+    kernel_band = kernel[rows]
     powers = {}
     for o in (-3, -2, -1, 0, 1, 2, 3):
-        p = _window_sum(intensity, centre, centre + round(o * carrier_px), half)
+        p = _window_sum(intensity, centre + round(o * carrier_px), half)
         if not math.isnan(p):
             powers[o] = p
     own = powers[order]
@@ -246,7 +274,7 @@ def extract_order(far_field: ComplexField, spec: HologramSpec,
     for o, p in powers.items():
         if o == order:
             continue
-        spread = _window_sum(kernel, centre,
+        spread = _window_sum(kernel_band,
                              centre + round(abs(o - order) * carrier_px), half)
         if not math.isnan(spread):
             leak += p * spread / kernel_total
@@ -296,7 +324,9 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     chirp_band = 2.0 * abs(c) * (grid.physical_side_length / 2.0)
     cutoff = CHIRPED_CUTOFF_FRACTION * chirp_band
     keep = (kx ** 2 + ky ** 2) <= cutoff ** 2
-    low = _fft.ifft2(_fft.fft2(demod) * keep)
+    workers = fft_workers()
+    low = _fft.ifft2(_fft.fft2(demod, workers=workers) * keep,
+                     workers=workers)
     component = low * np.exp(1j * sign * c * r_sq)
     # the low-pass ringing decays too slowly for the propagator's border
     # check; taper it away well outside the mask circle, where the order

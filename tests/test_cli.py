@@ -257,6 +257,8 @@ class TestErrorBoundary:
         (["grating", "--kx=-1m-1"], "needs k_x > 0"),
         (["grating", "--spherical", "--curvature", "0m-2"], "needs C != 0"),
         (["grating", "--pad", "0", "--diffract"], "pad_factor must be >= 1"),
+        (["grating", "-E", "0keV", "--diffract"],
+         "kinetic_energy must be positive"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):
@@ -265,6 +267,8 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert message in err
+        # rejected before any output, the grating mask.pgm included
+        assert not (tmp_path / "evf_output").exists()
 
     def test_rotate_l_zero(self, tmp_path, capsys):
         assert main(self.SMALL_ROTATE + ["-l", "0",
@@ -282,8 +286,13 @@ class TestErrorBoundary:
 
     def test_non_integer_evf_threads(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EVF_THREADS", "abc")
-        assert main(self.SMALL_ROTATE + ["-o", str(tmp_path)]) == 2
-        assert "error: EVF_THREADS" in capsys.readouterr().err
+        # the plane far field is an FFT path of its own; this argv exits 0
+        # with a valid EVF_THREADS
+        plane = ["grating", "-l", "1", "--plane", "--kx", "2.01e8m-1",
+                 "--grid-n", "256", "--pad", "8", "--diffract"]
+        for argv in (self.SMALL_ROTATE, plane):
+            assert main(argv + ["-o", str(tmp_path)]) == 2
+            assert "error: EVF_THREADS" in capsys.readouterr().err
 
     def test_dz_above_exact_step_limit(self, tmp_path, capsys):
         p = BeamParameters(60e3 * ELEMENTARY_CHARGE, 1.0)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from evfaraday import (BeamParameters, BinaryMask, ComplexField,
                        ELEMENTARY_CHARGE, GridSpec, HologramSpec,
@@ -14,11 +15,22 @@ from evfaraday import (BeamParameters, BinaryMask, ComplexField,
                        isolate_chirped_order, locate_minimum_width_plane,
                        pattern_orientation, radial_peak_radius,
                        spherical_focus_distance, synthesize_hologram)
-from evfaraday.gratings import frequency_to_angle
+from evfaraday.gratings import _aperture_kernel, _embed, frequency_to_angle
 from evfaraday.errors import CarrierResolutionError, OrderSeparationError
 
 E60 = 60e3 * ELEMENTARY_CHARGE
 BEAM = BeamParameters(E60, 0.0)
+
+
+def padded_transform_definition(values, pad):
+    """The centred unitary transform of the zero-padded array, written out
+    literally: the reference the far field is checked against."""
+    padded = _embed(values, pad).astype(np.complex128)
+    return scipy.fft.fftshift(scipy.fft.fft2(scipy.fft.ifftshift(padded),
+                                             norm="ortho"))
+
+
+SPECTRUM_CASES = [(16, 1), (16, 3), (32, 4), (48, 8)]
 
 
 def plane_spec(grid, fringes=32, l=1, phi0=0.0):
@@ -184,6 +196,27 @@ class TestFarField:
         nu = 1e7
         expected = 2 * math.pi / base_wavenumber(BEAM) * nu
         assert frequency_to_angle(nu, BEAM) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
+    def test_matches_padded_transform_definition(self, n, pad):
+        rng = np.random.default_rng(7 * n + pad)
+        values = (rng.random((n, n)) < 0.5).astype(np.uint8)
+        # an asymmetric mask, so swapped x/y axes would show
+        assert not np.array_equal(values, values.T)
+        mask = BinaryMask(GridSpec(n, 1e-6), values)
+        expected = padded_transform_definition(values, pad)
+        got = diffract_far_field(mask, E60, pad).amplitudes
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
+    def test_aperture_kernel_matches_definition(self, n, pad):
+        idx = np.arange(n) - n / 2 + 0.5
+        xg, yg = np.meshgrid(idx, idx)
+        disk = (xg ** 2 + yg ** 2 <= (n / 2.0) ** 2).astype(np.float64)
+        expected = np.abs(padded_transform_definition(disk, pad)) ** 2
+        got = _aperture_kernel(n, pad)
+        assert np.abs(got - expected).max() <= 1e-13 * expected.max()
 
 
 @pytest.fixture(scope="module")
