@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridMismatchError, NoPatternError
 from .modes import ComplexField
@@ -53,9 +52,14 @@ def angular_intensity(field: ComplexField, radius: float,
     # fractional indices of physical points; pixel centres sit at half-pixels
     ix = x / grid.pitch + n / 2 - 0.5
     iy = y / grid.pitch + n / 2 - 0.5
-    vals = ndimage.map_coordinates(field.intensity(), np.vstack([iy, ix]),
-                                   order=1, mode="nearest")
-    return AngularProfile(radius, np.maximum(vals, 0.0))
+    # bilinear gather with scipy.ndimage's order-1 weights (w1 = 1 - w0) and
+    # summation order; the radius bound keeps every neighbour on the grid
+    x0, y0 = np.floor(ix).astype(int), np.floor(iy).astype(int)
+    wx0, wy0 = 1.0 - (ix - x0), 1.0 - (iy - y0)
+    wx, wy = (wx0, 1.0 - wx0), (wy0, 1.0 - wy0)
+    vals = sum(np.abs(field.amplitudes[y0 + dy, x0 + dx]) ** 2 * wy[dy] * wx[dx]
+               for dy in (0, 1) for dx in (0, 1))
+    return AngularProfile(radius, vals)
 
 
 def circular_harmonic(profile: AngularProfile, k: int) -> complex:

@@ -30,8 +30,7 @@ from .gratings import (HologramSpec, PlaneReference, SphericalReference,
                        default_carrier, diffract_far_field, extract_order,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
-from .modes import (ComplexField, GridSpec, ModeSuperposition, petal_radius,
-                    width_function)
+from .modes import GridSpec, ModeSuperposition, petal_radius, width_function
 # propagate_definite_l is unused here but kept importable: the benchmark's
 # instrumentation self-test (perfbench/tests) patches it at this import site.
 from .propagation import (exact_steps_per_plane, make_plan,  # noqa: F401
@@ -225,20 +224,15 @@ def cmd_breathe(args) -> int:
     return 0
 
 
-def _order_label(order: int) -> str:
-    return {-1: "order_m1", 0: "order_0", 1: "order_p1"}[order]
-
-
 def _plane_diffraction_report(args, mask, spec, p, outdir) -> dict:
     far = diffract_far_field(mask, p.kinetic_energy, args.pad)
     write_intensity_pgm(os.path.join(outdir, "farfield.pgm"),
                         np.abs(far.amplitudes) ** 2)
     report = {}
-    for order in (-1, 0, +1):
+    for order, label in ((-1, "order_m1"), (0, "order_0"), (1, "order_p1")):
         field = extract_order(far, spec, order, args.pad)
-        save_field(os.path.join(outdir, _order_label(order) + ".field"),
-                   field, _energy_ev(p), p.field_bz,
-                   note=f"diffraction order {order:+d}")
+        save_field(os.path.join(outdir, label + ".field"), field, _energy_ev(p),
+                   p.field_bz, note=f"diffraction order {order:+d}")
         # each order is probed where its own azimuthal average peaks
         radius = radial_peak_radius(field)
         profile = angular_intensity(field, radius, n_samples=256)
@@ -248,26 +242,23 @@ def _plane_diffraction_report(args, mask, spec, p, outdir) -> dict:
             entry["orientation_rad"] = pattern_orientation(profile, spec.l)
         except NoPatternError:
             entry["orientation_rad"] = None
-        report[_order_label(order)] = entry
+        report[label] = entry
     return report
 
 
 def _spherical_focus_report(mask, spec, p) -> dict:
     expected = spherical_focus_distance(spec, p)
-    z_scan = 1.4 * expected
     s_conv = -1 if spec.reference.curvature > 0 else +1
-    converging = isolate_chirped_order(mask, spec, s_conv)
-    z_real, w_real = locate_minimum_width_plane(converging, p, z_scan)
-    diverging = isolate_chirped_order(mask, spec, -s_conv)
-    time_reversed = ComplexField(diverging.grid, 0.0,
-                                 np.conj(diverging.amplitudes))
-    z_virtual, w_virtual = locate_minimum_width_plane(time_reversed, p, z_scan)
+    (z_real, w_real), (z_virtual, w_virtual) = (
+        locate_minimum_width_plane(isolate_chirped_order(mask, spec, sign), p,
+                                   1.4 * expected)
+        for sign in (s_conv, -s_conv))
     return {
         "expected_abs_focus_m": expected,
         "converging_chirp_sign": s_conv,
         "real_focus_m": z_real,
         "real_focus_width_m": w_real,
-        "virtual_focus_m": -z_virtual,
+        "virtual_focus_m": z_virtual,
         "virtual_focus_width_m": w_virtual,
     }
 
@@ -278,11 +269,14 @@ def cmd_grating(args) -> int:
     if args.spherical:
         if not args.curvature:
             raise CliUsageError("--spherical needs --curvature")
+        if args.kx:
+            raise CliUsageError("--kx has no effect with --spherical")
         reference = SphericalReference(parse_curvature(args.curvature))
     else:
-        k_x = (parse_wavenumber(args.kx) if args.kx
-               else default_carrier(grid))
-        reference = PlaneReference(k_x)
+        if args.curvature:
+            raise CliUsageError("--curvature needs --spherical")
+        reference = PlaneReference(parse_wavenumber(args.kx) if args.kx
+                                   else default_carrier(grid))
     spec = HologramSpec(args.l, phi0, reference)
     if args.diffract:
         # reject the analysis inputs before any output is written
@@ -390,10 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vorticity of the encoded ±l superposition")
     g.add_argument("--phi0", default="0rad",
                    help="singularity-line orientation")
-    g.add_argument("--plane", action="store_true",
-                   help="plane reference (default)")
-    g.add_argument("--spherical", action="store_true",
-                   help="spherical reference: orders separate longitudinally")
+    ref = g.add_mutually_exclusive_group()
+    ref.add_argument("--plane", action="store_true",
+                     help="plane reference (default)")
+    ref.add_argument("--spherical", action="store_true",
+                     help="spherical reference: orders separate longitudinally")
     g.add_argument("--kx", help="plane carrier, e.g. 6.3e7m-1 "
                                 "(default: 10 fringes across the aperture)")
     g.add_argument("--curvature", help="spherical curvature, e.g. 2e12m-2")

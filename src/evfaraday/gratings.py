@@ -11,7 +11,7 @@ circular aperture so square-edge streaks do not contaminate the orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,10 +19,10 @@ import scipy.fft as _fft
 
 from .analysis import effective_width
 from .core import BeamParameters, base_wavenumber
-from .errors import CarrierResolutionError, OrderSeparationError
+from .errors import (CarrierResolutionError, ContainmentError,
+                     OrderSeparationError)
 from .modes import ComplexField, GridSpec
-from .propagation import (exact_steps_per_plane, fft_workers, make_plan,
-                          propagate_definite_l)
+from .propagation import _check_contained, fft_workers
 
 #: Far-field oversampling used to resolve the internal structure of orders.
 DEFAULT_PAD_FACTOR = 4
@@ -37,8 +37,8 @@ CHIRPED_EMBED_FACTOR = 2
 #: chirp's spatial-frequency band.
 CHIRPED_CUTOFF_FRACTION = 0.25
 
-#: Planes of the free-space focus scan.
-FOCUS_SCAN_PLANES = 48
+#: Bound on the relative gap of moment-law and propagated focus widths.
+FOCUS_WIDTH_CROSSCHECK_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,7 @@ def frequency_to_angle(nu: float, p: BeamParameters) -> float:
 def _aperture_kernel(n: int, pad_factor: int) -> np.ndarray:
     """Far-field intensity kernel of the bare inscribed-circle aperture."""
     idx = np.arange(n) - n / 2 + 0.5
-    xg, yg = np.meshgrid(idx, idx)
-    disk = (xg ** 2 + yg ** 2 <= (n / 2.0) ** 2).astype(np.float64)
+    disk = (idx[:, np.newaxis] ** 2 + idx ** 2 <= (n / 2.0) ** 2).astype(float)
     return np.abs(_padded_spectrum(disk, pad_factor)) ** 2
 
 
@@ -320,10 +319,9 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     demod = values * np.exp(-1j * sign * c * r_sq)
 
     k = 2.0 * np.pi * np.fft.fftfreq(big.samples_per_side, d=big.pitch)
-    kx, ky = np.meshgrid(k, k)
     chirp_band = 2.0 * abs(c) * (grid.physical_side_length / 2.0)
     cutoff = CHIRPED_CUTOFF_FRACTION * chirp_band
-    keep = (kx ** 2 + ky ** 2) <= cutoff ** 2
+    keep = k[:, np.newaxis] ** 2 + k ** 2 <= cutoff ** 2
     workers = fft_workers()
     low = _fft.ifft2(_fft.fft2(demod, workers=workers) * keep,
                      workers=workers)
@@ -346,33 +344,37 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
 
 def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
                                z_max: float):
-    """Fresnel-propagate (B = 0) and return (z, width) at the narrowest plane.
+    """(z, width) of the narrowest plane of a field in free space (B = 0).
 
-    The FOCUS_SCAN_PLANES planes are z_max / FOCUS_SCAN_PLANES apart, each
-    reached by one exact free-space step (more only if the spacing exceeds
-    exact_step_limit).
-    The width is the axis-centred second-moment estimate; z is refined by a
-    parabola through the minimum and its neighbours.
+    Moments about the grid axis obey <r^2>(z) = <r^2> + (z/k0) <rp + pr>
+    + (z/k0)^2 <p^2> exactly: z = -k0 <rp + pr> / (2 <p^2>), < 0 for a
+    diverging field; width = sqrt(2 <r^2>(z)) as in effective_width.  Rays
+    are straight, so containment at 0, z and copysign(z_max, z) covers the
+    planes between; the width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.
     """
-    p0 = replace(p, field_bz=0.0)
-    spacing = z_max / FOCUS_SCAN_PLANES
-    steps_per_scan = exact_steps_per_plane(field.grid, p0, spacing)
-    plan = make_plan(field.grid, p0, spacing / steps_per_scan,
-                     scheme="exact")
-    zs, widths = [0.0], [effective_width(field)]
-    current = field
-    for _ in range(FOCUS_SCAN_PLANES):
-        current = propagate_definite_l(current, 0, plan, steps_per_scan)
-        zs.append(current.z_position - field.z_position)
-        widths.append(effective_width(current))
-    zs = np.asarray(zs)
-    widths = np.asarray(widths)
-    i = int(np.argmin(widths))
-    if 0 < i < len(zs) - 1:
-        # parabolic refinement through the three points around the minimum
-        y0, y1, y2 = widths[i - 1:i + 2]
-        denom = y0 - 2.0 * y1 + y2
-        if denom > 0:
-            shift = 0.5 * (y0 - y2) / denom
-            return float(zs[i] + shift * (zs[i + 1] - zs[i])), float(widths[i])
-    return float(zs[i]), float(widths[i])
+    grid, amps, k0 = field.grid, field.amplitudes, base_wavenumber(p)
+    _check_contained(amps, "field at z = 0")
+    workers = fft_workers()
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
+    k_sq = k[:, np.newaxis] ** 2 + k ** 2
+    spectrum = _fft.fft2(amps, workers=workers)
+    xg, yg = grid.meshgrid()
+    r_sq = xg ** 2 + yg ** 2
+    intensity, power = np.abs(amps) ** 2, np.abs(spectrum) ** 2
+    # <rp + pr> = sum r^2 Im(psi* L psi), L psi = -laplacian(psi) spectrally
+    l_psi = _fft.ifft2(spectrum * k_sq, workers=workers)
+    rp = float((r_sq * (np.conj(amps) * l_psi).imag).sum() / intensity.sum())
+    r2 = float((intensity * r_sq).sum() / intensity.sum())
+    p2 = float((power * k_sq).sum() / power.sum())
+    z_focus = -k0 * rp / (2.0 * p2)
+    width = math.sqrt(2.0 * (r2 - rp ** 2 / (4.0 * p2)))
+    for z in (math.copysign(z_max, z_focus), z_focus):  # the focus last
+        plane = _fft.ifft2(spectrum * np.exp(-0.5j * k_sq * z / k0),
+                           workers=workers)
+        _check_contained(plane, f"field at z = {z:.6e} m")
+    measured = effective_width(ComplexField(grid, z_focus, plane))
+    if abs(measured - width) > FOCUS_WIDTH_CROSSCHECK_RTOL * width:
+        raise ContainmentError(
+            f"focus width {measured:.6e} m propagated, {width:.6e} m from "
+            "the moment law: the field wraps around the grid; enlarge it")
+    return z_focus, width

@@ -108,14 +108,13 @@ class ModeSuperposition:
         object.__setattr__(self, "terms", terms)
 
     @classmethod
-    def opposite_pair(cls, l: int, waist: float, params: BeamParameters,
-                      relative_phase: float = 0.0) -> "ModeSuperposition":
+    def opposite_pair(cls, l: int, waist: float,
+                      params: BeamParameters) -> "ModeSuperposition":
         """Equal-weight superposition of the n = 0 modes with +l and -l."""
         if l == 0:
             raise InvalidModeError("opposite_pair needs l != 0")
         c = 1.0 / math.sqrt(2.0)
-        return cls(((ModeIndex(0, +l), c, waist),
-                    (ModeIndex(0, -l), c * cmath.exp(1j * relative_phase), waist)),
+        return cls(((ModeIndex(0, +l), c, waist), (ModeIndex(0, -l), c, waist)),
                    params)
 
 

@@ -155,8 +155,7 @@ def make_plan(grid: GridSpec, p: BeamParameters, dz: float,
     else:
         half_length, kinetic_length = dz / 2.0, dz
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
-    kx, ky = np.meshgrid(k, k)
-    k_sq = kx ** 2 + ky ** 2
+    k_sq = k[:, np.newaxis] ** 2 + k ** 2
     xg, yg = grid.meshgrid()
     r_sq = xg ** 2 + yg ** 2
     confinement = k0 * k_l ** 2 * r_sq / 2.0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, ndimage
 
 from evfaraday import (AngularProfile, GridSpec, angular_intensity,
                        circular_harmonic, effective_width, fidelity,
@@ -38,6 +38,25 @@ class TestAngularIntensity:
         field = mode_field(GridSpec(256, 8 * w_b), 0, 2, w_b)
         prof = angular_intensity(field, petal_radius(w_b, 2), 128)
         assert np.ptp(prof.samples) / prof.samples.mean() < 1e-3
+
+    @pytest.mark.parametrize("radius_px", [3.2, 0.37 * 127, 127])
+    def test_matches_order_one_map_coordinates(self, radius_px):
+        # scipy's order-1 spline interpolation is the reference; a seeded
+        # random field has no symmetry that could hide swapped axes
+        n, n_samples = 256, 512
+        grid = GridSpec(n, 1e-6)
+        rng = np.random.default_rng(2024)
+        amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        field = ComplexField(grid, 0.0, amps)
+        radius = radius_px * grid.pitch   # 127 px is the largest radius
+        prof = angular_intensity(field, radius, n_samples)
+        phi = 2 * np.pi * np.arange(n_samples) / n_samples
+        ix = radius * np.cos(phi) / grid.pitch + n / 2 - 0.5
+        iy = radius * np.sin(phi) / grid.pitch + n / 2 - 0.5
+        intensity = field.intensity()
+        ref = ndimage.map_coordinates(intensity, np.vstack([iy, ix]),
+                                      order=1, mode="nearest")
+        assert np.max(np.abs(prof.samples - ref)) <= 1e-14 * intensity.max()
 
     def test_radius_bounds(self, beam, w_b):
         field = mode_field(GridSpec(64, 8 * w_b), 0, 0, w_b)

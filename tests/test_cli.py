@@ -233,6 +233,19 @@ class TestGrating:
         assert report["real_focus_m"] == pytest.approx(expected, rel=0.15)
         assert report["virtual_focus_m"] == pytest.approx(-expected, rel=0.15)
 
+    # 1e12: the field leaves the grid before its focus; 2e13: contained at
+    # the focus, and only the guard plane at 1.4 k0/2C catches it
+    @pytest.mark.parametrize("curvature", ["1e12m-2", "2e13m-2"])
+    def test_spherical_focus_guard_bites(self, tmp_path, capsys, curvature):
+        # a physics-guard failure, so mask.pgm may already exist
+        assert main(["grating", "--spherical", "--curvature", curvature,
+                     "--grid-n", "128", "--diffract",
+                     "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "border intensity" in err
+        assert not (tmp_path / "focus.json").exists()
+
     def test_spherical_needs_curvature(self):
         assert main(["grating", "--spherical", "--grid-n", "64"]) == 2
 
@@ -259,6 +272,11 @@ class TestErrorBoundary:
         (["grating", "--pad", "0", "--diffract"], "pad_factor must be >= 1"),
         (["grating", "-E", "0keV", "--diffract"],
          "kinetic_energy must be positive"),
+        (["grating", "--curvature", "1.5e14m-2", "--diffract"],
+         "--curvature needs --spherical"),
+        (["grating", "--spherical", "--curvature", "1.5e14m-2",
+          "--kx", "2.5e8m-1", "--diffract"],
+         "--kx has no effect with --spherical"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):
@@ -268,6 +286,18 @@ class TestErrorBoundary:
         assert err.startswith("error:")
         assert message in err
         # rejected before any output, the grating mask.pgm included
+        assert not (tmp_path / "evf_output").exists()
+
+    def test_conflicting_reference_flags(self, tmp_path, capsys,
+                                         monkeypatch):
+        # a parse-time usage error: argparse exits 2 before any output
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["grating", "--plane", "--spherical",
+                  "--curvature", "1.5e14m-2", "--diffract"])
+        assert exc.value.code == 2
+        assert ("argument --spherical: not allowed with argument --plane"
+                in capsys.readouterr().err)
         assert not (tmp_path / "evf_output").exists()
 
     def test_rotate_l_zero(self, tmp_path, capsys):
@@ -313,6 +343,15 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "6.053270e+02" in proc.stdout
+
+    def test_cli_import_leaves_out_scipy_ndimage(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, evfaraday.cli; "
+             "print('scipy.ndimage' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):

@@ -10,13 +10,18 @@ import scipy.fft
 from evfaraday import (BeamParameters, BinaryMask, ComplexField,
                        ELEMENTARY_CHARGE, GridSpec, HologramSpec,
                        PlaneReference, SphericalReference, angular_intensity,
-                       default_carrier, design_value, diffract_far_field,
-                       effective_width, extract_order, harmonic_fraction,
-                       isolate_chirped_order, locate_minimum_width_plane,
-                       pattern_orientation, radial_peak_radius,
-                       spherical_focus_distance, synthesize_hologram)
+                       base_wavenumber, default_carrier, design_value,
+                       diffract_far_field, effective_width,
+                       exact_steps_per_plane, extract_order,
+                       harmonic_fraction, isolate_chirped_order,
+                       locate_minimum_width_plane, make_plan,
+                       pattern_orientation, propagate_definite_l,
+                       radial_peak_radius, spherical_focus_distance,
+                       synthesize_hologram)
+from evfaraday import gratings
 from evfaraday.gratings import _aperture_kernel, _embed, frequency_to_angle
-from evfaraday.errors import CarrierResolutionError, OrderSeparationError
+from evfaraday.errors import (CarrierResolutionError, ContainmentError,
+                              OrderSeparationError)
 
 E60 = 60e3 * ELEMENTARY_CHARGE
 BEAM = BeamParameters(E60, 0.0)
@@ -317,3 +322,39 @@ class TestSphericalReference:
                                                   1.4 * expected)
         # virtual focus mirrors the real one through the mask plane
         assert z_virtual == pytest.approx(z_real, rel=1e-6)
+        # and the diverging order finds it behind the mask unaided
+        z_behind, _ = locate_minimum_width_plane(diverging, BEAM,
+                                                 1.4 * expected)
+        assert z_behind == pytest.approx(-z_real, rel=1e-6)
+
+    @pytest.mark.parametrize("fraction", [0.3, 1.0, 1.3])
+    def test_moment_law_matches_stepped_width(self, sph, fraction):
+        # about the located focus the law reads
+        # w(z)^2 = w_focus^2 + 2 (z - z_focus)^2 <p^2> / k0^2; check it
+        # against effective_width of the field stepped to z by the
+        # split-step propagator at B = 0
+        mask, spec = sph
+        expected = spherical_focus_distance(spec, BEAM)
+        field = isolate_chirped_order(mask, spec, -1)
+        z_focus, w_focus = locate_minimum_width_plane(field, BEAM,
+                                                      1.4 * expected)
+        n, pitch = field.grid.samples_per_side, field.grid.pitch
+        k = 2 * np.pi * np.fft.fftfreq(n, d=pitch)
+        power = np.abs(np.fft.fft2(field.amplitudes)) ** 2
+        p2 = float((power * (k[:, None] ** 2 + k[None, :] ** 2)).sum()
+                   / power.sum())
+        z = fraction * expected
+        law = math.sqrt(w_focus ** 2 + 2 * (z - z_focus) ** 2 * p2
+                        / base_wavenumber(BEAM) ** 2)
+        steps = exact_steps_per_plane(field.grid, BEAM, z)
+        plan = make_plan(field.grid, BEAM, z / steps, scheme="exact")
+        stepped = propagate_definite_l(field, 0, plan, steps)
+        assert law == pytest.approx(effective_width(stepped), rel=1e-6)
+
+    def test_width_cross_check_raises(self, sph, monkeypatch):
+        mask, spec = sph
+        converging = isolate_chirped_order(mask, spec, -1)
+        monkeypatch.setattr(gratings, "FOCUS_WIDTH_CROSSCHECK_RTOL", 0.0)
+        with pytest.raises(ContainmentError):
+            locate_minimum_width_plane(
+                converging, BEAM, 1.4 * spherical_focus_distance(spec, BEAM))
