@@ -349,11 +349,12 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
     Moments about the grid axis obey <r^2>(z) = <r^2> + (z/k0) <rp + pr>
     + (z/k0)^2 <p^2> exactly: z = -k0 <rp + pr> / (2 <p^2>), < 0 for a
     diverging field; width = sqrt(2 <r^2>(z)) as in effective_width.  Rays
-    are straight, so containment at 0, z and copysign(z_max, z) covers the
-    planes between; the width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.
+    are straight, so the planes 0, z and copysign(z_max, z) bound the
+    border intensity between them; as the peak changes along z, the largest
+    border intensity of the three is checked against their smallest peak.
+    The width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.
     """
     grid, amps, k0 = field.grid, field.amplitudes, base_wavenumber(p)
-    _check_contained(amps, "field at z = 0")
     workers = fft_workers()
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
     k_sq = k[:, np.newaxis] ** 2 + k ** 2
@@ -368,10 +369,11 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
     p2 = float((power * k_sq).sum() / power.sum())
     z_focus = -k0 * rp / (2.0 * p2)
     width = math.sqrt(2.0 * (r2 - rp ** 2 / (4.0 * p2)))
-    for z in (math.copysign(z_max, z_focus), z_focus):  # the focus last
-        plane = _fft.ifft2(spectrum * np.exp(-0.5j * k_sq * z / k0),
-                           workers=workers)
-        _check_contained(plane, f"field at z = {z:.6e} m")
+    z_guard = math.copysign(z_max, z_focus)
+    guard, plane = (_fft.ifft2(spectrum * np.exp(-0.5j * k_sq * z / k0),
+                               workers=workers) for z in (z_guard, z_focus))
+    _check_contained(amps, guard, plane, context=(
+        f"fields at z = 0, {z_guard:.6e} and {z_focus:.6e} m"))
     measured = effective_width(ComplexField(grid, z_focus, plane))
     if abs(measured - width) > FOCUS_WIDTH_CROSSCHECK_RTOL * width:
         raise ContainmentError(

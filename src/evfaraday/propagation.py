@@ -16,11 +16,15 @@ sweep and differ only in the lengths of the factors:
 At B = 0 both schemes have the same factors.  The angular-momentum part of
 the Zeeman interaction reduces to the exact scalar phase exp(-i l k_L z) on
 a definite-l component, so general beams are propagated as mode lists and
-each component is advanced independently.
+each component is advanced independently.  The -l mode of a given (n, |l|,
+waist) is the +l mode mirrored, y -> -y, which on the pixel-centred grid is
+a row reversal; r^2 and k^2 are both even under it, so the sweep commutes
+with it and only one of the two is stepped.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -154,16 +158,19 @@ def make_plan(grid: GridSpec, p: BeamParameters, dz: float,
         kinetic_length = math.sin(omega * dz) / omega
     else:
         half_length, kinetic_length = dz / 2.0, dz
+    # k^2 = kx^2 + ky^2 and r^2 = x^2 + y^2 separate, so each factor is the
+    # outer product of one 1-D phase with itself
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
-    k_sq = k[:, np.newaxis] ** 2 + k ** 2
-    xg, yg = grid.meshgrid()
-    r_sq = xg ** 2 + yg ** 2
-    confinement = k0 * k_l ** 2 * r_sq / 2.0
+    confinement = k0 * k_l ** 2 * grid.axis() ** 2 / 2.0
+
+    def outer(phase):
+        return phase[:, np.newaxis] * phase
+
     return PropagationPlan(
         grid=grid, params=p, dz=dz,
-        kinetic_phase=np.exp(-1j * k_sq * kinetic_length / (2.0 * k0)),
-        half_potential_phase=np.exp(-1j * confinement * half_length),
-        potential_phase=np.exp(-1j * confinement * (2.0 * half_length)),
+        kinetic_phase=outer(np.exp(-1j * k ** 2 * kinetic_length / (2.0 * k0))),
+        half_potential_phase=outer(np.exp(-1j * confinement * half_length)),
+        potential_phase=outer(np.exp(-1j * confinement * (2.0 * half_length))),
         steps_per_output=steps_per_output)
 
 
@@ -172,13 +179,18 @@ def grid_norm(field: ComplexField) -> float:
     return float(np.sum(np.abs(field.amplitudes) ** 2)) * field.grid.pitch ** 2
 
 
-def _check_contained(amps: np.ndarray, context: str):
-    intensity = np.abs(amps) ** 2
-    peak = intensity.max()
+def _check_contained(*planes: np.ndarray, context: str):
+    """Refuse planes whose largest border intensity exceeds
+    BORDER_INTENSITY_LIMIT times their smallest peak; for one plane, its
+    own border-to-peak ratio."""
+    border, peak = 0.0, math.inf
+    for amps in planes:
+        intensity = np.abs(amps) ** 2
+        peak = min(peak, intensity.max())
+        border = max(border, intensity[0].max(), intensity[-1].max(),
+                     intensity[:, 0].max(), intensity[:, -1].max())
     if peak == 0.0:
         return
-    border = max(intensity[0].max(), intensity[-1].max(),
-                 intensity[:, 0].max(), intensity[:, -1].max())
     if border > BORDER_INTENSITY_LIMIT * peak:
         raise ContainmentError(
             f"{context}: border intensity is {border / peak:.3e} of the peak "
@@ -205,15 +217,32 @@ def _strang_sweep(stack: np.ndarray, plan: PropagationPlan,
     return stack
 
 
-def _evolve(stack: np.ndarray, ls: np.ndarray, plan: PropagationPlan,
+def _assemble(stack: np.ndarray, terms, k_l_z: float) -> np.ndarray:
+    """Sum coeff exp(-i l k_L z) (stack[c], or its row mirror stack[c, ::-1])
+    over the terms (c, l, coeff, mirrored), into a new array."""
+    out = None
+    for c, l, coeff, mirrored in terms:
+        part = ((stack[c, ::-1] if mirrored else stack[c])
+                * (coeff * cmath.exp(-1j * l * k_l_z)))
+        if out is None:
+            out = part
+        else:
+            out += part
+    return out
+
+
+def _evolve(stack: np.ndarray, terms, plan: PropagationPlan,
             steps_per_plane: int, n_planes: int):
-    """Yield (z, amplitudes) of the summed definite-l components in stack
-    at z = 0 and after each of n_planes sweeps of steps_per_plane steps.
+    """Yield (z, amplitudes) of the definite-l terms (c, l, coeff,
+    mirrored) summed over the components in stack, at z = 0 and after each
+    of n_planes sweeps of steps_per_plane steps.
 
     The one propagation core: the components share every split-step
-    sweep, and each one's Zeeman phase exp(-i l k_L z) is applied exactly,
-    once, where the plane is summed.  Every yielded plane passes the
-    containment check.  stack is overwritten.
+    sweep, a mirrored term reads its component row-reversed (the sweep
+    commutes with the reversal), and each term's Zeeman phase
+    exp(-i l k_L z) is applied exactly, once, where the plane is summed.
+    Every yielded plane passes the containment check.  stack is
+    overwritten.
     """
     k_l = larmor_wavenumber(plan.params)
     z = 0.0
@@ -221,8 +250,8 @@ def _evolve(stack: np.ndarray, ls: np.ndarray, plan: PropagationPlan,
         if plane:
             stack = _strang_sweep(stack, plan, steps_per_plane)
             z += steps_per_plane * plan.dz
-        out = np.tensordot(np.exp(-1j * ls * k_l * z), stack, axes=1)
-        _check_contained(out, f"field at z = {z:.6e} m")
+        out = _assemble(stack, terms, k_l * z)
+        _check_contained(out, context=f"field at z = {z:.6e} m")
         yield z, out
 
 
@@ -241,7 +270,7 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
     if n_steps == 0:
         return ComplexField(field.grid, field.z_position, field.amplitudes.copy())
     *_, (advance, out) = _evolve(field.amplitudes[np.newaxis].copy(),
-                                 np.array([l]), plan, n_steps, 1)
+                                 ((0, l, 1.0, False),), plan, n_steps, 1)
     return ComplexField(field.grid, field.z_position + advance, out)
 
 
@@ -250,17 +279,24 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     """Yield (z, ComplexField) for a superposition propagated from z = 0.
 
     Emits the initial field and then one field every
-    plan.steps_per_output * plan.dz, n_outputs times.
+    plan.steps_per_output * plan.dz, n_outputs times.  One unit field is
+    sampled and stepped per (n, |l|, waist) group; its -l terms read it
+    row-mirrored.
     """
     if grid != plan.grid:
         raise GridMismatchError("grid and plan grids differ")
     if n_outputs < 1:
         raise ValueError("n_outputs must be >= 1")
-    ls = np.array([idx.l for idx, _, _ in s.terms])
-    stack = np.stack([coeff * mode_field(grid, idx.n, idx.l, w).amplitudes
-                      for idx, coeff, w in s.terms])
+    groups, terms = {}, []
+    for idx, coeff, w in s.terms:
+        c = groups.setdefault((idx.n, abs(idx.l), w), len(groups))
+        terms.append((c, idx.l, coeff, idx.l < 0))
+    stack = np.stack([mode_field(grid, n, l, w).amplitudes
+                      for n, l, w in groups])
     # residual grid correction so the sum (every Zeeman phase is 1 at
     # z = 0) starts at unit norm
-    stack /= math.sqrt(grid_norm(ComplexField(grid, 0.0, stack.sum(axis=0))))
-    for z, out in _evolve(stack, ls, plan, plan.steps_per_output, n_outputs):
+    stack /= math.sqrt(grid_norm(
+        ComplexField(grid, 0.0, _assemble(stack, terms, 0.0))))
+    for z, out in _evolve(stack, terms, plan, plan.steps_per_output,
+                          n_outputs):
         yield z, ComplexField(grid, z, out)

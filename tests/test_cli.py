@@ -246,6 +246,21 @@ class TestGrating:
         assert "border intensity" in err
         assert not (tmp_path / "focus.json").exists()
 
+    def test_spherical_focus_guard_spans_planes(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the guard plane's border intensity is 3.3e-8 of its own peak but
+        # 1.9e-7 of the lower peak at the mask plane; the planes are checked
+        # jointly, so a 1e-7 limit bites
+        import evfaraday.propagation as propagation
+        monkeypatch.setattr(propagation, "BORDER_INTENSITY_LIMIT", 1e-7)
+        assert main(["grating", "--spherical", "--curvature", "5e13m-2",
+                     "--grid-n", "128", "--diffract",
+                     "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "border intensity" in err
+        assert not (tmp_path / "focus.json").exists()
+
     def test_spherical_needs_curvature(self):
         assert main(["grating", "--spherical", "--grid-n", "64"]) == 2
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evfaraday import (BeamParameters, ComplexField, ELEMENTARY_CHARGE,
                        GridSpec, ModeIndex, ModeSuperposition, aliasing_limit,
@@ -334,11 +336,83 @@ class TestExactScheme:
             monkeypatch.setattr(
                 scipy.fft, name,
                 lambda x, *a, _f=original, _n=name, **kw:
-                    calls.append(_n) or _f(x, *a, **kw))
+                    calls.append((_n, x.shape)) or _f(x, *a, **kw))
         grid = GridSpec(64, 8 * w_b)
         plan = make_plan(grid, beam, 1e-6, steps_per_output=3,
                          scheme="exact")
         s = ModeSuperposition.opposite_pair(1, w_b, beam)
         planes = list(superposition_evolution(s, grid, plan, 2))
         assert len(planes) == 3
-        assert calls.count("fft2") == calls.count("ifft2") == 2 * 3
+        names = [name for name, _ in calls]
+        assert names.count("fft2") == names.count("ifft2") == 2 * 3
+        # the -l partner is the +l field mirrored: one component is stepped
+        assert {shape for _, shape in calls} == {(1, 64, 64)}
+
+
+class TestMirrorIdentity:
+    """The -l mode is the +l mode mirrored, y -> -y: a row reversal on the
+    pixel-centred grid, which the split-step sweep commutes with."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(0, 2), l=st.integers(1, 4),
+           waist_rel=st.floats(0.7, 1.3))
+    def test_minus_l_is_row_mirror_of_plus_l(self, beam, w_b, n, l,
+                                             waist_rel):
+        grid = GridSpec(128, 14 * w_b)
+        w = waist_rel * w_b
+        plus = mode_field(grid, n, l, w)
+        minus = mode_field(grid, n, -l, w)
+        assert np.array_equal(minus.amplitudes, plus.amplitudes[::-1])
+        k_l = larmor_wavenumber(beam)
+        plan = make_plan(grid, beam, math.pi / abs(k_l) / 9, scheme="exact")
+        for _ in range(3):
+            plus = propagate_definite_l(plus, l, plan, 1)
+            minus = propagate_definite_l(minus, -l, plan, 1)
+            # the two handednesses differ only in their Zeeman phases
+            mirrored = (np.exp(2j * l * k_l * plus.z_position)
+                        * plus.amplitudes[::-1])
+            peak = np.abs(plus.amplitudes).max()
+            assert np.abs(minus.amplitudes - mirrored).max() < 1e-12 * peak
+
+
+class TestGrouping:
+    """superposition_evolution steps one field per (n, |l|, waist) group
+    and reads -l terms row-mirrored; it must equal stepping every term on
+    its own."""
+
+    @pytest.mark.parametrize("scheme", ["strang", "exact"])
+    def test_equals_termwise_propagation(self, beam, w_b, scheme):
+        grid = GridSpec(128, 14 * w_b)
+        shapes = [(0, 1, w_b), (0, -1, w_b),   # opposite pair
+                  (1, 0, w_b),                  # l = 0
+                  (0, -2, w_b),                 # -l without its +l
+                  (0, 1, 0.8 * w_b)]            # same (n, |l|), new waist
+        coeffs = np.array([0.5, 0.4j, -0.3, 0.2 + 0.3j, 0.35])
+        coeffs /= np.linalg.norm(coeffs)
+        s = ModeSuperposition(
+            tuple((ModeIndex(n, l), c, w)
+                  for (n, l, w), c in zip(shapes, coeffs)), beam)
+        if scheme == "strang":
+            plan = make_plan(grid, beam, 0.9 * aliasing_limit(grid, beam),
+                             steps_per_output=5)
+        else:
+            plan = make_plan(grid, beam,
+                             math.pi / abs(larmor_wavenumber(beam)) / 9,
+                             scheme="exact")
+        fields = [mode_field(grid, n, l, w) for n, l, w in shapes]
+        norm = math.sqrt(grid_norm(ComplexField(
+            grid, 0.0, sum(c * f.amplitudes
+                           for c, f in zip(coeffs, fields)))))
+        planes = list(superposition_evolution(s, grid, plan, 3))
+        assert len(planes) == 4
+        for k, (z, field) in enumerate(planes):
+            if k:
+                fields = [propagate_definite_l(f, l, plan,
+                                               plan.steps_per_output)
+                          for f, (_, l, _) in zip(fields, shapes)]
+            assert z == pytest.approx(fields[0].z_position, rel=1e-12)
+            expected = sum(c * f.amplitudes
+                           for c, f in zip(coeffs, fields)) / norm
+            peak = np.abs(expected).max()
+            assert (np.abs(field.amplitudes - expected).max()
+                    < 1e-12 * peak)
