@@ -58,8 +58,9 @@ def _plane_stepping(args, grid: GridSpec, p: BeamParameters,
     """(dz, steps per output plane) of the exact scheme: --dz if given,
     else one step per plane, split only where the plane spacing exceeds
     exact_step_limit."""
-    if args.outputs < 1 or not z_target > 0:
-        raise CliUsageError("need at least one output plane at positive z")
+    if args.outputs < 1 or not 0 < z_target < math.inf:
+        raise CliUsageError(
+            "need at least one output plane at positive, finite z")
     spacing = z_target / args.outputs
     if args.dz:
         dz = parse_length(args.dz)
@@ -154,11 +155,14 @@ def cmd_rotate(args) -> int:
     plan = make_plan(grid, p, dz, steps_per_output, scheme="exact")
 
     radius = petal_radius(w0, args.l)
-    outdir = _ensure_outdir(args)
 
     zs, raw = [], []
     for i, (z, field) in enumerate(superposition_evolution(
             pair, grid, plan, args.outputs)):
+        if i == 0:
+            # the modes are sampled with the first plane: a waist the grid
+            # samples to zero is rejected before any output exists
+            outdir = _ensure_outdir(args)
         profile = angular_intensity(field, radius, n_samples=512)
         zs.append(z)
         raw.append(pattern_orientation(profile, args.l))

@@ -34,10 +34,6 @@ class InvalidModeError(EvfError, ValueError):
     """Mode indices do not define the requested mode or superposition."""
 
 
-class EnvironmentSettingError(EvfError, ValueError):
-    """An EVF_* environment variable holds an unusable value."""
-
-
 class GridMismatchError(EvfError, ValueError):
     """Fields or plans defined on different grids were combined."""
 

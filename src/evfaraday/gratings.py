@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
 from .analysis import effective_width
 from .core import BeamParameters, base_wavenumber
 from .errors import (CarrierResolutionError, ContainmentError,
                      OrderSeparationError)
 from .modes import ComplexField, GridSpec
-from .propagation import _check_contained, fft_workers
+from .propagation import _check_contained
 
 #: Far-field oversampling used to resolve the internal structure of orders.
 DEFAULT_PAD_FACTOR = 4
@@ -165,19 +164,16 @@ def _padded_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
     n = values.shape[0]
     m = n * pad_factor
     h = n // 2
-    workers = fft_workers()
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     signed = values.T * np.multiply.outer(sign, sign)
     cols = np.zeros((n, m), dtype=np.complex128)
     cols[:, :h] = signed[:, h:]
     cols[:, m - h:] = signed[:, :h]
-    cols = _fft.fft(cols, axis=1, norm="ortho", overwrite_x=True,
-                    workers=workers)
+    np.fft.fft(cols, axis=1, norm="ortho", out=cols)
     out = np.zeros((m, m), dtype=np.complex128)
     out[:, :h] = cols[h:].T
     out[:, m - h:] = cols[:h].T
-    return _fft.fft(out, axis=1, norm="ortho", overwrite_x=True,
-                    workers=workers)
+    return np.fft.fft(out, axis=1, norm="ortho", out=out)
 
 
 def diffract_far_field(mask: BinaryMask, illumination_energy: float,
@@ -322,9 +318,7 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     chirp_band = 2.0 * abs(c) * (grid.physical_side_length / 2.0)
     cutoff = CHIRPED_CUTOFF_FRACTION * chirp_band
     keep = k[:, np.newaxis] ** 2 + k ** 2 <= cutoff ** 2
-    workers = fft_workers()
-    low = _fft.ifft2(_fft.fft2(demod, workers=workers) * keep,
-                     workers=workers)
+    low = np.fft.ifft2(np.fft.fft2(demod) * keep)
     component = low * np.exp(1j * sign * c * r_sq)
     # the low-pass ringing decays too slowly for the propagator's border
     # check; taper it away well outside the mask circle, where the order
@@ -355,23 +349,22 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
     The width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.
     """
     grid, amps, k0 = field.grid, field.amplitudes, base_wavenumber(p)
-    workers = fft_workers()
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
     k_sq = k[:, np.newaxis] ** 2 + k ** 2
-    spectrum = _fft.fft2(amps, workers=workers)
+    spectrum = np.fft.fft2(amps)
     xg, yg = grid.meshgrid()
     r_sq = xg ** 2 + yg ** 2
     intensity, power = np.abs(amps) ** 2, np.abs(spectrum) ** 2
     # <rp + pr> = sum r^2 Im(psi* L psi), L psi = -laplacian(psi) spectrally
-    l_psi = _fft.ifft2(spectrum * k_sq, workers=workers)
+    l_psi = np.fft.ifft2(spectrum * k_sq)
     rp = float((r_sq * (np.conj(amps) * l_psi).imag).sum() / intensity.sum())
     r2 = float((intensity * r_sq).sum() / intensity.sum())
     p2 = float((power * k_sq).sum() / power.sum())
     z_focus = -k0 * rp / (2.0 * p2)
     width = math.sqrt(2.0 * (r2 - rp ** 2 / (4.0 * p2)))
     z_guard = math.copysign(z_max, z_focus)
-    guard, plane = (_fft.ifft2(spectrum * np.exp(-0.5j * k_sq * z / k0),
-                               workers=workers) for z in (z_guard, z_focus))
+    guard, plane = (np.fft.ifft2(spectrum * np.exp(-0.5j * k_sq * z / k0))
+                    for z in (z_guard, z_focus))
     _check_contained(amps, guard, plane, context=(
         f"fields at z = 0, {z_guard:.6e} and {z_focus:.6e} m"))
     measured = effective_width(ComplexField(grid, z_focus, plane))

@@ -43,8 +43,10 @@ class GridSpec:
                 or n < 16 or n % 2 != 0):
             raise InvalidGridError(
                 f"samples_per_side must be an even integer >= 16, got {n}")
-        if not self.physical_side_length > 0:
-            raise InvalidGridError("physical_side_length must be positive")
+        if not 0 < self.physical_side_length < math.inf:
+            raise InvalidGridError(
+                "physical_side_length must be positive and finite, got "
+                f"{self.physical_side_length}")
 
     @property
     def pitch(self) -> float:
@@ -187,6 +189,9 @@ def mode_field(grid: GridSpec, n: int, l: int, waist: float) -> ComplexField:
     phi = np.arctan2(yg, xg)
     amps = radial_profile(n, l, rr, waist) * np.exp(1j * l * phi)
     norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.pitch ** 2)
+    if norm == 0.0:
+        raise ValueError(f"mode (n={n}, l={l}) of waist {waist:.3e} m "
+                         "sampled to an identically zero field")
     return ComplexField(grid, 0.0, amps / norm)
 
 

@@ -26,15 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .core import BeamParameters, base_wavenumber, larmor_wavenumber
-from .errors import (ContainmentError, EnvironmentSettingError,
-                     GridMismatchError, StepTooLargeError)
+from .errors import ContainmentError, GridMismatchError, StepTooLargeError
 from .modes import ComplexField, GridSpec, ModeSuperposition, mode_field
 
 #: Border-to-peak intensity ratio above which propagation refuses to continue.
@@ -42,19 +39,6 @@ BORDER_INTENSITY_LIMIT = 1e-6
 
 #: Step schemes accepted by make_plan.
 SCHEMES = ("strang", "exact")
-
-
-def fft_workers() -> int:
-    """FFT worker count: the CPU count, capped by EVF_THREADS if set."""
-    n = os.cpu_count() or 1
-    cap = os.environ.get("EVF_THREADS")
-    if cap:
-        try:
-            n = max(1, min(n, int(cap)))
-        except ValueError:
-            raise EnvironmentSettingError(
-                f"EVF_THREADS must be an integer, got {cap!r}") from None
-    return n
 
 
 @dataclass(frozen=True)
@@ -197,24 +181,23 @@ def _check_contained(*planes: np.ndarray, context: str):
             f"(limit {BORDER_INTENSITY_LIMIT:.0e}); enlarge the grid")
 
 
-def _strang_sweep(stack: np.ndarray, plan: PropagationPlan,
-                  n_steps: int) -> np.ndarray:
+def _strang_sweep(stack: np.ndarray, plan: PropagationPlan, n_steps: int):
     """Advance v-envelopes by n_steps >= 1 potential-kinetic-potential
-    splits, overwriting stack.
+    splits, in place.
 
     Interior half-potential factors are merged pairwise, so the sweep ends
     in real space after exactly n_steps spectral round trips.
     """
-    workers = fft_workers()
     half = plan.half_potential_phase
     full = plan.potential_phase
     stack *= half
     for step in range(n_steps):
-        spec = _fft.fft2(stack, workers=workers, overwrite_x=True)
-        spec *= plan.kinetic_phase
-        stack = _fft.ifft2(spec, workers=workers, overwrite_x=True)
+        np.fft.fft2(stack, out=stack)
+        stack *= plan.kinetic_phase
+        # ifftn over the last two axes is ifft2, but numpy's ifft2 drops
+        # out= and allocates its result
+        np.fft.ifftn(stack, axes=(-2, -1), out=stack)
         stack *= half if step == n_steps - 1 else full
-    return stack
 
 
 def _assemble(stack: np.ndarray, terms, k_l_z: float) -> np.ndarray:
@@ -248,7 +231,7 @@ def _evolve(stack: np.ndarray, terms, plan: PropagationPlan,
     z = 0.0
     for plane in range(n_planes + 1):
         if plane:
-            stack = _strang_sweep(stack, plan, steps_per_plane)
+            _strang_sweep(stack, plan, steps_per_plane)
             z += steps_per_plane * plan.dz
         out = _assemble(stack, terms, k_l * z)
         _check_contained(out, context=f"field at z = {z:.6e} m")

@@ -124,6 +124,12 @@ class TestModeField:
         with pytest.warns(GridAdequacyWarning):
             mode_field(GridSpec(64, 4 * w_b), 0, 0, w_b)
 
+    def test_zero_sampled_mode_rejected(self, w_b):
+        # a waist far below the pitch underflows at every pixel centre
+        with pytest.warns(GridAdequacyWarning):
+            with pytest.raises(ValueError, match="identically zero field"):
+                mode_field(GridSpec(64, 8 * w_b), 0, 0, 1e-3 * w_b)
+
 
 class TestSuperpositionValidation:
     def test_coefficient_norm_enforced(self, beam, w_b):
@@ -298,6 +304,9 @@ class TestGridSpec:
             GridSpec(17, 1e-6)
         with pytest.raises(ValueError):
             GridSpec(64, 0.0)
+        for side in (math.inf, math.nan):
+            with pytest.raises(InvalidGridError, match="positive and finite"):
+                GridSpec(64, side)
 
     def test_samples_per_side_must_be_an_integer(self):
         for n in (64.0, True, "64"):

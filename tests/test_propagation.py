@@ -219,15 +219,6 @@ class TestSuperpositionRotation:
         assert np.allclose(angles[1.0], -angles[-1.0], atol=1e-9)
 
 
-class TestThreadCap:
-    def test_evf_threads_caps_workers(self, monkeypatch):
-        from evfaraday.propagation import fft_workers
-        monkeypatch.setenv("EVF_THREADS", "1")
-        assert fft_workers() == 1
-        monkeypatch.delenv("EVF_THREADS")
-        assert fft_workers() >= 1
-
-
 class TestNormAndConvergence:
     def test_grid_norm_scaling(self, beam, w_b):
         field = mode_field(GridSpec(64, 8 * w_b), 0, 0, w_b)
@@ -329,24 +320,26 @@ class TestExactScheme:
             make_plan(grid, beam, 1e-8, scheme="leapfrog")
 
     def test_one_fft_pair_per_step(self, beam, w_b, monkeypatch):
-        import scipy.fft
         calls = []
-        for name in ("fft2", "ifft2"):
-            original = getattr(scipy.fft, name)
+        for name in ("fft2", "ifftn"):
+            original = getattr(np.fft, name)
             monkeypatch.setattr(
-                scipy.fft, name,
+                np.fft, name,
                 lambda x, *a, _f=original, _n=name, **kw:
-                    calls.append((_n, x.shape)) or _f(x, *a, **kw))
+                    calls.append((_n, x.shape, kw.get("out") is x))
+                    or _f(x, *a, **kw))
         grid = GridSpec(64, 8 * w_b)
         plan = make_plan(grid, beam, 1e-6, steps_per_output=3,
                          scheme="exact")
         s = ModeSuperposition.opposite_pair(1, w_b, beam)
         planes = list(superposition_evolution(s, grid, plan, 2))
         assert len(planes) == 3
-        names = [name for name, _ in calls]
-        assert names.count("fft2") == names.count("ifft2") == 2 * 3
-        # the -l partner is the +l field mirrored: one component is stepped
-        assert {shape for _, shape in calls} == {(1, 64, 64)}
+        names = [name for name, _, _ in calls]
+        assert names.count("fft2") == names.count("ifftn") == 2 * 3
+        # the -l partner is the +l field mirrored: one component is stepped,
+        # and every transform writes into its input
+        assert {(shape, in_place) for _, shape, in_place in calls} == {
+            ((1, 64, 64), True)}
 
 
 class TestMirrorIdentity:
