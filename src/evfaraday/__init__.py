@@ -15,7 +15,7 @@ from .core import (BOHR_MAGNETON, ELECTRON_MASS, ELEMENTARY_CHARGE, G_FACTOR,
                    beam_speed, faraday_angle, landau_energy, larmor_frequency,
                    larmor_wavenumber, magnetic_term_energy, magnetic_width,
                    mode_wavenumber, paraxial_phase, verdet_parameter)
-from .gratings import (BinaryMask, HologramSpec, PlaneReference,
+from .gratings import (BinaryMask, FarField, HologramSpec, PlaneReference,
                        SphericalReference, default_carrier, design_value,
                        diffract_far_field, extract_order,
                        isolate_chirped_order, locate_minimum_width_plane,

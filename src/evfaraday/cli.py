@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -231,7 +232,7 @@ def cmd_breathe(args) -> int:
 def _plane_diffraction_report(args, mask, spec, p, outdir) -> dict:
     far = diffract_far_field(mask, p.kinetic_energy, args.pad)
     write_intensity_pgm(os.path.join(outdir, "farfield.pgm"),
-                        np.abs(far.amplitudes) ** 2)
+                        far.intensity())
     report = {}
     for order, label in ((-1, "order_m1"), (0, "order_0"), (1, "order_p1")):
         field = extract_order(far, spec, order, args.pad)
@@ -409,14 +410,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # only how a warning is shown changes; the filters still decide whether
+    # it is shown, ignored or raised
+    shown = warnings.showwarning
+    warnings.showwarning = _show_warning
     try:
         return args.func(args)
     # the library rejects invalid input values with ValueError
     except (EvfError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

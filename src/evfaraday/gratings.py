@@ -151,35 +151,100 @@ def _embed(values: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-def _padded_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
-    """fftshift(fft2(ifftshift(_embed(values, pad_factor)), norm="ortho"))
-    of a real n x n array, without transforming the zero padding.
+def _half_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
+    """Rows 0..m/2 of fftshift(fft2(ifftshift(_embed(values, pad_factor)),
+    norm="ortho")) of a real n x n array, m = n * pad_factor.
 
-    Both shifts become a (-1)^(x+y) sign on the input, which needs the
-    padded side m = n * pad_factor and n even (GridSpec makes n even).  The
-    pass along y runs over the n columns only, stored transposed so each is
-    a contiguous row; its output lands at the ifftshifted column positions
-    of a zeroed m x m array, where one in-place pass along x finishes it.
+    Both shifts become a (-1)^(x+y) sign on the input, which needs m and n
+    even (GridSpec makes n even).  The signed input is real, so its
+    spectrum is Hermitian and rows 0..m/2 hold all of it; an rfft along y
+    over the n mask columns, stored transposed so each is a contiguous row,
+    gives exactly those rows.  They land at the ifftshifted column positions
+    of a zeroed (m/2 + 1) x m array, where one in-place pass along x
+    finishes them without transforming the zero padding.
     """
     n = values.shape[0]
     m = n * pad_factor
     h = n // 2
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     signed = values.T * np.multiply.outer(sign, sign)
-    cols = np.zeros((n, m), dtype=np.complex128)
+    cols = np.zeros((n, m))
     cols[:, :h] = signed[:, h:]
     cols[:, m - h:] = signed[:, :h]
-    np.fft.fft(cols, axis=1, norm="ortho", out=cols)
-    out = np.zeros((m, m), dtype=np.complex128)
-    out[:, :h] = cols[h:].T
-    out[:, m - h:] = cols[:h].T
-    return np.fft.fft(out, axis=1, norm="ortho", out=out)
+    cols = np.fft.rfft(cols, axis=1, norm="ortho")
+    upper = np.zeros((m // 2 + 1, m), dtype=np.complex128)
+    upper[:, :h] = cols[h:].T
+    upper[:, m - h:] = cols[:h].T
+    np.fft.fft(upper, axis=1, norm="ortho", out=upper)
+    # rows 0 and m/2 are their own mirrors; rounding leaves their halves
+    # unequal in the last bit, so the right half is set from the left
+    for row in (0, m // 2):
+        np.conjugate(upper[row, m // 2 - 1:0:-1], out=upper[row, m // 2 + 1:])
+    return upper
+
+
+def _mirrored_intensity(upper: np.ndarray) -> np.ndarray:
+    """Full m x m |spectrum|^2 from its rows 0..m/2: row j > m/2 is row
+    m - j point-mirrored, I[j, c] = I[m - j, (m - c) % m]."""
+    m = upper.shape[1]
+    h = m // 2
+    out = np.empty((m, m))
+    top = out[:h + 1]
+    np.abs(upper, out=top)
+    np.square(top, out=top)
+    out[h + 1:, 0] = out[h - 1:0:-1, 0]
+    out[h + 1:, 1:] = out[h - 1:0:-1, :0:-1]
+    return out
+
+
+@dataclass(frozen=True)
+class FarField:
+    """Centred far field of a real mask, stored as its rows 0..m/2.
+
+    The spectrum of a real mask is Hermitian, so row j > m/2 of the full
+    m x m field is conj(upper[m - j, (m - c) % m]); rows() and intensity()
+    mirror only what they return, and amplitudes builds the whole array.
+    """
+
+    grid: GridSpec
+    upper: np.ndarray
+
+    def __post_init__(self):
+        m = self.grid.samples_per_side
+        if self.upper.shape != (m // 2 + 1, m):
+            raise ValueError(
+                f"half-plane shape {self.upper.shape} does not match grid "
+                f"({m // 2 + 1} x {m})")
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Complex rows lo..hi-1 of the full far field, as a new array."""
+        m = self.grid.samples_per_side
+        h = m // 2
+        if not 0 <= lo <= hi <= m:
+            raise ValueError(f"rows {lo}:{hi} outside 0:{m}")
+        out = np.empty((hi - lo, m), dtype=np.complex128)
+        split = min(max(lo, h + 1), hi)
+        out[:split - lo] = self.upper[lo:split]
+        # rows split..hi-1 mirror upper rows m-split..m-hi+1
+        src = self.upper[m - hi + 1:m - split + 1][::-1]
+        np.conjugate(src[:, 0], out=out[split - lo:, 0])
+        np.conjugate(src[:, :0:-1], out=out[split - lo:, 1:])
+        return out
+
+    def intensity(self) -> np.ndarray:
+        """|far field|^2 on the full m x m grid."""
+        return _mirrored_intensity(self.upper)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The full m x m complex far field, built on each access."""
+        return self.rows(0, self.grid.samples_per_side)
 
 
 def diffract_far_field(mask: BinaryMask, illumination_energy: float,
-                       pad_factor: int = DEFAULT_PAD_FACTOR) -> ComplexField:
+                       pad_factor: int = DEFAULT_PAD_FACTOR) -> FarField:
     """Centred unitary Fourier transform of the mask as a unit-amplitude
-    transmission function.
+    transmission function, held as the half plane FarField mirrors.
 
     The output grid is in spatial-frequency coordinates (cycles per metre);
     zero padding by pad_factor refines the far-field sampling without
@@ -191,10 +256,9 @@ def diffract_far_field(mask: BinaryMask, illumination_energy: float,
         raise ValueError("illumination energy must be positive")
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
-    far = _padded_spectrum(mask.values, pad_factor)
     freq_side = 1.0 / mask.grid.pitch
     out_grid = GridSpec(mask.grid.samples_per_side * pad_factor, freq_side)
-    return ComplexField(out_grid, 0.0, far)
+    return FarField(out_grid, _half_spectrum(mask.values, pad_factor))
 
 
 def frequency_to_angle(nu: float, p: BeamParameters) -> float:
@@ -208,7 +272,13 @@ def _aperture_kernel(n: int, pad_factor: int) -> np.ndarray:
     """Far-field intensity kernel of the bare inscribed-circle aperture."""
     idx = np.arange(n) - n / 2 + 0.5
     disk = (idx[:, np.newaxis] ** 2 + idx ** 2 <= (n / 2.0) ** 2).astype(float)
-    return np.abs(_padded_spectrum(disk, pad_factor)) ** 2
+    return _mirrored_intensity(_half_spectrum(disk, pad_factor))
+
+
+@lru_cache(maxsize=4)
+def _aperture_kernel_total(n: int, pad_factor: int) -> float:
+    """Sum of _aperture_kernel(n, pad_factor), the norm of leakage spreads."""
+    return float(_aperture_kernel(n, pad_factor).sum())
 
 
 def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
@@ -220,7 +290,7 @@ def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
     return float(band[:, c0:c1].sum())
 
 
-def extract_order(far_field: ComplexField, spec: HologramSpec,
+def extract_order(far_field: FarField, spec: HologramSpec,
                   order: int, pad_factor: int = DEFAULT_PAD_FACTOR) -> ComplexField:
     """Crop the far field around one diffraction order and re-centre it.
 
@@ -252,13 +322,13 @@ def extract_order(far_field: ComplexField, spec: HologramSpec,
         raise OrderSeparationError(
             f"order {order:+d} window falls outside the sampled far field")
 
-    # all windows span the same rows; the bounds check above implies
-    # half <= m/2, so these rows lie inside the far field
-    rows = slice(centre - half, centre + half)
-    intensity = np.abs(far_field.amplitudes[rows]) ** 2
-    kernel = _aperture_kernel(n_mask, pad_factor)
-    kernel_total = float(kernel.sum())
-    kernel_band = kernel[rows]
+    # all windows and the crop span the same rows; the bounds check above
+    # implies half <= m/2, so these rows lie inside the far field
+    band = far_field.rows(centre - half, centre + half)
+    intensity = np.abs(band) ** 2
+    kernel_band = _aperture_kernel(n_mask, pad_factor)[centre - half:
+                                                      centre + half]
+    kernel_total = _aperture_kernel_total(n_mask, pad_factor)
     powers = {}
     for o in (-3, -2, -1, 0, 1, 2, 3):
         p = _window_sum(intensity, centre + round(o * carrier_px), half)
@@ -278,11 +348,10 @@ def extract_order(far_field: ComplexField, spec: HologramSpec,
             f"estimated neighbour leakage {leak:.3e} exceeds 1% of order "
             f"{order:+d} power {own:.3e}; increase the carrier frequency")
 
-    crop = far_field.amplitudes[centre - half:centre + half,
-                                col - half:col + half].copy()
-    norm = math.sqrt(float(np.sum(np.abs(crop) ** 2)) * freq_pitch ** 2)
+    # the crop is the order's own window, whose power is `own`
+    norm = math.sqrt(own * freq_pitch ** 2)
     out_grid = GridSpec(2 * half, 2 * half * freq_pitch)
-    return ComplexField(out_grid, 0.0, crop / norm)
+    return ComplexField(out_grid, 0.0, band[:, col - half:col + half] / norm)
 
 
 def spherical_focus_distance(spec: HologramSpec, p: BeamParameters) -> float:

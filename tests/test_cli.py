@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, GridSpec,
+from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, FarField, GridSpec,
                        exact_step_limit, larmor_wavenumber, magnetic_width,
                        verdet_parameter, width_function_exact)
 from evfaraday.cli import main
@@ -207,6 +208,20 @@ class TestGrating:
         field, header = load_field(str(outdir / "order_p1.field"))
         assert header["note"] == "diffraction order +1"
 
+    def test_plane_example_reads_half_plane_only(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the README plane example writes its frame and orders from the
+        # stored half plane; building the full complex far field is refused
+        def refuse(far):
+            raise AssertionError("full far field built")
+
+        monkeypatch.setattr(FarField, "amplitudes", property(refuse))
+        assert main(["grating", "-l", "1", "--plane", "--kx", "2.5e8m-1",
+                     "--diffract", "-o", str(tmp_path)]) == 0
+        for name in ("farfield.pgm", "farfield.pgm.json", "order_m1.field",
+                     "order_0.field", "order_p1.field", "purity.json"):
+            assert (tmp_path / name).exists()
+
     def test_default_carrier_cannot_be_extracted(self, tmp_path, capsys):
         # the ten-fringe default is synthesisable but refuses windowed
         # extraction on leakage grounds
@@ -315,7 +330,8 @@ class TestErrorBoundary:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        # library warnings, one line each, may precede the error
+        assert re.sub(r"^(warning: .*\n)*", "", err).startswith("error:")
         assert message in err
         # rejected before any output, the grating mask.pgm included
         assert not (tmp_path / "evf_output").exists()
@@ -331,6 +347,19 @@ class TestErrorBoundary:
         assert ("argument --spherical: not allowed with argument --plane"
                 in capsys.readouterr().err)
         assert not (tmp_path / "evf_output").exists()
+
+    def test_library_warning_is_one_line(self, tmp_path, capsys,
+                                         monkeypatch):
+        # the waist spans a thousandth of a pixel: the grid-adequacy warning
+        # reaches stderr as one line, without the library's source location
+        monkeypatch.chdir(tmp_path)
+        assert main(["breathe", "--w0-rel", "1e-3", "--grid-n", "64",
+                     "--outputs", "2", "--periods", "0.1"]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert lines[0].startswith("warning: beam width")
+        assert lines[-1].startswith("error:")
+        assert ".py:" not in err
 
     def test_rotate_l_zero(self, tmp_path, capsys):
         assert main(self.SMALL_ROTATE + ["-l", "0",

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evfaraday import (BeamParameters, BinaryMask, ComplexField,
-                       ELEMENTARY_CHARGE, GridSpec, HologramSpec,
+                       ELEMENTARY_CHARGE, FarField, GridSpec, HologramSpec,
                        PlaneReference, SphericalReference, angular_intensity,
                        base_wavenumber, default_carrier, design_value,
                        diffract_far_field, effective_width,
@@ -222,6 +224,87 @@ class TestFarField:
         expected = np.abs(padded_transform_definition(disk, pad)) ** 2
         got = _aperture_kernel(n, pad)
         assert np.abs(got - expected).max() <= 1e-13 * expected.max()
+
+
+def random_mask(n, seed):
+    rng = np.random.default_rng(seed)
+    return BinaryMask(GridSpec(n, 1e-6),
+                      (rng.random((n, n)) < 0.5).astype(np.uint8))
+
+
+class TestHalfPlaneFarField:
+    """The far field is stored as rows 0..m/2; every other row is a
+    point-mirrored conjugate of one of them."""
+
+    @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
+    def test_intensity_exactly_point_symmetric(self, n, pad):
+        far = diffract_far_field(random_mask(n, 11 * n + pad), E60, pad)
+        intensity = far.intensity()
+        m = far.grid.samples_per_side
+        assert intensity.shape == (m, m)
+        # I[j, c] == I[(m - j) % m, (m - c) % m], bit for bit
+        mirrored = np.roll(intensity[::-1, ::-1], 1, axis=(0, 1))
+        assert np.array_equal(intensity, mirrored)
+
+    @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
+    def test_rows_match_padded_transform_definition(self, n, pad):
+        mask = random_mask(n, 13 * n + pad)
+        far = diffract_far_field(mask, E60, pad)
+        expected = padded_transform_definition(mask.values, pad)
+        m = far.grid.samples_per_side
+        h = m // 2
+        bound = 1e-13 * np.abs(expected).max()
+        # bands straddling m/2, mirror-only bands, the whole plane
+        for lo, hi in ((h - 1, h + 2), (h - 3, h + 3), (h, h + 1),
+                       (h + 1, m), (m - 1, m), (2, m - 1), (0, m)):
+            got = far.rows(lo, hi)
+            assert got.shape == (hi - lo, m)
+            assert np.abs(got - expected[lo:hi]).max() <= bound
+
+    def test_rows_out_of_range_rejected(self):
+        far = diffract_far_field(random_mask(16, 1), E60, 2)
+        for lo, hi in ((-1, 3), (5, 4), (0, 33)):
+            with pytest.raises(ValueError):
+                far.rows(lo, hi)
+
+    def test_half_plane_shape_checked(self):
+        with pytest.raises(ValueError):
+            FarField(GridSpec(16, 1.0), np.zeros((16, 16), np.complex128))
+
+    @pytest.mark.parametrize("n, fringes, pad", [(256, 40, 4), (192, 40, 4)])
+    def test_extract_order_matches_definition_crops(self, n, fringes, pad):
+        grid = GridSpec(n, 1e-6)
+        spec = plane_spec(grid, fringes=fringes, l=2, phi0=0.3)
+        mask = synthesize_hologram(spec, grid)
+        far = diffract_far_field(mask, E60, pad)
+        expected = padded_transform_definition(mask.values, pad)
+        m = far.grid.samples_per_side
+        carrier_px = spec.reference.k_x / (2 * math.pi) / far.grid.pitch
+        half = int(carrier_px / 2)
+        rows = slice(m // 2 - half, m // 2 + half)
+        for order in (-1, 0, 1):
+            col = m // 2 + round(order * carrier_px)
+            crop = expected[rows, col - half:col + half]
+            crop = crop / math.sqrt(float(np.sum(np.abs(crop) ** 2))
+                                    * far.grid.pitch ** 2)
+            got = extract_order(far, spec, order, pad).amplitudes
+            assert got.shape == crop.shape
+            assert np.abs(got - crop).max() <= 1e-13 * np.abs(crop).max()
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([16, 32, 64]), pad=st.sampled_from([1, 2, 4]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_quarter_turn_rotates_intensity(self, n, pad, seed):
+        # rot90 maps pixel-centre coordinates exactly, so the far field turns
+        # with the mask; the centred frequency layout puts zero at index m/2,
+        # which the turn moves to m/2 - 1 along the new row axis, hence the
+        # one-row roll.  Swapped axes in the transform would break it.
+        mask = random_mask(n, seed)
+        turned = BinaryMask(mask.grid, np.rot90(mask.values))
+        intensity = diffract_far_field(mask, E60, pad).intensity()
+        got = diffract_far_field(turned, E60, pad).intensity()
+        expected = np.roll(np.rot90(intensity), 1, axis=0)
+        assert np.abs(got - expected).max() <= 1e-13 * intensity.max()
 
 
 @pytest.fixture(scope="module")
