@@ -25,8 +25,8 @@ from .core import (ELEMENTARY_CHARGE, BeamParameters, ModeIndex,
                    base_wavenumber, faraday_angle, larmor_frequency,
                    larmor_wavenumber, magnetic_width, verdet_parameter)
 from .errors import EvfError, NoPatternError
-from .fileio import (format_csv, save_field, write_intensity_pgm,
-                     write_mask_pgm, write_text)
+from .fileio import (format_csv, save_field, write_frame_pgm,
+                     write_intensity_pgm, write_mask_pgm, write_text)
 from .gratings import (HologramSpec, PlaneReference, SphericalReference,
                        default_carrier, diffract_far_field, extract_order,
                        isolate_chirped_order, locate_minimum_width_plane,
@@ -133,6 +133,11 @@ def cmd_verdet_curve(args) -> int:
 
 
 def cmd_rotate(args) -> int:
+    for option, every in (("--snapshot-every", args.snapshot_every),
+                          ("--pgm-every", args.pgm_every)):
+        if every < 0:
+            raise CliUsageError(f"{option} must be >= 0 (0 writes none), "
+                                f"got {every}")
     p = _beam(args)
     k_l = larmor_wavenumber(p)
     if p.field_bz != 0:
@@ -231,8 +236,7 @@ def cmd_breathe(args) -> int:
 
 def _plane_diffraction_report(args, mask, spec, p, outdir) -> dict:
     far = diffract_far_field(mask, p.kinetic_energy, args.pad)
-    write_intensity_pgm(os.path.join(outdir, "farfield.pgm"),
-                        far.intensity())
+    write_frame_pgm(os.path.join(outdir, "farfield.pgm"), *far.frame())
     report = {}
     for order, label in ((-1, "order_m1"), (0, "order_0"), (1, "order_p1")):
         field = extract_order(far, spec, order, args.pad)
@@ -423,8 +427,9 @@ def main(argv=None) -> int:
     warnings.showwarning = _show_warning
     try:
         return args.func(args)
-    # the library rejects invalid input values with ValueError
-    except (EvfError, ValueError) as exc:
+    # the library rejects invalid input values with ValueError; an output
+    # path that cannot be written raises OSError
+    except (EvfError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -14,12 +14,19 @@ from .modes import ComplexField, GridSpec
 FIELD_FORMAT_VERSION = 1
 
 
-def _atomic_write_bytes(path: str, data: bytes):
+def _atomic_write_bytes(path: str, *parts):
+    """Write the bytes-like parts, in order, to path through a temp file in
+    its directory and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evf-tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evf-tmp-")
+    except OSError as exc:
+        # name the file asked for, not the temp name
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -48,8 +55,9 @@ def save_field(path: str, field: ComplexField, energy_ev: float,
         "field_T": field_t,
         "note": note,
     }
-    payload = np.ascontiguousarray(field.amplitudes, dtype="<c16").tobytes()
-    _atomic_write_bytes(path, json.dumps(header).encode() + b"\n" + payload)
+    payload = np.ascontiguousarray(field.amplitudes, dtype="<c16")
+    _atomic_write_bytes(path, json.dumps(header).encode() + b"\n",
+                        memoryview(payload))
 
 
 def load_field(path: str):
@@ -80,7 +88,7 @@ def write_pgm(path: str, gray: np.ndarray):
     if gray.ndim != 2:
         raise ValueError("PGM output needs a 2-D array")
     header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode()
-    _atomic_write_bytes(path, header + gray.tobytes())
+    _atomic_write_bytes(path, header, memoryview(gray))
 
 
 def write_mask_pgm(path: str, values: np.ndarray):
@@ -88,24 +96,50 @@ def write_mask_pgm(path: str, values: np.ndarray):
     write_pgm(path, values.astype(np.uint8) * 255)
 
 
-def write_intensity_pgm(path: str, intensity: np.ndarray) -> float:
-    """Intensity frame with per-frame max normalisation.
+#: Rows quantise_intensity scales at a time, bounding its float scratch.
+QUANTISE_BLOCK_ROWS = 64
 
-    The peak value is recorded in a '<path>.json' sidecar so frames remain
-    quantitatively comparable; returns the peak.
+
+def quantise_intensity(intensity: np.ndarray, peak: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """8-bit frame rint(255 * intensity / peak) of a 2-D intensity, all
+    zeros unless peak > 0; written into the uint8 array out if given.
+
+    The rows are scaled a block at a time, in that operation order, so the
+    bytes do not depend on the block size and the input is not modified.
     """
-    peak = float(intensity.max())
-    if peak > 0:
-        # rint(255 * intensity / peak) in one buffer, in the same
-        # operation order, so the bytes do not depend on the buffering
-        scaled = np.multiply(intensity, 255.0)
-        scaled /= peak
-        np.rint(scaled, out=scaled)
-    else:
-        scaled = np.zeros_like(intensity)
-    write_pgm(path, scaled.astype(np.uint8))
+    if intensity.ndim != 2:
+        raise ValueError("PGM output needs a 2-D array")
+    if out is None:
+        out = np.empty(intensity.shape, dtype=np.uint8)
+    if not peak > 0:
+        out.fill(0)
+        return out
+    rows = intensity.shape[0]
+    scratch = np.empty((min(rows, QUANTISE_BLOCK_ROWS), intensity.shape[1]),
+                       dtype=np.result_type(intensity, 255.0))
+    for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
+        block = scratch[:min(rows - lo, QUANTISE_BLOCK_ROWS)]
+        np.multiply(intensity[lo:lo + len(block)], 255.0, out=block)
+        block /= peak
+        np.rint(block, out=block)
+        out[lo:lo + len(block)] = block
+    return out
+
+
+def write_frame_pgm(path: str, gray: np.ndarray, peak: float) -> float:
+    """Quantised intensity frame plus its '<path>.json' sidecar recording the
+    peak, so frames remain quantitatively comparable; returns the peak."""
+    write_pgm(path, gray)
     write_text(path + ".json", json.dumps({"max_intensity": peak}) + "\n")
     return peak
+
+
+def write_intensity_pgm(path: str, intensity: np.ndarray) -> float:
+    """Intensity frame with per-frame max normalisation (quantise_intensity)
+    and its peak sidecar; returns the peak."""
+    peak = float(intensity.max())
+    return write_frame_pgm(path, quantise_intensity(intensity, peak), peak)
 
 
 def format_csv(comment: str, columns, rows) -> str:

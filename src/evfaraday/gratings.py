@@ -20,6 +20,7 @@ from .analysis import effective_width
 from .core import BeamParameters, base_wavenumber
 from .errors import (CarrierResolutionError, ContainmentError,
                      OrderSeparationError)
+from .fileio import quantise_intensity
 from .modes import ComplexField, GridSpec
 from .propagation import _check_contained
 
@@ -183,18 +184,24 @@ def _half_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
     return upper
 
 
+def _point_mirror(full: np.ndarray) -> np.ndarray:
+    """Fill rows m/2 + 1..m - 1 of an m x m array of any dtype from its rows
+    0..m/2, full[j, c] = full[m - j, (m - c) % m], the point mirror under
+    which the intensity of a Hermitian spectrum is invariant; returns full."""
+    h = full.shape[1] // 2
+    full[h + 1:, 0] = full[h - 1:0:-1, 0]
+    full[h + 1:, 1:] = full[h - 1:0:-1, :0:-1]
+    return full
+
+
 def _mirrored_intensity(upper: np.ndarray) -> np.ndarray:
-    """Full m x m |spectrum|^2 from its rows 0..m/2: row j > m/2 is row
-    m - j point-mirrored, I[j, c] = I[m - j, (m - c) % m]."""
+    """Full m x m |spectrum|^2 from its rows 0..m/2."""
     m = upper.shape[1]
-    h = m // 2
     out = np.empty((m, m))
-    top = out[:h + 1]
+    top = out[:m // 2 + 1]
     np.abs(upper, out=top)
     np.square(top, out=top)
-    out[h + 1:, 0] = out[h - 1:0:-1, 0]
-    out[h + 1:, 1:] = out[h - 1:0:-1, :0:-1]
-    return out
+    return _point_mirror(out)
 
 
 @dataclass(frozen=True)
@@ -202,8 +209,9 @@ class FarField:
     """Centred far field of a real mask, stored as its rows 0..m/2.
 
     The spectrum of a real mask is Hermitian, so row j > m/2 of the full
-    m x m field is conj(upper[m - j, (m - c) % m]); rows() and intensity()
-    mirror only what they return, and amplitudes builds the whole array.
+    m x m field is conj(upper[m - j, (m - c) % m]); rows(), intensity() and
+    frame() mirror only what they return, and amplitudes builds the whole
+    array.
     """
 
     grid: GridSpec
@@ -234,6 +242,22 @@ class FarField:
     def intensity(self) -> np.ndarray:
         """|far field|^2 on the full m x m grid."""
         return _mirrored_intensity(self.upper)
+
+    def frame(self) -> tuple[np.ndarray, float]:
+        """(m x m uint8 frame, peak) of the intensity, byte for byte
+        quantise_intensity(I, I.max()) with I = intensity().
+
+        The mirrored rows repeat rows 0..m/2, so those rows hold the peak;
+        only they are squared and quantised, and the frame's other rows are
+        their point mirror, copied as bytes.
+        """
+        m = self.grid.samples_per_side
+        half = np.abs(self.upper)
+        np.square(half, out=half)
+        peak = float(half.max())
+        gray = np.empty((m, m), dtype=np.uint8)
+        quantise_intensity(half, peak, out=gray[:m // 2 + 1])
+        return _point_mirror(gray), peak
 
     @property
     def amplitudes(self) -> np.ndarray:

@@ -211,11 +211,16 @@ class TestGrating:
     def test_plane_example_reads_half_plane_only(self, tmp_path, capsys,
                                                  monkeypatch):
         # the README plane example writes its frame and orders from the
-        # stored half plane; building the full complex far field is refused
+        # stored half plane; building the full complex far field or its
+        # full-plane intensity is refused
         def refuse(far):
             raise AssertionError("full far field built")
 
+        def refuse_intensity(far):
+            raise AssertionError("full-plane intensity built")
+
         monkeypatch.setattr(FarField, "amplitudes", property(refuse))
+        monkeypatch.setattr(FarField, "intensity", refuse_intensity)
         assert main(["grating", "-l", "1", "--plane", "--kx", "2.5e8m-1",
                      "--diffract", "-o", str(tmp_path)]) == 0
         for name in ("farfield.pgm", "farfield.pgm.json", "order_m1.field",
@@ -360,6 +365,32 @@ class TestErrorBoundary:
         assert lines[0].startswith("warning: beam width")
         assert lines[-1].startswith("error:")
         assert ".py:" not in err
+
+    @pytest.mark.parametrize("option", ["--pgm-every", "--snapshot-every"])
+    def test_negative_frame_interval(self, tmp_path, capsys, option):
+        # i % -K == 0 would write a file at every plane
+        outdir = tmp_path / "out"
+        assert main(["rotate", "--grid-n", "64", "--outputs", "2",
+                     option, "-1", "-o", str(outdir)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {option} must be >= 0 (0 writes none), got -1\n")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv, target, message", [
+        (["verdet-curve", "--e-min", "1keV", "--e-max", "2keV", "-n", "3",
+          "-o"], "missing/x.csv", "No such file or directory"),
+        (["rotate", "--grid-n", "64", "--outputs", "2", "-o"],
+         "/dev/null/x", "Not a directory"),
+    ])
+    def test_unwritable_output_path(self, tmp_path, capsys, monkeypatch,
+                                     argv, target, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + [target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err and target in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob(".evf-tmp-*"))
 
     def test_rotate_l_zero(self, tmp_path, capsys):
         assert main(self.SMALL_ROTATE + ["-l", "0",

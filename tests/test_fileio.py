@@ -47,6 +47,19 @@ class TestFieldFile:
         with pytest.raises(ValueError, match="payload"):
             load_field(str(path))
 
+    def test_file_bytes(self, tmp_path):
+        # header line and payload are written as separate parts
+        field = random_field(n=16)
+        path = tmp_path / "e.field"
+        save_field(str(path), field, 60e3, 1.0, note="pinned")
+        header = {"format_version": 1,
+                  "grid": {"n": 16, "side_m": 1e-6},
+                  "z_m": 2.5e-7, "energy_eV": 60e3, "field_T": 1.0,
+                  "note": "pinned"}
+        assert path.read_bytes() == (
+            json.dumps(header).encode() + b"\n"
+            + field.amplitudes.astype("<c16").tobytes())
+
     def test_resave_identical_bytes(self, tmp_path):
         field = random_field()
         p1, p2 = tmp_path / "d1.field", tmp_path / "d2.field"
@@ -84,6 +97,10 @@ class TestPgm:
         path = tmp_path / "z.pgm"
         peak = write_intensity_pgm(str(path), np.zeros((16, 16)))
         assert peak == 0.0
+        blob = path.read_bytes()
+        assert blob == b"P5\n16 16\n255\n" + bytes(256)
+        sidecar = json.loads((tmp_path / "z.pgm.json").read_text())
+        assert sidecar["max_intensity"] == 0.0
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Hologram synthesis against the threshold rule evaluated independently,
 plus diffraction-order structure, symmetry and separation checks."""
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from evfaraday import gratings
 from evfaraday.gratings import _aperture_kernel, _embed, frequency_to_angle
 from evfaraday.errors import (CarrierResolutionError, ContainmentError,
                               OrderSeparationError)
+from evfaraday.fileio import write_frame_pgm
 
 E60 = 60e3 * ELEMENTARY_CHARGE
 BEAM = BeamParameters(E60, 0.0)
@@ -305,6 +307,57 @@ class TestHalfPlaneFarField:
         got = diffract_far_field(turned, E60, pad).intensity()
         expected = np.roll(np.rot90(intensity), 1, axis=0)
         assert np.abs(got - expected).max() <= 1e-13 * intensity.max()
+
+
+class TestFarFieldFrame:
+    """farfield.pgm is quantised on rows 0..m/2 and point-mirrored as bytes;
+    its file equals quantising the full-plane intensity."""
+
+    @staticmethod
+    def full_plane_files(far):
+        """PGM bytes and sidecar peak of the full-plane reference:
+        rint(255 I / I.max()) of FarField.intensity()."""
+        intensity = far.intensity()
+        peak = float(intensity.max())
+        if peak > 0:
+            gray = np.rint(255.0 * intensity / peak).astype(np.uint8)
+        else:
+            gray = np.zeros(intensity.shape, dtype=np.uint8)
+        m = far.grid.samples_per_side
+        return f"P5\n{m} {m}\n255\n".encode() + gray.tobytes(), peak
+
+    @staticmethod
+    def written(far, tmp_path):
+        path = tmp_path / "farfield.pgm"
+        write_frame_pgm(str(path), *far.frame())
+        sidecar = json.loads((tmp_path / "farfield.pgm.json").read_text())
+        return path.read_bytes(), sidecar["max_intensity"]
+
+    @pytest.mark.parametrize("l", [1, 3])
+    @pytest.mark.parametrize("pad", [4, 1])
+    def test_equals_full_plane_quantisation(self, tmp_path, l, pad):
+        # at pad 1 the far field has no zero padding (m = n)
+        grid = GridSpec(128, 1e-6)
+        mask = synthesize_hologram(plane_spec(grid, fringes=24, l=l,
+                                              phi0=0.4), grid)
+        far = diffract_far_field(mask, E60, pad)
+        blob, peak = self.written(far, tmp_path)
+        expected_blob, expected_peak = self.full_plane_files(far)
+        assert peak == expected_peak > 0
+        assert blob == expected_blob
+        # the mirrored half of the frame is not all one value
+        assert len(set(blob[-(128 * pad) ** 2 // 2:])) > 2
+
+    def test_zero_mask(self, tmp_path):
+        grid = GridSpec(64, 1e-6)
+        far = diffract_far_field(BinaryMask(grid, np.zeros((64, 64))), E60,
+                                 4)
+        blob, peak = self.written(far, tmp_path)
+        assert (blob, peak) == self.full_plane_files(far)
+        assert peak == 0.0
+        assert blob == b"P5\n256 256\n255\n" + bytes(256 * 256)
+        assert (tmp_path / "farfield.pgm.json").read_text() == (
+            '{"max_intensity": 0.0}\n')
 
 
 @pytest.fixture(scope="module")
