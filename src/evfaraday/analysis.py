@@ -140,11 +140,18 @@ def effective_width(field: ComplexField, l: int = 0) -> float:
     field's overall amplitude scale.
     """
     intensity = field.intensity()
-    total = float(intensity.sum())
+    # extended-precision sums: rescaling the amplitudes perturbs every
+    # intensity at rounding level, and double sums let that reach the last
+    # digit of the width for about a third of sampled modes
+    rows = intensity.sum(axis=1, dtype=np.longdouble)
+    columns = intensity.sum(axis=0, dtype=np.longdouble)
+    total = rows.sum()
     if total <= 0:
         raise ValueError("cannot measure the width of a zero-norm field")
-    xg, yg = field.grid.meshgrid()
-    mean_r2 = float((intensity * (xg ** 2 + yg ** 2)).sum()) / total
+    # r^2 = x^2 + y^2: the column sums carry the x^2 weights, the row sums
+    # the y^2 weights
+    squares = field.grid.axis() ** 2
+    mean_r2 = float((columns @ squares + rows @ squares) / total)
     return math.sqrt(2.0 * mean_r2 / (abs(l) + 1))
 
 

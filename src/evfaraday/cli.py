@@ -31,7 +31,8 @@ from .gratings import (HologramSpec, PlaneReference, SphericalReference,
                        default_carrier, diffract_far_field, extract_order,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
-from .modes import GridSpec, ModeSuperposition, petal_radius, width_function
+from .modes import (GridSpec, ModeSuperposition, petal_radius,
+                    width_function_exact)
 # propagate_definite_l is unused here but kept importable: the benchmark's
 # instrumentation self-test (perfbench/tests) patches it at this import site.
 from .propagation import (exact_steps_per_plane, make_plan,  # noqa: F401
@@ -40,6 +41,11 @@ from .units import (parse_angle, parse_curvature, parse_energy, parse_field,
                     parse_length, parse_wavenumber)
 
 ROTATION_SELF_CHECK_RTOL = 0.02
+
+#: Largest relative deviation of the measured width from
+#: width_function_exact that evf breathe accepts; acceptance criterion 3's
+#: bound for the same law.
+BREATHING_SELF_CHECK_RTOL = 0.01
 
 
 class CliUsageError(EvfError):
@@ -67,7 +73,12 @@ def _plane_stepping(args, grid: GridSpec, p: BeamParameters,
         dz = parse_length(args.dz)
         if not dz > 0:
             raise CliUsageError("dz must be positive")
-        return dz, max(1, round(spacing / dz))
+        ratio = spacing / dz
+        if not math.isfinite(ratio):
+            raise CliUsageError(
+                f"dz = {dz:.6e} m is too small: the plane spacing "
+                f"{spacing:.6e} m is not a finite number of steps")
+        return dz, max(1, round(ratio))
     steps = exact_steps_per_plane(grid, p, spacing)
     return spacing / steps, steps
 
@@ -219,18 +230,26 @@ def cmd_breathe(args) -> int:
     mode = ModeSuperposition(((ModeIndex(0, args.l), 1.0, w0),), p)
     plan = make_plan(grid, p, dz, steps_per_output, scheme="exact")
 
-    rows = [(z, effective_width(field, args.l), width_function(w0, p, z))
+    rows = [(z, effective_width(field, args.l),
+             width_function_exact(w0, p, z))
             for z, field in superposition_evolution(mode, grid, plan,
                                                     args.outputs)]
     outdir = _ensure_outdir(args)
     write_text(os.path.join(outdir, "breathing.csv"),
-               format_csv("beam width vs propagation distance; analytic "
-                          "column is the first-order breathing formula",
-                          ("z_m", "width_measured_m", "width_analytic_m"),
+               format_csv("beam width vs propagation distance; exact column "
+                          "is the unapproximated channel law "
+                          "width_function_exact",
+                          ("z_m", "width_measured_m", "width_exact_m"),
                           rows))
     widths = [r[1] for r in rows]
+    worst = max(abs(m - e) / e for _, m, e in rows)
     print(f"breathe: {len(rows)} samples over {args.periods} period(s); "
-          f"width range [{min(widths):.6e}, {max(widths):.6e}] m")
+          f"width range [{min(widths):.6e}, {max(widths):.6e}] m, "
+          f"max relative deviation {worst:.3e}")
+    if worst > BREATHING_SELF_CHECK_RTOL:
+        print(f"breathe: self-check FAILED "
+              f"(> {BREATHING_SELF_CHECK_RTOL:.0%})", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,6 +1,12 @@
 """Transverse beam modes: associated Laguerre polynomials, radial profiles,
 grid sampling of eigenmode superpositions, and the analytic width of a
 mismatched (breathing) beam.
+
+A sampled (p, l) Laguerre-Gauss mode is a polynomial of degree 2p+|l| in
+(x, y) times a Gaussian, so across the x/y split it has rank exactly
+2p+|l|+1.  mode_field samples it in that separable form through the
+Laguerre-Gauss to Hermite-Gauss expansion (Beijersbergen et al., Opt.
+Commun. 96, 123 (1993)), and the propagator steps the 1-D factors.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ import cmath
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,11 +71,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex amplitudes sampled at the pixel centres of a GridSpec."""
+    """Complex amplitudes sampled at the pixel centres of a GridSpec.
+
+    factors, when present, is a separable form (Y, X) of the amplitudes:
+    two (R, N) arrays of y- and x-factors with amplitudes = Y.T @ X to
+    rounding.  The propagator steps these 2R lines instead of the N x N
+    plane; a field built from amplitudes alone is stepped whole.
+    """
 
     grid: GridSpec
     z_position: float
     amplitudes: np.ndarray
+    factors: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -79,6 +92,13 @@ class ComplexField:
                 f"amplitude array shape {amps.shape} does not match grid "
                 f"({n} x {n})")
         object.__setattr__(self, "amplitudes", amps)
+        if self.factors is not None:
+            y, x = (np.asarray(f, dtype=np.complex128) for f in self.factors)
+            if y.ndim != 2 or y.shape != x.shape or y.shape[1] != n:
+                raise ValueError(
+                    f"factor shapes {y.shape} and {x.shape} are not both "
+                    f"(R, {n})")
+            object.__setattr__(self, "factors", (y, x))
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -120,19 +140,23 @@ class ModeSuperposition:
                    params)
 
 
+def _check_degree(n: int):
+    if n < 0 or int(n) != n:
+        raise ValueError("degree n must be a non-negative integer")
+    if n > LAGUERRE_MAX_ORDER:
+        raise UnsupportedOrderError(
+            f"degree {n} exceeds the validated ceiling {LAGUERRE_MAX_ORDER}")
+
+
 def assoc_laguerre(n: int, alpha: int, x):
     """Associated Laguerre polynomial L_n^alpha(x) by three-term recurrence.
 
     Overflow-free and numerically stable up to n = LAGUERRE_MAX_ORDER.
     Accepts scalar or array x.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError("degree n must be a non-negative integer")
+    _check_degree(n)
     if alpha < 0 or int(alpha) != alpha:
         raise ValueError("order alpha must be a non-negative integer")
-    if n > LAGUERRE_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"degree {n} exceeds the validated ceiling {LAGUERRE_MAX_ORDER}")
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     prev = np.ones_like(xs)
@@ -176,23 +200,70 @@ def _warn_if_inadequate(grid: GridSpec, width: float):
             f"widths ({width:.3e} m)", GridAdequacyWarning, stacklevel=3)
 
 
+def _hermite_functions(order: int, xi: np.ndarray) -> np.ndarray:
+    """Normalised Hermite functions h_0 .. h_order at xi, one per row, by
+    their three-term recurrence."""
+    h = np.empty((order + 1, xi.size))
+    h[0] = math.pi ** -0.25 * np.exp(-xi ** 2 / 2.0)
+    if order:
+        h[1] = math.sqrt(2.0) * xi * h[0]
+    for k in range(1, order):
+        h[k + 1] = (math.sqrt(2.0 / (k + 1)) * xi * h[k]
+                    - math.sqrt(k / (k + 1)) * h[k - 1])
+    return h
+
+
+def _hermite_gauss_weights(n: int, al: int) -> list:
+    """Weights i^k b(n, n+|l|, k), k = 0 .. 2n+|l|, of the Hermite-Gauss
+    modes h_{2n+|l|-k}(x) h_k(y) that sum to the (n, +|l|) mode.
+
+    b is (-1)^n sqrt((N-k)! k! / (2^N n! m!)) times the t^k coefficient of
+    (1-t)^n (1+t)^m, m = n+|l|, N = n+m; the coefficients are exact
+    integers, so no alternating sum cancels.  The sign (-1)^n matches
+    radial_profile's leading Laguerre coefficient.
+    """
+    m = n + al
+    poly = [1]
+    for sign in [-1] * n + [1] * m:
+        poly = [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
+    order = n + m
+    denominator = 2 ** order * math.factorial(n) * math.factorial(m)
+    return [(-1) ** n * (1, 1j, -1, -1j)[k % 4]
+            * math.copysign(math.sqrt(
+                c * c * math.factorial(order - k) * math.factorial(k)
+                / denominator), c)
+            for k, c in enumerate(poly)]
+
+
 def mode_field(grid: GridSpec, n: int, l: int, waist: float) -> ComplexField:
     """Sample the (n, l) mode of the given waist at z = 0, unit grid norm.
 
     This is plain profile sampling: the waist is unconstrained, so the result
     is a valid initial condition for the numerical propagator whether or not
-    it is an eigenstate.
+    it is an eigenstate.  The field carries its rank-(2n+|l|+1) factors,
+    sampled in closed form as Hermite-Gauss products; a -l mode is the +l
+    mode mirrored, y -> -y, a reversal of its y-factors.
     """
+    _check_degree(n)
+    if not waist > 0:
+        raise ValueError("waist must be positive")
     _warn_if_inadequate(grid, waist)
-    xg, yg = grid.meshgrid()
-    rr = np.hypot(xg, yg)
-    phi = np.arctan2(yg, xg)
-    amps = radial_profile(n, l, rr, waist) * np.exp(1j * l * phi)
+    weights = _hermite_gauss_weights(n, abs(l))
+    h = _hermite_functions(len(weights) - 1,
+                           math.sqrt(2.0) * grid.axis() / waist)
+    y = np.asarray(weights)[:, np.newaxis] * h
+    x = h[::-1]
+    amps = y.T @ x
     norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.pitch ** 2)
     if norm == 0.0:
         raise ValueError(f"mode (n={n}, l={l}) of waist {waist:.3e} m "
                          "sampled to an identically zero field")
-    return ComplexField(grid, 0.0, amps / norm)
+    amps /= norm
+    y /= norm
+    if l < 0:
+        return ComplexField(grid, 0.0, amps[::-1].copy(),
+                            (y[:, ::-1].copy(), x))
+    return ComplexField(grid, 0.0, amps, (y, x))
 
 
 def sample_superposition(s: ModeSuperposition, grid: GridSpec,

@@ -13,13 +13,23 @@ sweep and differ only in the lengths of the factors:
   chirp-FFT-chirp product is the exact propagator at any dz (Namias 1980);
   only the transverse sampling limits the step.
 
-At B = 0 both schemes have the same factors.  The angular-momentum part of
-the Zeeman interaction reduces to the exact scalar phase exp(-i l k_L z) on
-a definite-l component, so general beams are propagated as mode lists and
-each component is advanced independently.  The -l mode of a given (n, |l|,
-waist) is the +l mode mirrored, y -> -y, which on the pixel-centred grid is
-a row reversal; r^2 and k^2 are both even under it, so the sweep commutes
-with it and only one of the two is stepped.
+At B = 0 both schemes have the same factors.
+
+Both factors separate over x and y, so one step of a plane A is
+A -> S A S^T with the 1-D step S = diag(h) F^-1 diag(kappa) F diag(h), and
+n steps are S^n A (S^n)^T.  A field that carries factors, A = Y^T X with R
+rows each (a sampled (p, l) mode has rank R = 2p+|l|+1), is advanced by
+stepping its 2R lines; a dense plane is stepped along its columns and
+then along its rows.  Both are the same discrete operator; only rounding
+differs.
+
+The angular-momentum part of the Zeeman interaction reduces to the exact
+scalar phase exp(-i l k_L z) on a definite-l component, so general beams
+are propagated as mode lists and each component is advanced independently.
+The -l mode of a given (n, |l|, waist) is the +l mode mirrored, y -> -y,
+which on the pixel-centred grid reverses its y-factors; x^2 and k^2 are
+both even under it, so the sweep commutes with it and only one of the two
+is stepped.
 """
 
 from __future__ import annotations
@@ -43,13 +53,15 @@ SCHEMES = ("strang", "exact")
 
 @dataclass(frozen=True)
 class PropagationPlan:
-    """Precomputed unit-modulus phase factors for one step length.
+    """Precomputed unit-modulus 1-D phase factors for one step length.
 
-    kinetic_phase is the spectral factor exp(-i k_perp^2 b/(2 k0)) in FFT
-    layout; half_potential_phase is the per-pixel confinement factor
-    exp(-i k0 k_L^2 r^2 a/2) used at the ends of a sweep, and
-    potential_phase its square, used between steps.  The lengths a and b
-    depend on the scheme (see the module docstring).
+    k_perp^2 = kx^2 + ky^2 and r^2 = x^2 + y^2 separate, so every factor of
+    the 2-D step is the outer product of one length-N vector with itself,
+    and only that vector is kept.  kinetic_phase is the spectral factor
+    exp(-i k^2 b/(2 k0)) in FFT layout; half_potential_phase is the
+    per-sample confinement factor exp(-i k0 k_L^2 x^2 a/2) used at the ends
+    of a sweep, and potential_phase its square, used between steps.  The
+    lengths a and b depend on the scheme (see the module docstring).
     """
 
     grid: GridSpec
@@ -142,19 +154,13 @@ def make_plan(grid: GridSpec, p: BeamParameters, dz: float,
         kinetic_length = math.sin(omega * dz) / omega
     else:
         half_length, kinetic_length = dz / 2.0, dz
-    # k^2 = kx^2 + ky^2 and r^2 = x^2 + y^2 separate, so each factor is the
-    # outer product of one 1-D phase with itself
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
     confinement = k0 * k_l ** 2 * grid.axis() ** 2 / 2.0
-
-    def outer(phase):
-        return phase[:, np.newaxis] * phase
-
     return PropagationPlan(
         grid=grid, params=p, dz=dz,
-        kinetic_phase=outer(np.exp(-1j * k ** 2 * kinetic_length / (2.0 * k0))),
-        half_potential_phase=outer(np.exp(-1j * confinement * half_length)),
-        potential_phase=outer(np.exp(-1j * confinement * (2.0 * half_length))),
+        kinetic_phase=np.exp(-1j * k ** 2 * kinetic_length / (2.0 * k0)),
+        half_potential_phase=np.exp(-1j * confinement * half_length),
+        potential_phase=np.exp(-1j * confinement * (2.0 * half_length)),
         steps_per_output=steps_per_output)
 
 
@@ -181,61 +187,36 @@ def _check_contained(*planes: np.ndarray, context: str):
             f"(limit {BORDER_INTENSITY_LIMIT:.0e}); enlarge the grid")
 
 
-def _strang_sweep(stack: np.ndarray, plan: PropagationPlan, n_steps: int):
-    """Advance v-envelopes by n_steps >= 1 potential-kinetic-potential
-    splits, in place.
+def _sweep(lines: np.ndarray, plan: PropagationPlan, n_steps: int):
+    """Advance every 1-D line along the last axis by n_steps >= 1
+    potential-kinetic-potential splits, in place.
 
     Interior half-potential factors are merged pairwise, so the sweep ends
-    in real space after exactly n_steps spectral round trips.
+    in real space after exactly n_steps spectral round trips.  The lines
+    are the factors Y and X of a plane A = Y.T @ X, or the columns and then
+    the rows of a dense plane.
     """
     half = plan.half_potential_phase
     full = plan.potential_phase
-    stack *= half
+    lines *= half
     for step in range(n_steps):
-        np.fft.fft2(stack, out=stack)
-        stack *= plan.kinetic_phase
-        # ifftn over the last two axes is ifft2, but numpy's ifft2 drops
-        # out= and allocates its result
-        np.fft.ifftn(stack, axes=(-2, -1), out=stack)
-        stack *= half if step == n_steps - 1 else full
+        np.fft.fft(lines, out=lines)
+        lines *= plan.kinetic_phase
+        np.fft.ifft(lines, out=lines)
+        lines *= half if step == n_steps - 1 else full
 
 
-def _assemble(stack: np.ndarray, terms, k_l_z: float) -> np.ndarray:
-    """Sum coeff exp(-i l k_L z) (stack[c], or its row mirror stack[c, ::-1])
-    over the terms (c, l, coeff, mirrored), into a new array."""
-    out = None
-    for c, l, coeff, mirrored in terms:
-        part = ((stack[c, ::-1] if mirrored else stack[c])
-                * (coeff * cmath.exp(-1j * l * k_l_z)))
-        if out is None:
-            out = part
-        else:
-            out += part
-    return out
-
-
-def _evolve(stack: np.ndarray, terms, plan: PropagationPlan,
-            steps_per_plane: int, n_planes: int):
-    """Yield (z, amplitudes) of the definite-l terms (c, l, coeff,
-    mirrored) summed over the components in stack, at z = 0 and after each
-    of n_planes sweeps of steps_per_plane steps.
-
-    The one propagation core: the components share every split-step
-    sweep, a mirrored term reads its component row-reversed (the sweep
-    commutes with the reversal), and each term's Zeeman phase
-    exp(-i l k_L z) is applied exactly, once, where the plane is summed.
-    Every yielded plane passes the containment check.  stack is
-    overwritten.
-    """
-    k_l = larmor_wavenumber(plan.params)
-    z = 0.0
-    for plane in range(n_planes + 1):
-        if plane:
-            _strang_sweep(stack, plan, steps_per_plane)
-            z += steps_per_plane * plan.dz
-        out = _assemble(stack, terms, k_l * z)
-        _check_contained(out, context=f"field at z = {z:.6e} m")
-        yield z, out
+def _assemble(lines: np.ndarray, terms, k_l_z: float):
+    """(plane, y-factors) of the terms (rows, l, coeff, mirrored) summed
+    over the factor stack lines = [Y; X]: each term adds coeff
+    exp(-i l k_L z) times its rows of Y, or their y-reversal, and the plane
+    is one product of the summed y-factors with X."""
+    rank = len(lines) // 2
+    y = np.zeros_like(lines[:rank])
+    for rows, l, coeff, mirrored in terms:
+        part = lines[rows, ::-1] if mirrored else lines[rows]
+        y[rows] += (coeff * cmath.exp(-1j * l * k_l_z)) * part
+    return y.T @ lines[rank:], y
 
 
 def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
@@ -244,17 +225,34 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
 
     The caller asserts the field has azimuthal dependence exp(i l phi); the
     Zeeman interaction is then the exact scalar phase exp(-i l k_L dz) per
-    step.
+    step.  A field with factors is stepped as its factor lines and keeps
+    them; one without is stepped as the whole plane.
     """
     if field.grid != plan.grid:
         raise GridMismatchError("field and plan grids differ")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if n_steps == 0:
-        return ComplexField(field.grid, field.z_position, field.amplitudes.copy())
-    *_, (advance, out) = _evolve(field.amplitudes[np.newaxis].copy(),
-                                 ((0, l, 1.0, False),), plan, n_steps, 1)
-    return ComplexField(field.grid, field.z_position + advance, out)
+        return ComplexField(field.grid, field.z_position,
+                            field.amplitudes.copy(), field.factors)
+    advance = n_steps * plan.dz
+    k_l_z = larmor_wavenumber(plan.params) * advance
+    if field.factors is None:
+        # columns, then rows, each swept as contiguous lines
+        columns = np.ascontiguousarray(field.amplitudes.T)
+        _sweep(columns, plan, n_steps)
+        out = np.ascontiguousarray(columns.T)
+        _sweep(out, plan, n_steps)
+        out *= cmath.exp(-1j * l * k_l_z)
+        factors = None
+    else:
+        rank = len(field.factors[0])
+        lines = np.concatenate(field.factors)
+        _sweep(lines, plan, n_steps)
+        factors = (lines[:rank] * cmath.exp(-1j * l * k_l_z), lines[rank:])
+        out = factors[0].T @ factors[1]
+    _check_contained(out, context=f"field at z = {advance:.6e} m")
+    return ComplexField(field.grid, field.z_position + advance, out, factors)
 
 
 def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
@@ -262,9 +260,11 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     """Yield (z, ComplexField) for a superposition propagated from z = 0.
 
     Emits the initial field and then one field every
-    plan.steps_per_output * plan.dz, n_outputs times.  One unit field is
-    sampled and stepped per (n, |l|, waist) group; its -l terms read it
-    row-mirrored.
+    plan.steps_per_output * plan.dz, n_outputs times.  The factors of one
+    unit field per (n, |l|, waist) group share every sweep as one (2R, N)
+    stack; a -l term reads its group's y-factors reversed, and each term's
+    Zeeman phase exp(-i l k_L z) is applied exactly, once, where a plane is
+    summed.  Every yielded plane passes the containment check.
     """
     if grid != plan.grid:
         raise GridMismatchError("grid and plan grids differ")
@@ -272,14 +272,28 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
         raise ValueError("n_outputs must be >= 1")
     groups, terms = {}, []
     for idx, coeff, w in s.terms:
-        c = groups.setdefault((idx.n, abs(idx.l), w), len(groups))
-        terms.append((c, idx.l, coeff, idx.l < 0))
-    stack = np.stack([mode_field(grid, n, l, w).amplitudes
-                      for n, l, w in groups])
+        key = (idx.n, abs(idx.l), w)
+        if key not in groups:
+            groups[key] = mode_field(grid, *key).factors
+        terms.append((key, idx.l, coeff, idx.l < 0))
+    rows, rank = {}, 0
+    for key, (y, _) in groups.items():
+        rows[key] = slice(rank, rank + len(y))
+        rank += len(y)
+    terms = [(rows[key], l, coeff, mirrored)
+             for key, l, coeff, mirrored in terms]
+    lines = np.concatenate([y for y, _ in groups.values()]
+                           + [x for _, x in groups.values()])
     # residual grid correction so the sum (every Zeeman phase is 1 at
     # z = 0) starts at unit norm
-    stack /= math.sqrt(grid_norm(
-        ComplexField(grid, 0.0, _assemble(stack, terms, 0.0))))
-    for z, out in _evolve(stack, terms, plan, plan.steps_per_output,
-                          n_outputs):
-        yield z, ComplexField(grid, z, out)
+    lines[:rank] /= math.sqrt(grid_norm(
+        ComplexField(grid, 0.0, _assemble(lines, terms, 0.0)[0])))
+    k_l = larmor_wavenumber(plan.params)
+    z = 0.0
+    for plane in range(n_outputs + 1):
+        if plane:
+            _sweep(lines, plan, plan.steps_per_output)
+            z += plan.steps_per_output * plan.dz
+        out, y = _assemble(lines, terms, k_l * z)
+        _check_contained(out, context=f"field at z = {z:.6e} m")
+        yield z, ComplexField(grid, z, out, (y, lines[rank:].copy()))

@@ -184,6 +184,33 @@ class TestBreathe:
                            rtol=1e-12, atol=0)
         exact = np.array([width_function_exact(w0, p, z) for z in rows[:, 0]])
         assert np.max(np.abs(rows[:, 1] - exact) / exact) < 1e-5
+        # the third column is that exact law, and the run reports its
+        # largest deviation from it
+        assert np.allclose(rows[:, 2], exact, rtol=1e-9, atol=0)
+        header = (outdir / "breathing.csv").read_text().splitlines()
+        assert "width_function_exact" in header[0]
+        assert header[1] == "z_m,width_measured_m,width_exact_m"
+        deviation = float(re.search(r"max relative deviation (\S+)",
+                                    capsys.readouterr().out).group(1))
+        assert deviation == pytest.approx(
+            np.max(np.abs(rows[:, 1] - exact) / exact), rel=1e-3)
+
+    def test_self_check_fails_against_a_wrong_law(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a reference 2% off the measured width exceeds the 1% bound: the
+        # table is still written, and the run exits 1
+        import evfaraday.cli as cli
+        monkeypatch.setattr(
+            cli, "width_function_exact",
+            lambda w0, p, z: 1.02 * width_function_exact(w0, p, z))
+        outdir = tmp_path / "br"
+        assert main(["breathe", "--w0-rel", "0.5", "--grid-n", "160",
+                     "--periods", "0.5", "--outputs", "8",
+                     "-o", str(outdir)]) == 1
+        assert (outdir / "breathing.csv").exists()
+        captured = capsys.readouterr()
+        assert "max relative deviation 1.96" in captured.out
+        assert "breathe: self-check FAILED (> 1%)" in captured.err
 
     def test_zero_field_rejected(self):
         assert main(["breathe", "-B", "0T"]) == 2
@@ -329,6 +356,10 @@ class TestErrorBoundary:
           "--periods", "0.1"], "sampled to an identically zero field"),
         (["rotate", "--w0", "1e-12m", "--grid-n", "64"],
          "sampled to an identically zero field"),
+        # a step so small that the plane spacing is an infinite number of
+        # steps
+        (["rotate", "--dz", "1e-320m"], "is not a finite number of steps"),
+        (["breathe", "--dz", "5e-324m"], "is not a finite number of steps"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from evfaraday import (ComplexField, GridSpec, ModeIndex, ModeSuperposition,
@@ -129,6 +131,51 @@ class TestModeField:
         with pytest.warns(GridAdequacyWarning):
             with pytest.raises(ValueError, match="identically zero field"):
                 mode_field(GridSpec(64, 8 * w_b), 0, 0, 1e-3 * w_b)
+
+
+def radial_sampling(grid, n, l, w):
+    """The (n, l) mode sampled from radial_profile and exp(i l phi), at
+    unit grid norm: the oracle for mode_field's Hermite-Gauss factors."""
+    xg, yg = grid.meshgrid()
+    amps = (radial_profile(n, l, np.hypot(xg, yg), w)
+            * np.exp(1j * l * np.arctan2(yg, xg)))
+    return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.pitch ** 2)
+
+
+class TestHermiteGaussFactors:
+    """mode_field samples each mode as 2n+|l|+1 products of 1-D Hermite
+    functions; the sum must be the Laguerre-Gauss profile, phase included."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 2), l=st.integers(-4, 4),
+           waist_rel=st.floats(0.7, 1.3))
+    def test_factors_equal_radial_profile_sampling(self, w_b, n, l,
+                                                   waist_rel):
+        grid = GridSpec(128, 12 * w_b)
+        field = mode_field(grid, n, l, waist_rel * w_b)
+        oracle = radial_sampling(grid, n, l, waist_rel * w_b)
+        y, x = field.factors
+        assert y.shape == x.shape == (2 * n + abs(l) + 1, 128)
+        peak = np.abs(oracle).max()
+        assert np.abs(field.amplitudes - oracle).max() < 1e-13 * peak
+        assert np.abs(y.T @ x - oracle).max() < 1e-13 * peak
+
+    @pytest.mark.parametrize("n, l", [(0, 40), (5, 20), (3, -17)])
+    def test_high_order(self, w_b, n, l):
+        # the weights come from exact integer coefficients, so 41 terms of
+        # alternating phase still sum to the profile
+        grid = GridSpec(256, 16 * w_b)
+        field = mode_field(grid, n, l, w_b)
+        oracle = radial_sampling(grid, n, l, w_b)
+        assert len(field.factors[0]) == 2 * n + abs(l) + 1
+        peak = np.abs(oracle).max()
+        assert np.abs(field.amplitudes - oracle).max() < 1e-12 * peak
+
+    def test_order_ceiling(self, w_b):
+        with pytest.raises(UnsupportedOrderError):
+            mode_field(GridSpec(64, 8 * w_b), 61, 0, w_b)
+        with pytest.raises(ValueError, match="non-negative"):
+            mode_field(GridSpec(64, 8 * w_b), -1, 0, w_b)
 
 
 class TestSuperpositionValidation:

@@ -321,7 +321,7 @@ class TestExactScheme:
 
     def test_one_fft_pair_per_step(self, beam, w_b, monkeypatch):
         calls = []
-        for name in ("fft2", "ifftn"):
+        for name in ("fft", "ifft"):
             original = getattr(np.fft, name)
             monkeypatch.setattr(
                 np.fft, name,
@@ -335,11 +335,12 @@ class TestExactScheme:
         planes = list(superposition_evolution(s, grid, plan, 2))
         assert len(planes) == 3
         names = [name for name, _, _ in calls]
-        assert names.count("fft2") == names.count("ifftn") == 2 * 3
-        # the -l partner is the +l field mirrored: one component is stepped,
-        # and every transform writes into its input
+        assert names.count("fft") == names.count("ifft") == 2 * 3
+        # the -l partner reads the +l factors reversed: only the rank-2
+        # y- and x-factors of one mode are stepped, as one (4, 64) stack,
+        # and every 1-D transform writes into its input
         assert {(shape, in_place) for _, shape, in_place in calls} == {
-            ((1, 64, 64), True)}
+            ((4, 64), True)}
 
 
 class TestMirrorIdentity:
@@ -409,3 +410,117 @@ class TestGrouping:
             peak = np.abs(expected).max()
             assert (np.abs(field.amplitudes - expected).max()
                     < 1e-12 * peak)
+
+
+class TestFactoredCore:
+    """A field that carries its Hermite-Gauss factors is stepped as its 1-D
+    factor lines; the same field given as a plane alone is stepped whole.
+    Both apply one discrete operator, so they agree to rounding."""
+
+    SHAPES = [(0, 1, 1.0), (0, -1, 1.0),   # opposite pair
+              (1, 0, 1.0),                  # l = 0
+              (0, -2, 1.0),                 # -l without its +l
+              (0, 1, 0.8),                  # same (n, |l|), new waist
+              (2, 3, 1.1)]                  # rank 8
+
+    @staticmethod
+    def plan(beam, grid, scheme):
+        if scheme == "strang":
+            return make_plan(grid, beam, 0.9 * aliasing_limit(grid, beam),
+                             steps_per_output=5)
+        return make_plan(grid, beam,
+                         math.pi / abs(larmor_wavenumber(beam)) / 9,
+                         scheme="exact")
+
+    @pytest.mark.parametrize("scheme", ["strang", "exact"])
+    def test_definite_l_factored_equals_dense(self, beam, w_b, scheme):
+        grid = GridSpec(128, 14 * w_b)
+        plan = self.plan(beam, grid, scheme)
+        for n, l, w_rel in self.SHAPES:
+            factored = mode_field(grid, n, l, w_rel * w_b)
+            y, x = factored.factors
+            assert y.shape == x.shape == (2 * n + abs(l) + 1, 128)
+            dense = ComplexField(grid, 0.0, factored.amplitudes)
+            for _ in range(3):
+                factored = propagate_definite_l(factored, l, plan, 4)
+                dense = propagate_definite_l(dense, l, plan, 4)
+                assert dense.factors is None
+                y, x = factored.factors
+                peak = np.abs(dense.amplitudes).max()
+                assert (np.abs(factored.amplitudes - dense.amplitudes).max()
+                        < 1e-12 * peak), (n, l, w_rel)
+                assert np.abs(y.T @ x - factored.amplitudes).max() < (
+                    1e-14 * peak)
+                assert factored.z_position == dense.z_position
+
+    @pytest.mark.parametrize("scheme", ["strang", "exact"])
+    def test_superposition_equals_dense_termwise(self, beam, w_b, scheme):
+        grid = GridSpec(128, 14 * w_b)
+        plan = self.plan(beam, grid, scheme)
+        coeffs = np.array([0.5, 0.4j, -0.3, 0.2 + 0.3j, 0.35, -0.25j])
+        coeffs /= np.linalg.norm(coeffs)
+        s = ModeSuperposition(
+            tuple((ModeIndex(n, l), c, w_rel * w_b)
+                  for (n, l, w_rel), c in zip(self.SHAPES, coeffs)), beam)
+        fields = [ComplexField(grid, 0.0, mode_field(grid, n, l,
+                                                     w_rel * w_b).amplitudes)
+                  for n, l, w_rel in self.SHAPES]
+        norm = math.sqrt(grid_norm(ComplexField(
+            grid, 0.0, sum(c * f.amplitudes for c, f in zip(coeffs, fields)))))
+        for k, (z, field) in enumerate(
+                superposition_evolution(s, grid, plan, 3)):
+            if k:
+                fields = [propagate_definite_l(f, l, plan,
+                                               plan.steps_per_output)
+                          for f, (_, l, _) in zip(fields, self.SHAPES)]
+            expected = sum(c * f.amplitudes
+                           for c, f in zip(coeffs, fields)) / norm
+            peak = np.abs(expected).max()
+            assert (np.abs(field.amplitudes - expected).max()
+                    < 1e-12 * peak)
+
+    def test_plan_factors_are_length_n_vectors(self, beam, w_b):
+        plan = make_plan(GridSpec(64, 8 * w_b), beam, 1e-8, scheme="exact")
+        for factors in (plan.kinetic_phase, plan.half_potential_phase,
+                        plan.potential_phase):
+            assert factors.shape == (64,)
+
+
+class TestRotationProperties:
+    """The paper's rotation is a pure Zeeman effect: the channel's Gouy
+    phase depends on |l| only, so a +-l pair of any common waist, matched
+    or breathing, turns at exactly k_L, and reversing B reverses it."""
+
+    @staticmethod
+    def orientations(p, l, waist, grid, n_out=4):
+        k_l = larmor_wavenumber(p)
+        plan = make_plan(grid, p, 0.4 / abs(k_l) / n_out, scheme="exact")
+        s = ModeSuperposition.opposite_pair(l, waist, p)
+        return measure_rotation(s, grid, plan, n_out,
+                                petal_radius(waist, l), l)
+
+    @settings(max_examples=8, deadline=None)
+    @given(l=st.integers(1, 3), waist_rel=st.floats(0.7, 1.3))
+    def test_pair_rotates_at_k_l_at_any_waist(self, beam, w_b, l, waist_rel):
+        # the bound is the orientation measurement's sampling error on this
+        # grid (below 1e-3 over the range); a waist-dependent rate would be
+        # off by order one
+        zs, measured = self.orientations(beam, l, waist_rel * w_b,
+                                         GridSpec(256, 12 * w_b))
+        analytic = larmor_wavenumber(beam) * zs
+        rel = np.abs(measured[1:] - analytic[1:]) / np.abs(analytic[1:])
+        assert rel.max() < 5e-3
+
+    @settings(max_examples=6, deadline=None)
+    @given(l=st.integers(1, 3), waist_rel=st.floats(0.7, 1.3),
+           field_t=st.floats(0.5, 2.0))
+    def test_field_reversal_negates_angle(self, l, waist_rel, field_t):
+        angles = []
+        for bz in (field_t, -field_t):
+            p = BeamParameters(E60, bz)
+            w_b = magnetic_width(p)
+            _, measured = self.orientations(p, l, waist_rel * w_b,
+                                            GridSpec(128, 14 * w_b))
+            angles.append(measured)
+        assert np.abs(angles[0]).max() > 0.3
+        assert np.allclose(angles[0], -angles[1], rtol=0, atol=1e-12)
