@@ -62,23 +62,12 @@ def _energy_ev(p: BeamParameters) -> float:
 
 def _plane_stepping(args, grid: GridSpec, p: BeamParameters,
                     z_target: float) -> tuple[float, int]:
-    """(dz, steps per output plane) of the exact scheme: --dz if given,
-    else one step per plane, split only where the plane spacing exceeds
-    exact_step_limit."""
+    """(dz, steps per output plane) of the exact scheme: one step per plane,
+    split only where the plane spacing exceeds exact_step_limit."""
     if args.outputs < 1 or not 0 < z_target < math.inf:
         raise CliUsageError(
             "need at least one output plane at positive, finite z")
     spacing = z_target / args.outputs
-    if args.dz:
-        dz = parse_length(args.dz)
-        if not dz > 0:
-            raise CliUsageError("dz must be positive")
-        ratio = spacing / dz
-        if not math.isfinite(ratio):
-            raise CliUsageError(
-                f"dz = {dz:.6e} m is too small: the plane spacing "
-                f"{spacing:.6e} m is not a finite number of steps")
-        return dz, max(1, round(ratio))
     steps = exact_steps_per_plane(grid, p, spacing)
     return spacing / steps, steps
 
@@ -109,6 +98,8 @@ def cmd_quantities(args) -> int:
     }
     if args.thickness:
         thickness = parse_length(args.thickness)
+        if not math.isfinite(thickness):
+            raise CliUsageError(f"thickness must be finite, got {thickness}")
         angle = faraday_angle(p, thickness)
         rows.append(("faraday_angle", f"{angle:.6e}",
                      f"rad  (thickness {thickness:.6e} m)"))
@@ -254,11 +245,11 @@ def cmd_breathe(args) -> int:
 
 
 def _plane_diffraction_report(args, mask, spec, p, outdir) -> dict:
-    far = diffract_far_field(mask, p.kinetic_energy, args.pad)
+    far = diffract_far_field(mask, args.pad)
     write_frame_pgm(os.path.join(outdir, "farfield.pgm"), *far.frame())
     report = {}
     for order, label in ((-1, "order_m1"), (0, "order_0"), (1, "order_p1")):
-        field = extract_order(far, spec, order, args.pad)
+        field = extract_order(far, spec, order)
         save_field(os.path.join(outdir, label + ".field"), field, _energy_ev(p),
                    p.field_bz, note=f"diffraction order {order:+d}")
         # each order is probed where its own azimuthal average peaks
@@ -372,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--grid-n", type=int, default=512)
     r.add_argument("--grid-side", help="physical side length (default 8 w_B)")
     r.add_argument("--w0", help="waist (default: the magnetic width)")
-    r.add_argument("--dz", help="step length "
-                               "(default: one exact step per output plane)")
     r.add_argument("--phi-max", default="0.5rad",
                    help="target rotation angle magnitude")
     r.add_argument("--z-max", help="propagation distance (overrides --phi-max)")
@@ -397,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--grid-n", type=int, default=256)
     b.add_argument("--grid-side",
                    help="physical side length (default: 6 x the widest excursion)")
-    b.add_argument("--dz", help="step length "
-                               "(default: one exact step per output plane)")
     b.add_argument("--periods", type=float, default=2.0,
                    help="number of breathing periods to cover")
     b.add_argument("--outputs", type=int, default=64)

@@ -61,25 +61,37 @@ def save_field(path: str, field: ComplexField, energy_ev: float,
 
 
 def load_field(path: str):
-    """Read a field file; returns (ComplexField, header dict)."""
+    """Read a field file; returns (ComplexField, header dict).  A malformed
+    header or payload raises ValueError naming the path."""
     with open(path, "rb") as handle:
         blob = handle.read()
     newline = blob.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"{path}: missing header terminator")
-    header = json.loads(blob[:newline])
-    if header.get("format_version") != FIELD_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version "
-                         f"{header.get('format_version')!r}")
-    n = header["grid"]["n"]
-    payload = blob[newline + 1:]
-    expected = 16 * n * n
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
-                         f"expected {expected}")
+    try:
+        if newline < 0:
+            raise ValueError("missing header terminator")
+        header = json.loads(blob[:newline])
+        if not isinstance(header, dict):
+            raise ValueError("header is not a JSON object")
+        version = header.get("format_version")
+        if version != FIELD_FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version!r}")
+        grid = header.get("grid")
+        if not isinstance(grid, dict):
+            raise ValueError(f"header grid is {grid!r}, not an object")
+        side, z = grid.get("side_m"), header.get("z_m")
+        for name, value in (("grid side_m", side), ("z_m", z)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"header {name} is {value!r}, not a number")
+        grid = GridSpec(grid.get("n"), side)
+        n = grid.samples_per_side
+        payload = blob[newline + 1:]
+        if len(payload) != 16 * n * n:
+            raise ValueError(f"payload is {len(payload)} bytes, "
+                             f"expected {16 * n * n}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     amps = np.frombuffer(payload, dtype="<c16").reshape(n, n).copy()
-    grid = GridSpec(n, header["grid"]["side_m"])
-    return ComplexField(grid, header["z_m"], amps), header
+    return ComplexField(grid, z, amps), header
 
 
 def write_pgm(path: str, gray: np.ndarray):

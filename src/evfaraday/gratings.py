@@ -132,6 +132,13 @@ def _check_carrier_resolved(spec: HologramSpec, grid: GridSpec):
             f"(pitch {grid.pitch:.3e} m); refine the grid or soften the carrier")
 
 
+def _inscribed_aperture(n: int) -> np.ndarray:
+    """The inscribed circular aperture: pixels of an n x n grid whose centres
+    lie within radius side/2, compared exactly in pixel units."""
+    idx = np.arange(n) - n / 2 + 0.5
+    return idx[:, np.newaxis] ** 2 + idx ** 2 <= (n / 2.0) ** 2
+
+
 def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
     """Threshold the design at pixel centres; values strictly above 1/2 are
     open.  The inscribed circular aperture is applied, so only pixels inside
@@ -139,7 +146,7 @@ def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
     _check_carrier_resolved(spec, grid)
     xg, yg = grid.meshgrid()
     open_pixels = design_value(spec, xg, yg) > 0.5
-    aperture = xg ** 2 + yg ** 2 <= (grid.physical_side_length / 2.0) ** 2
+    aperture = _inscribed_aperture(grid.samples_per_side)
     return BinaryMask(grid, (open_pixels & aperture).astype(np.uint8))
 
 
@@ -211,11 +218,13 @@ class FarField:
     The spectrum of a real mask is Hermitian, so row j > m/2 of the full
     m x m field is conj(upper[m - j, (m - c) % m]); rows(), intensity() and
     frame() mirror only what they return, and amplitudes builds the whole
-    array.
+    array.  pad_factor is the zero padding of the transform: the mask had
+    m / pad_factor samples per side.
     """
 
     grid: GridSpec
     upper: np.ndarray
+    pad_factor: int
 
     def __post_init__(self):
         m = self.grid.samples_per_side
@@ -265,44 +274,31 @@ class FarField:
         return self.rows(0, self.grid.samples_per_side)
 
 
-def diffract_far_field(mask: BinaryMask, illumination_energy: float,
+def diffract_far_field(mask: BinaryMask,
                        pad_factor: int = DEFAULT_PAD_FACTOR) -> FarField:
     """Centred unitary Fourier transform of the mask as a unit-amplitude
     transmission function, held as the half plane FarField mirrors.
 
     The output grid is in spatial-frequency coordinates (cycles per metre);
     zero padding by pad_factor refines the far-field sampling without
-    changing the spanned frequency range.  The illumination energy fixes
-    only the angular scale of the pattern (deflection angle = de Broglie
-    wavelength times spatial frequency), not its content.
+    changing the spanned frequency range.  The beam energy sets only the
+    angular scale of the pattern (deflection angle = de Broglie wavelength
+    times spatial frequency), not its content, so it is not an input.
     """
-    if not illumination_energy > 0:
-        raise ValueError("illumination energy must be positive")
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
     freq_side = 1.0 / mask.grid.pitch
     out_grid = GridSpec(mask.grid.samples_per_side * pad_factor, freq_side)
-    return FarField(out_grid, _half_spectrum(mask.values, pad_factor))
-
-
-def frequency_to_angle(nu: float, p: BeamParameters) -> float:
-    """Deflection angle of spatial frequency nu under the given beam energy."""
-    wavelength = 2.0 * math.pi / base_wavenumber(p)
-    return wavelength * nu
+    return FarField(out_grid, _half_spectrum(mask.values, pad_factor),
+                    pad_factor)
 
 
 @lru_cache(maxsize=4)
 def _aperture_kernel(n: int, pad_factor: int) -> np.ndarray:
-    """Far-field intensity kernel of the bare inscribed-circle aperture."""
-    idx = np.arange(n) - n / 2 + 0.5
-    disk = (idx[:, np.newaxis] ** 2 + idx ** 2 <= (n / 2.0) ** 2).astype(float)
+    """Far-field intensity kernel of the bare inscribed-circle aperture; by
+    Parseval it sums to the aperture's open-pixel count."""
+    disk = _inscribed_aperture(n).astype(float)
     return _mirrored_intensity(_half_spectrum(disk, pad_factor))
-
-
-@lru_cache(maxsize=4)
-def _aperture_kernel_total(n: int, pad_factor: int) -> float:
-    """Sum of _aperture_kernel(n, pad_factor), the norm of leakage spreads."""
-    return float(_aperture_kernel(n, pad_factor).sum())
 
 
 def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
@@ -315,13 +311,14 @@ def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
 
 
 def extract_order(far_field: FarField, spec: HologramSpec,
-                  order: int, pad_factor: int = DEFAULT_PAD_FACTOR) -> ComplexField:
+                  order: int) -> ComplexField:
     """Crop the far field around one diffraction order and re-centre it.
 
     Only plane-reference holograms separate their orders transversely;
     spherical references raise OrderSeparationError.  The window half-width
     is k_x / 2; estimated neighbour leakage above 1 percent of the order's
-    own power also raises OrderSeparationError.
+    own power, spread by the aperture kernel at the far field's own
+    padding, also raises OrderSeparationError.
     """
     if order not in (-1, 0, +1):
         raise ValueError("order must be -1, 0 or +1")
@@ -330,9 +327,8 @@ def extract_order(far_field: FarField, spec: HologramSpec,
             "spherical-reference orders separate longitudinally, not "
             "transversely; analyse them by Fresnel propagation")
     m = far_field.grid.samples_per_side
+    pad_factor = far_field.pad_factor
     n_mask = m // pad_factor
-    if n_mask * pad_factor != m:
-        raise ValueError("pad_factor inconsistent with the far-field grid")
     freq_pitch = far_field.grid.pitch   # cycles/m per far-field pixel
     carrier_px = spec.reference.k_x / (2.0 * math.pi) / freq_pitch
     half = int(carrier_px / 2.0)
@@ -352,7 +348,7 @@ def extract_order(far_field: FarField, spec: HologramSpec,
     intensity = np.abs(band) ** 2
     kernel_band = _aperture_kernel(n_mask, pad_factor)[centre - half:
                                                       centre + half]
-    kernel_total = _aperture_kernel_total(n_mask, pad_factor)
+    kernel_total = float(np.count_nonzero(_inscribed_aperture(n_mask)))
     powers = {}
     for o in (-3, -2, -1, 0, 1, 2, 3):
         p = _window_sum(intensity, centre + round(o * carrier_px), half)

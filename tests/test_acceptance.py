@@ -192,15 +192,15 @@ def test_criterion_7_grating_correctness():
     k_x = 2 * math.pi * 40 / grid.physical_side_length
     spec = HologramSpec(1, phi0, PlaneReference(k_x))
     mask = synthesize_hologram(spec, grid)
-    far = diffract_far_field(mask, E60, 8)
+    far = diffract_far_field(mask, 8)
     fractions, orientation_errs = {}, []
     for order in (-1, +1):
-        field = extract_order(far, spec, order, 8)
+        field = extract_order(far, spec, order)
         prof = angular_intensity(field, radial_peak_radius(field), 256)
         fractions[order] = harmonic_fraction(prof, 2)
         err = abs(pattern_orientation(prof, 1) - phi0)
         orientation_errs.append(min(err, math.pi - err))
-    zero_field = extract_order(far, spec, 0, 8)
+    zero_field = extract_order(far, spec, 0)
     prof0 = angular_intensity(zero_field, radial_peak_radius(zero_field), 256)
     fractions[0] = harmonic_fraction(prof0, 2)
 

@@ -2,17 +2,19 @@
 
 import json
 import math
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, FarField, GridSpec,
-                       exact_step_limit, larmor_wavenumber, magnetic_width,
-                       verdet_parameter, width_function_exact)
-from evfaraday.cli import main
+from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, FarField,
+                       larmor_wavenumber, magnetic_width, verdet_parameter,
+                       width_function_exact)
+from evfaraday.cli import build_parser, main
 from evfaraday.fileio import load_field
 
 
@@ -104,7 +106,7 @@ class TestRotate:
         outdir = tmp_path / "rot"
         code = main(["rotate", "-E", "60keV", "-B", "1T",
                      "--grid-n", "128", "--grid-side", "600nm",
-                     "--dz", "500nm", "--phi-max", "0.2rad",
+                     "--phi-max", "0.2rad",
                      "--outputs", "6", "-o", str(outdir)])
         assert code == 0
         rows = read_csv(outdir / "rotation.csv")
@@ -120,7 +122,7 @@ class TestRotate:
             outdir = tmp_path / tag
             assert main(["rotate", "-E", "60keV", f"--field={field}",
                          "--grid-n", "128", "--grid-side", "600nm",
-                         "--dz", "500nm", "--phi-max", "0.1rad",
+                         "--phi-max", "0.1rad",
                          "--outputs", "4", "-o", str(outdir)]) == 0
             results[tag] = read_csv(outdir / "rotation.csv")
         assert np.allclose(results["p"][:, 1], -results["m"][:, 1], atol=1e-8)
@@ -129,7 +131,7 @@ class TestRotate:
         outdir = tmp_path / "b0"
         assert main(["rotate", "-E", "60keV", "-B", "0T",
                      "--w0", "50nm", "--grid-side", "600nm", "--grid-n", "128",
-                     "--dz", "500nm", "--z-max", "20um",
+                     "--z-max", "20um",
                      "--outputs", "4", "-o", str(outdir)]) == 0
         rows = read_csv(outdir / "rotation.csv")
         assert np.max(np.abs(rows[:, 1])) < 1e-6
@@ -142,7 +144,7 @@ class TestRotate:
         outdir = tmp_path / "snap"
         assert main(["rotate", "-E", "60keV", "-B", "1T",
                      "--grid-n", "128", "--grid-side", "600nm",
-                     "--dz", "500nm", "--phi-max", "0.05rad",
+                     "--phi-max", "0.05rad",
                      "--outputs", "2", "--snapshot-every", "1",
                      "--pgm-every", "2", "-o", str(outdir)]) == 0
         field, header = load_field(str(outdir / "field_0000.field"))
@@ -161,7 +163,7 @@ class TestBreathe:
         w_b = magnetic_width(p)
         assert main(["breathe", "-E", "60keV", "-B", "1T",
                      "--w0", f"{w_b * 1e9:.6f}nm", "--grid-n", "128",
-                     "--grid-side", "400nm", "--dz", "2200nm",
+                     "--grid-side", "400nm",
                      "--periods", "0.5", "--outputs", "8",
                      "-o", str(outdir)]) == 0
         rows = read_csv(outdir / "breathing.csv")
@@ -356,21 +358,35 @@ class TestErrorBoundary:
           "--periods", "0.1"], "sampled to an identically zero field"),
         (["rotate", "--w0", "1e-12m", "--grid-n", "64"],
          "sampled to an identically zero field"),
-        # a step so small that the plane spacing is an infinite number of
-        # steps
-        (["rotate", "--dz", "1e-320m"], "is not a finite number of steps"),
-        (["breathe", "--dz", "5e-324m"], "is not a finite number of steps"),
+        # an infinite thickness would reach the JSON report as Infinity
+        (["quantities", "-E", "60keV", "-B", "1T", "--thickness", "1e400m",
+          "--json", "q.json"], "thickness must be finite"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         # library warnings, one line each, may precede the error
         assert re.sub(r"^(warning: .*\n)*", "", err).startswith("error:")
         assert message in err
-        # rejected before any output, the grating mask.pgm included
-        assert not (tmp_path / "evf_output").exists()
+        # rejected before any output, the grating mask.pgm and the
+        # quantities table included
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["rotate", "breathe"])
+    def test_step_length_is_not_an_option(self, tmp_path, capsys,
+                                          monkeypatch, command):
+        # the exact scheme has no step-size error, so the step is derived
+        # from the plane spacing alone; --dz is refused at parse time
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dz", "1e-300m"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dz" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_conflicting_reference_flags(self, tmp_path, capsys,
                                          monkeypatch):
@@ -437,16 +453,6 @@ class TestErrorBoundary:
         assert err.startswith("error:")
         assert "even integer >= 16" in err
 
-    def test_dz_above_exact_step_limit(self, tmp_path, capsys):
-        p = BeamParameters(60e3 * ELEMENTARY_CHARGE, 1.0)
-        limit = exact_step_limit(GridSpec(128, 600e-9), p)
-        dz = f"{1.5 * limit * 1e3:.6f}mm"
-        assert main(self.SMALL_ROTATE + ["--dz", dz,
-                                         "-o", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert f"exact_step_limit on this grid is {limit:.6e} m" in err
-
 
 class TestEntryPoints:
     def test_module_invocation(self):
@@ -470,3 +476,29 @@ class TestEntryPoints:
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def readme_commands():
+    """Every 'evf ...' line of README.md's code blocks, as argv lists with
+    the bracketed optional parts included."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    commands, in_block = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("evf "):
+            commands.append(shlex.split(re.sub(r"[\[\]]", "", line))[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # a deleted option cannot stay in the documentation
+    commands = readme_commands()
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: "
+                        f"evf {shlex.join(argv)}")

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evfaraday import ComplexField, GridSpec
 from evfaraday.fileio import (format_csv, load_field, save_field,
@@ -67,6 +69,101 @@ class TestFieldFile:
         loaded, _ = load_field(str(p1))
         save_field(str(p2), loaded, 60e3, 1.0)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+VALID_HEADER = {"format_version": 1, "grid": {"n": 16, "side_m": 1e-6},
+                "z_m": 0.0, "energy_eV": 60e3, "field_T": 1.0, "note": ""}
+
+
+def corrupted(**changes):
+    """VALID_HEADER with top-level or grid keys replaced, or dropped where
+    the value is None."""
+    header = json.loads(json.dumps(VALID_HEADER))
+    for key, value in changes.items():
+        owner = header["grid"] if key in ("n", "side_m") else header
+        if value is None:
+            del owner[key]
+        else:
+            owner[key] = value
+    return header
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+class TestFieldFileProperties:
+    """Field files round-trip bit for bit, and a damaged file raises
+    ValueError naming its path, never another error type."""
+
+    @staticmethod
+    def write_blob(directory, blob):
+        path = directory / "x.field"
+        path.write_bytes(blob)
+        return str(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.sampled_from([16, 18, 24]), seed=st.integers(0, 2 ** 32 - 1),
+           side=st.floats(1e-300, 1e300),
+           z=st.floats(allow_nan=False, allow_infinity=False))
+    def test_round_trip_bit_exact(self, tmp_path_factory, n, seed, side, z):
+        # arbitrary bit patterns, NaN payloads and signed zeros included
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2 ** 64, size=2 * n * n, dtype=np.uint64)
+        amps = bits.view(np.float64).view(np.complex128).reshape(n, n)
+        field = ComplexField(GridSpec(n, side), z, amps)
+        path = str(tmp_path_factory.mktemp("rt") / "f.field")
+        save_field(path, field, 60e3, 1.0)
+        loaded, _ = load_field(path)
+        assert loaded.amplitudes.tobytes() == amps.tobytes()
+        assert (loaded.grid, loaded.z_position) == (field.grid, z)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([16, 20]), data=st.data())
+    def test_truncated_file_rejected(self, tmp_path_factory, n, data):
+        path = tmp_path_factory.mktemp("cut") / "f.field"
+        save_field(str(path), random_field(n=n), 60e3, 1.0)
+        blob = path.read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="f.field"):
+            load_field(str(path))
+
+    @pytest.mark.parametrize("header", [
+        pytest.param([1, 2], id="list"),
+        pytest.param(corrupted(n="16"), id="n-string"),
+        pytest.param(corrupted(n=16.0), id="n-float"),
+        pytest.param(corrupted(n=-16), id="n-negative"),
+        pytest.param(corrupted(side_m="x"), id="side-string"),
+        pytest.param(corrupted(side_m=True), id="side-bool"),
+        pytest.param(corrupted(grid=None), id="no-grid"),
+        pytest.param(corrupted(z_m=None), id="no-z"),
+        pytest.param(corrupted(format_version=2), id="version-2"),
+    ])
+    def test_corrupt_header_rejected(self, tmp_path, header):
+        payload = bytes(16 * 16 * 16)
+        path = self.write_blob(tmp_path,
+                               json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match="x.field"):
+            load_field(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.sampled_from(["format_version", "grid", "n", "side_m",
+                                "z_m"]),
+           value=json_values)
+    def test_any_header_value_loads_or_raises_value_error(
+            self, tmp_path_factory, key, value):
+        # a None value drops the key
+        header = json.dumps(corrupted(**{key: value})).encode()
+        path = self.write_blob(tmp_path_factory.mktemp("hdr"),
+                               header + b"\n" + bytes(16 * 16 * 16))
+        try:
+            load_field(path)
+        except ValueError as exc:
+            assert "x.field" in str(exc)
 
 
 class TestPgm:

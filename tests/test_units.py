@@ -1,11 +1,22 @@
 """Unit-suffixed quantity parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evfaraday import units
 from evfaraday.core import ELEMENTARY_CHARGE
 from evfaraday.errors import UnitParseError
 from evfaraday.units import (parse_angle, parse_curvature, parse_energy,
                              parse_field, parse_length, parse_wavenumber)
+
+#: Each parser with the unit table it reads.
+PARSERS = [(parse_energy, units._ENERGY), (parse_field, units._FIELD),
+           (parse_length, units._LENGTH), (parse_angle, units._ANGLE),
+           (parse_wavenumber, units._WAVENUMBER),
+           (parse_curvature, units._CURVATURE)]
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestParsing:
@@ -51,3 +62,21 @@ class TestParsing:
     def test_missing_number_rejected(self):
         with pytest.raises(UnitParseError):
             parse_length("nm")
+
+
+class TestParsingProperties:
+    @pytest.mark.parametrize("parse, unit, scale", [
+        pytest.param(parse, unit, scale, id=f"{parse.__name__}-{unit}")
+        for parse, table in PARSERS for unit, scale in table.items()])
+    @settings(max_examples=10, deadline=None)
+    @given(value=finite)
+    def test_round_trip(self, parse, unit, scale, value):
+        # repr gives the shortest string that reads back as the same float
+        assert parse(f"{value!r}{unit}") == value * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(which=st.sampled_from(PARSERS), value=finite)
+    def test_bare_number_rejected(self, which, value):
+        parse, _ = which
+        with pytest.raises(UnitParseError):
+            parse(repr(value))
