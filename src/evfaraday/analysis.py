@@ -31,10 +31,6 @@ class AngularProfile:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "samples", samples)
 
-    def angles(self) -> np.ndarray:
-        n = self.samples.size
-        return 2.0 * np.pi * np.arange(n) / n
-
 
 def angular_intensity(field: ComplexField, radius: float,
                       n_samples: int = 256) -> AngularProfile:

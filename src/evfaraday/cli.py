@@ -27,8 +27,9 @@ from .core import (ELEMENTARY_CHARGE, BeamParameters, ModeIndex,
 from .errors import EvfError, NoPatternError
 from .fileio import (format_csv, save_field, write_frame_pgm,
                      write_intensity_pgm, write_mask_pgm, write_text)
-from .gratings import (HologramSpec, PlaneReference, SphericalReference,
-                       default_carrier, diffract_far_field, extract_order,
+from .gratings import (DEFAULT_PAD_FACTOR, HologramSpec, PlaneReference,
+                       SphericalReference, default_carrier,
+                       diffract_far_field, extract_order,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
 from .modes import (GridSpec, ModeSuperposition, petal_radius,
@@ -191,12 +192,16 @@ def cmd_rotate(args) -> int:
                           rows))
 
     scale = float(np.max(np.abs(analytic)))
-    worst = 0.0
-    for z, m, a in rows:
-        if abs(a) > 1e-3 * scale and abs(a) > 0:
-            worst = max(worst, abs(m - a) / abs(a))
-    print(f"rotate: {len(rows)} samples to z = {zs[-1]:.6e} m, "
-          f"max relative deviation {worst:.3e}")
+    summary = f"rotate: {len(rows)} samples to z = {zs[-1]:.6e} m, "
+    if scale == 0.0:
+        # every analytic angle is 0 (B = 0): no relative deviation exists
+        worst = max(abs(m - a) for _, m, a in rows)
+        print(summary + "no plane has a non-zero analytic angle; "
+              f"max absolute deviation {worst:.3e} rad")
+        return 0
+    worst = max(abs(m - a) / abs(a) for _, m, a in rows
+                if abs(a) > 1e-3 * scale)
+    print(summary + f"max relative deviation {worst:.3e}")
     if worst > ROTATION_SELF_CHECK_RTOL:
         print(f"rotate: self-check FAILED (> {ROTATION_SELF_CHECK_RTOL:.0%})",
               file=sys.stderr)
@@ -268,17 +273,17 @@ def _plane_diffraction_report(args, mask, spec, p, outdir) -> dict:
 def _spherical_focus_report(mask, spec, p) -> dict:
     expected = spherical_focus_distance(spec, p)
     s_conv = -1 if spec.reference.curvature > 0 else +1
-    (z_real, w_real), (z_virtual, w_virtual) = (
-        locate_minimum_width_plane(isolate_chirped_order(mask, spec, sign), p,
-                                   1.4 * expected)
-        for sign in (s_conv, -s_conv))
+    z_real, w_real = locate_minimum_width_plane(
+        isolate_chirped_order(mask, spec, s_conv), p, 1.4 * expected)
+    # the mask is real, so its diverging order is the conjugate of the
+    # converging one and propagates as its mirror image through the mask
     return {
         "expected_abs_focus_m": expected,
         "converging_chirp_sign": s_conv,
         "real_focus_m": z_real,
         "real_focus_width_m": w_real,
-        "virtual_focus_m": z_virtual,
-        "virtual_focus_width_m": w_virtual,
+        "virtual_focus_m": -z_real,
+        "virtual_focus_width_m": w_real,
     }
 
 
@@ -411,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--grid-side", default="1um")
     g.add_argument("-E", "--energy", default="60keV",
                    help="illumination energy for diffraction analysis")
-    g.add_argument("--pad", type=int, default=4,
+    g.add_argument("--pad", type=int, default=DEFAULT_PAD_FACTOR,
                    help="far-field oversampling factor")
     g.add_argument("--diffract", action="store_true",
                    help="also compute the far field and order reports")

@@ -201,24 +201,14 @@ def _point_mirror(full: np.ndarray) -> np.ndarray:
     return full
 
 
-def _mirrored_intensity(upper: np.ndarray) -> np.ndarray:
-    """Full m x m |spectrum|^2 from its rows 0..m/2."""
-    m = upper.shape[1]
-    out = np.empty((m, m))
-    top = out[:m // 2 + 1]
-    np.abs(upper, out=top)
-    np.square(top, out=top)
-    return _point_mirror(out)
-
-
 @dataclass(frozen=True)
 class FarField:
     """Centred far field of a real mask, stored as its rows 0..m/2.
 
     The spectrum of a real mask is Hermitian, so row j > m/2 of the full
-    m x m field is conj(upper[m - j, (m - c) % m]); rows(), intensity() and
-    frame() mirror only what they return, and amplitudes builds the whole
-    array.  pad_factor is the zero padding of the transform: the mask had
+    m x m field is conj(upper[m - j, (m - c) % m]); rows() and frame()
+    mirror only what they return, and amplitudes builds the whole array.
+    pad_factor is the zero padding of the transform: the mask had
     m / pad_factor samples per side.
     """
 
@@ -248,13 +238,9 @@ class FarField:
         np.conjugate(src[:, :0:-1], out=out[split - lo:, 1:])
         return out
 
-    def intensity(self) -> np.ndarray:
-        """|far field|^2 on the full m x m grid."""
-        return _mirrored_intensity(self.upper)
-
     def frame(self) -> tuple[np.ndarray, float]:
         """(m x m uint8 frame, peak) of the intensity, byte for byte
-        quantise_intensity(I, I.max()) with I = intensity().
+        quantise_intensity(I, I.max()) with I = |amplitudes|^2.
 
         The mirrored rows repeat rows 0..m/2, so those rows hold the peak;
         only they are squared and quantised, and the frame's other rows are
@@ -294,11 +280,17 @@ def diffract_far_field(mask: BinaryMask,
 
 
 @lru_cache(maxsize=4)
-def _aperture_kernel(n: int, pad_factor: int) -> np.ndarray:
-    """Far-field intensity kernel of the bare inscribed-circle aperture; by
-    Parseval it sums to the aperture's open-pixel count."""
-    disk = _inscribed_aperture(n).astype(float)
-    return _mirrored_intensity(_half_spectrum(disk, pad_factor))
+def _aperture_kernel(n: int, pad_factor: int,
+                     half: int) -> tuple[np.ndarray, int]:
+    """(|rows|^2, open-pixel count) of the bare inscribed-circle aperture's
+    far field, rows m/2 - half..m/2 + half - 1: the band extract_order
+    reads.  By Parseval the whole plane sums to the count."""
+    disk = _inscribed_aperture(n)
+    # the transform works in pixels; the grid's side length does not enter
+    far = diffract_far_field(BinaryMask(GridSpec(n, 1.0), disk), pad_factor)
+    centre = far.grid.samples_per_side // 2
+    band = np.abs(far.rows(centre - half, centre + half)) ** 2
+    return band, int(np.count_nonzero(disk))
 
 
 def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
@@ -346,9 +338,7 @@ def extract_order(far_field: FarField, spec: HologramSpec,
     # implies half <= m/2, so these rows lie inside the far field
     band = far_field.rows(centre - half, centre + half)
     intensity = np.abs(band) ** 2
-    kernel_band = _aperture_kernel(n_mask, pad_factor)[centre - half:
-                                                      centre + half]
-    kernel_total = float(np.count_nonzero(_inscribed_aperture(n_mask)))
+    kernel_band, kernel_total = _aperture_kernel(n_mask, pad_factor, half)
     powers = {}
     for o in (-3, -2, -1, 0, 1, 2, 3):
         p = _window_sum(intensity, centre + round(o * carrier_px), half)

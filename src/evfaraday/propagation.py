@@ -206,17 +206,17 @@ def _sweep(lines: np.ndarray, plan: PropagationPlan, n_steps: int):
         lines *= half if step == n_steps - 1 else full
 
 
-def _assemble(lines: np.ndarray, terms, k_l_z: float):
-    """(plane, y-factors) of the terms (rows, l, coeff, mirrored) summed
-    over the factor stack lines = [Y; X]: each term adds coeff
-    exp(-i l k_L z) times its rows of Y, or their y-reversal, and the plane
-    is one product of the summed y-factors with X."""
+def _assemble(lines: np.ndarray, terms, k_l_z: float) -> np.ndarray:
+    """The plane of the terms (rows, l, coeff, mirrored) summed over the
+    factor stack lines = [Y; X]: each term adds coeff exp(-i l k_L z) times
+    its rows of Y, or their y-reversal, and the plane is one product of the
+    summed y-factors with X."""
     rank = len(lines) // 2
     y = np.zeros_like(lines[:rank])
     for rows, l, coeff, mirrored in terms:
         part = lines[rows, ::-1] if mirrored else lines[rows]
         y[rows] += (coeff * cmath.exp(-1j * l * k_l_z)) * part
-    return y.T @ lines[rank:], y
+    return y.T @ lines[rank:]
 
 
 def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
@@ -264,7 +264,8 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     unit field per (n, |l|, waist) group share every sweep as one (2R, N)
     stack; a -l term reads its group's y-factors reversed, and each term's
     Zeeman phase exp(-i l k_L z) is applied exactly, once, where a plane is
-    summed.  Every yielded plane passes the containment check.
+    summed.  Every yielded plane passes the containment check and carries
+    no factors.
     """
     if grid != plan.grid:
         raise GridMismatchError("grid and plan grids differ")
@@ -287,13 +288,13 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     # residual grid correction so the sum (every Zeeman phase is 1 at
     # z = 0) starts at unit norm
     lines[:rank] /= math.sqrt(grid_norm(
-        ComplexField(grid, 0.0, _assemble(lines, terms, 0.0)[0])))
+        ComplexField(grid, 0.0, _assemble(lines, terms, 0.0))))
     k_l = larmor_wavenumber(plan.params)
     z = 0.0
     for plane in range(n_outputs + 1):
         if plane:
             _sweep(lines, plan, plan.steps_per_output)
             z += plan.steps_per_output * plan.dz
-        out, y = _assemble(lines, terms, k_l * z)
+        out = _assemble(lines, terms, k_l * z)
         _check_contained(out, context=f"field at z = {z:.6e} m")
-        yield z, ComplexField(grid, z, out, (y, lines[rank:].copy()))
+        yield z, ComplexField(grid, z, out)

@@ -11,8 +11,11 @@ import re
 from .core import ELEMENTARY_CHARGE
 from .errors import UnitParseError
 
+# the unit may not start like an exponent, so the exponent of a bare number
+# is never split off as its unit; 5eV and 1e3eV still parse
 _PATTERN = re.compile(
-    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-zµ][A-Za-z0-9µ-]*)\s*$")
+    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*"
+    r"(?![eE][+-]?\d)([A-Za-zµ][A-Za-z0-9µ-]*)\s*$")
 
 _ENERGY = {"eV": ELEMENTARY_CHARGE, "keV": 1e3 * ELEMENTARY_CHARGE}
 _FIELD = {"T": 1.0, "mT": 1e-3}

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, ndimage
 
 from evfaraday import (AngularProfile, GridSpec, angular_intensity,
@@ -91,6 +93,36 @@ class TestPatternOrientation:
             val = pattern_orientation(prof, 1)
             assert 0.0 <= val < math.pi
             assert val == pytest.approx(target % math.pi, abs=1e-6)
+
+
+class TestOrientationProperties:
+    @settings(max_examples=10, deadline=None)
+    @given(l=st.integers(1, 3), phi0=st.floats(0.0, math.pi),
+           noise=st.floats(0.0, 0.05), seed=st.integers(0, 2 ** 32 - 1))
+    def test_quarter_turn_equivariance(self, l, phi0, noise, seed):
+        # np.rot90 maps the pixel-centre grid onto itself with
+        # B(x, y) = A(-y, x), a turn by -pi/2.  With 512 samples the circle
+        # profile shifts by exactly 128 of them and the orientation by
+        # -pi/2 mod pi/l, to rounding.
+        grid = GridSpec(64, 1e-6)
+        w = grid.physical_side_length / 8
+        xg, yg = grid.meshgrid()
+        z = (xg + 1j * yg) * np.exp(-1j * phi0) / w
+        rng = np.random.default_rng(seed)
+        speckle = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        # a petal pattern cos(l (phi - phi0)) made asymmetric by speckle
+        amps = (np.real(z ** l) + noise * speckle) * np.exp(-np.abs(z) ** 2)
+        radius = petal_radius(w, l)
+        before = angular_intensity(ComplexField(grid, 0.0, amps), radius, 512)
+        after = angular_intensity(ComplexField(grid, 0.0, np.rot90(amps)),
+                                  radius, 512)
+        scale = before.samples.max()
+        assert (np.abs(after.samples - np.roll(before.samples, -128)).max()
+                <= 1e-12 * scale)
+        period = math.pi / l
+        gap = (pattern_orientation(after, l)
+               - (pattern_orientation(before, l) - math.pi / 2)) % period
+        assert min(gap, period - gap) < 1e-9
 
 
 class TestHarmonics:

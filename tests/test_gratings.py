@@ -208,12 +208,21 @@ class TestFarField:
 
     @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
     def test_aperture_kernel_matches_definition(self, n, pad):
+        # the cached kernel is the band of rows m/2 - half..m/2 + half - 1
+        # that extract_order reads, and the disk's open-pixel count
         idx = np.arange(n) - n / 2 + 0.5
         xg, yg = np.meshgrid(idx, idx)
         disk = (xg ** 2 + yg ** 2 <= (n / 2.0) ** 2).astype(np.float64)
         expected = np.abs(padded_transform_definition(disk, pad)) ** 2
-        got = _aperture_kernel(n, pad)
-        assert np.abs(got - expected).max() <= 1e-13 * expected.max()
+        h = n * pad // 2
+        for half in (1, 3, h // 2, h - 1, h):
+            band, count = _aperture_kernel(n, pad, half)
+            assert band.shape == (2 * half, 2 * h)
+            assert (np.abs(band - expected[h - half:h + half]).max()
+                    <= 1e-13 * expected.max())
+            assert count == int(disk.sum())
+        # Parseval: the whole plane sums to the count
+        assert band.sum() == pytest.approx(count, rel=1e-12)
 
 
 def random_mask(n, seed):
@@ -229,7 +238,7 @@ class TestHalfPlaneFarField:
     @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
     def test_intensity_exactly_point_symmetric(self, n, pad):
         far = diffract_far_field(random_mask(n, 11 * n + pad), pad)
-        intensity = far.intensity()
+        intensity = np.abs(far.amplitudes) ** 2
         m = far.grid.samples_per_side
         assert intensity.shape == (m, m)
         # I[j, c] == I[(m - j) % m, (m - c) % m], bit for bit
@@ -291,8 +300,8 @@ class TestHalfPlaneFarField:
         # one-row roll.  Swapped axes in the transform would break it.
         mask = random_mask(n, seed)
         turned = BinaryMask(mask.grid, np.rot90(mask.values))
-        intensity = diffract_far_field(mask, pad).intensity()
-        got = diffract_far_field(turned, pad).intensity()
+        intensity = np.abs(diffract_far_field(mask, pad).amplitudes) ** 2
+        got = np.abs(diffract_far_field(turned, pad).amplitudes) ** 2
         expected = np.roll(np.rot90(intensity), 1, axis=0)
         assert np.abs(got - expected).max() <= 1e-13 * intensity.max()
 
@@ -304,8 +313,8 @@ class TestFarFieldFrame:
     @staticmethod
     def full_plane_files(far):
         """PGM bytes and sidecar peak of the full-plane reference:
-        rint(255 I / I.max()) of FarField.intensity()."""
-        intensity = far.intensity()
+        rint(255 I / I.max()) of I = |FarField.amplitudes|^2."""
+        intensity = np.abs(far.amplitudes) ** 2
         peak = float(intensity.max())
         if peak > 0:
             gray = np.rint(255.0 * intensity / peak).astype(np.uint8)
@@ -413,6 +422,23 @@ class TestExtractOrder:
         with pytest.raises(OrderSeparationError, match="leakage"):
             extract_order(far, spec, +1)
 
+    def test_aperture_built_once_for_all_orders(self, far_and_spec,
+                                                monkeypatch):
+        # the kernel band and the open-pixel count are cached together, so
+        # the three orders of one far field build the aperture at most once
+        far, spec = far_and_spec
+        aperture, built = gratings._inscribed_aperture, []
+
+        def counting(n):
+            built.append(n)
+            return aperture(n)
+
+        monkeypatch.setattr(gratings, "_inscribed_aperture", counting)
+        _aperture_kernel.cache_clear()
+        for order in (-1, 0, 1):
+            extract_order(far, spec, order)
+        assert len(built) <= 1
+
     def test_spherical_reference_rejected(self):
         grid = GridSpec(128, 1e-6)
         sph = HologramSpec(1, 0.0, SphericalReference(1e13))
@@ -460,6 +486,19 @@ class TestSphericalReference:
         z_behind, _ = locate_minimum_width_plane(diverging, BEAM,
                                                  1.4 * expected)
         assert z_behind == pytest.approx(-z_real, rel=1e-6)
+
+    @pytest.mark.parametrize("sign_c", [1, -1])
+    def test_diverging_order_is_conjugate_of_converging(self, sph, sign_c):
+        # a real mask diffracts into conjugate orders; evf grating reads
+        # the virtual focus off the converging order by this symmetry
+        mask, spec = sph
+        curvature = sign_c * spec.reference.curvature
+        spec = HologramSpec(spec.l, spec.phi0, SphericalReference(curvature))
+        mask = synthesize_hologram(spec, mask.grid)
+        plus = isolate_chirped_order(mask, spec, +1).amplitudes
+        minus = isolate_chirped_order(mask, spec, -1).amplitudes
+        assert (np.abs(plus - np.conj(minus)).max()
+                <= 1e-13 * np.abs(plus).max())
 
     @pytest.mark.parametrize("fraction", [0.3, 1.0, 1.3])
     def test_moment_law_matches_stepped_width(self, sph, fraction):

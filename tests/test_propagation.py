@@ -251,6 +251,74 @@ class TestNormAndConvergence:
         assert 3.0 < factor < 5.0
 
 
+def smooth_random_field(grid, rng):
+    """A dense random field: complex noise low-passed to an eighth of the
+    band and enveloped well inside the grid, so the propagator's
+    containment check holds over a few steps."""
+    n = grid.samples_per_side
+    spectrum = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    k = np.abs(np.fft.fftfreq(n) * n)
+    spectrum[(k[:, np.newaxis] > n // 8) | (k > n // 8)] = 0
+    xg, yg = grid.meshgrid()
+    envelope = np.exp(-(xg ** 2 + yg ** 2)
+                      / (grid.physical_side_length / 12) ** 2)
+    return ComplexField(grid, 0.0, np.fft.ifft2(spectrum) * envelope)
+
+
+class TestPropagationProperties:
+    @settings(max_examples=10, deadline=None)
+    @given(scheme=st.sampled_from(("strang", "exact")),
+           fraction=st.floats(0.01, 0.5), steps=st.integers(1, 4),
+           l=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_unitary_on_random_fields(self, beam, w_b, scheme, fraction,
+                                      steps, l, seed):
+        # every factor of the step has unit modulus and the FFTs are
+        # unitary, so the grid norm survives any dense field to rounding
+        grid = GridSpec(64, 8 * w_b)
+        field = smooth_random_field(grid, np.random.default_rng(seed))
+        plan = make_plan(grid, beam, fraction * aliasing_limit(grid, beam),
+                         scheme=scheme)
+        out = propagate_definite_l(field, l, plan, steps)
+        assert out.factors is None
+        assert grid_norm(out) == pytest.approx(grid_norm(field), rel=1e-12)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_free_space_r2_quadratic_in_z(self, seed):
+        # in free space <r^2>(z) = <r^2> + (z/k0) <rp + pr> + (z/k0)^2 <p^2>:
+        # over equally spaced exact-scheme planes its third differences
+        # vanish and its second difference is 2 h^2 <p^2> / k0^2
+        p = BeamParameters(E60, 0.0)
+        rng = np.random.default_rng(seed)
+        w0 = 50e-9
+        grid = GridSpec(128, 16 * w0)
+        terms = [(ModeIndex(n, l), complex(*rng.normal(size=2)),
+                  w0 * rng.uniform(0.75, 1.0))
+                 for n, l in ((0, -1), (0, 0), (0, 2), (1, 1))]
+        total = math.sqrt(sum(abs(c) ** 2 for _, c, _ in terms))
+        s = ModeSuperposition(tuple((idx, c / total, w)
+                                    for idx, c, w in terms), p)
+        k0 = base_wavenumber(p)
+        spacing = k0 * w0 ** 2 / 2 / 8   # an eighth of a Rayleigh range
+        steps = exact_steps_per_plane(grid, p, spacing)
+        plan = make_plan(grid, p, spacing / steps, steps, scheme="exact")
+        xg, yg = grid.meshgrid()
+        r2 = []
+        for z, field in superposition_evolution(s, grid, plan, 4):
+            if z == 0.0:
+                start = field.amplitudes
+            intensity = field.intensity()
+            r2.append(float((intensity * (xg ** 2 + yg ** 2)).sum()
+                            / intensity.sum()))
+        r2 = np.asarray(r2)
+        assert np.abs(np.diff(r2, 3)).max() <= 1e-12 * r2.max()
+        k = 2 * np.pi * np.fft.fftfreq(128, d=grid.pitch)
+        power = np.abs(np.fft.fft2(start)) ** 2
+        p2 = float((power * (k[:, None] ** 2 + k ** 2)).sum() / power.sum())
+        assert np.diff(r2, 2) == pytest.approx(
+            2 * spacing ** 2 * p2 / k0 ** 2, rel=1e-11)
+
+
 class TestExactScheme:
     def test_breathing_one_step_per_plane(self, beam, w_b):
         # 64 planes per period, each reached by a single exact step

@@ -77,6 +77,7 @@ class TestParsingProperties:
     @settings(max_examples=30, deadline=None)
     @given(which=st.sampled_from(PARSERS), value=finite)
     def test_bare_number_rejected(self, which, value):
+        # an exponent such as the e4 of 3e4 is not taken for a unit
         parse, _ = which
-        with pytest.raises(UnitParseError):
+        with pytest.raises(UnitParseError, match="expected <number><unit>"):
             parse(repr(value))
