@@ -34,7 +34,11 @@ class AngularProfile:
 
 def angular_intensity(field: ComplexField, radius: float,
                       n_samples: int = 256) -> AngularProfile:
-    """Bilinearly interpolated intensity on the circle of the given radius."""
+    """Bilinearly interpolated intensity on the circle of the given radius.
+
+    Only the block of the plane that holds the circle's neighbours is read;
+    a field that has not built its plane builds that block from its factors.
+    """
     grid = field.grid
     n = grid.samples_per_side
     max_radius = (n / 2 - 1) * grid.pitch
@@ -53,7 +57,12 @@ def angular_intensity(field: ComplexField, radius: float,
     x0, y0 = np.floor(ix).astype(int), np.floor(iy).astype(int)
     wx0, wy0 = 1.0 - (ix - x0), 1.0 - (iy - y0)
     wx, wy = (wx0, 1.0 - wx0), (wy0, 1.0 - wy0)
-    vals = sum(np.abs(field.amplitudes[y0 + dy, x0 + dx]) ** 2 * wy[dy] * wx[dx]
+    # only the block of rows and columns the neighbours lie in is read, so
+    # a field without a plane builds that block alone
+    r0, c0 = y0.min(), x0.min()
+    amps = field.window(slice(r0, y0.max() + 2), slice(c0, x0.max() + 2))
+    y0, x0 = y0 - r0, x0 - c0
+    vals = sum(np.abs(amps[y0 + dy, x0 + dx]) ** 2 * wy[dy] * wx[dx]
                for dy in (0, 1) for dx in (0, 1))
     return AngularProfile(radius, vals)
 

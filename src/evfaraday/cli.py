@@ -43,6 +43,10 @@ from .units import (parse_angle, parse_curvature, parse_energy, parse_field,
 
 ROTATION_SELF_CHECK_RTOL = 0.02
 
+#: Most exact-scheme steps a rotate or breathe run may take over all its
+#: output planes; the README examples take one per plane.
+MAX_TOTAL_STEPS = 10 ** 6
+
 #: Largest relative deviation of the measured width from
 #: width_function_exact that evf breathe accepts; acceptance criterion 3's
 #: bound for the same law.
@@ -64,12 +68,19 @@ def _energy_ev(p: BeamParameters) -> float:
 def _plane_stepping(args, grid: GridSpec, p: BeamParameters,
                     z_target: float) -> tuple[float, int]:
     """(dz, steps per output plane) of the exact scheme: one step per plane,
-    split only where the plane spacing exceeds exact_step_limit."""
+    split only where the plane spacing exceeds exact_step_limit.  A run of
+    more than MAX_TOTAL_STEPS steps in all is refused."""
     if args.outputs < 1 or not 0 < z_target < math.inf:
         raise CliUsageError(
             "need at least one output plane at positive, finite z")
     spacing = z_target / args.outputs
     steps = exact_steps_per_plane(grid, p, spacing)
+    total = steps * args.outputs
+    if total > MAX_TOTAL_STEPS:
+        raise CliUsageError(
+            f"the exact scheme needs {total:.3e} steps ({steps:.3e} per "
+            f"output plane) on this grid, more than the {MAX_TOTAL_STEPS:.0e} "
+            "allowed; coarsen the grid or shorten the run")
     return spacing / steps, steps
 
 

@@ -104,7 +104,7 @@ def design_value(spec: HologramSpec, x, y):
     """Interference metric whose value is compared against the 1/2 threshold.
 
     (1/3) |2 cos(l (phi - phi0)) + exp(i * reference phase)|^2 evaluated at
-    physical coordinates (x, y).
+    physical coordinates (x, y), which broadcast against each other.
     """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
@@ -144,8 +144,10 @@ def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
     open.  The inscribed circular aperture is applied, so only pixels inside
     radius side/2 can be open."""
     _check_carrier_resolved(spec, grid)
-    xg, yg = grid.meshgrid()
-    open_pixels = design_value(spec, xg, yg) > 0.5
+    # x along a row, y down a column: the design broadcasts to the plane,
+    # and the plane reference's cos(k_x x) is taken on the N row samples
+    x = grid.axis()
+    open_pixels = design_value(spec, x[np.newaxis, :], x[:, np.newaxis]) > 0.5
     aperture = _inscribed_aperture(grid.samples_per_side)
     return BinaryMask(grid, (open_pixels & aperture).astype(np.uint8))
 

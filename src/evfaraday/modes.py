@@ -76,22 +76,27 @@ class ComplexField:
     factors, when present, is a separable form (Y, X) of the amplitudes:
     two (R, N) arrays of y- and x-factors with amplitudes = Y.T @ X to
     rounding.  The propagator steps these 2R lines instead of the N x N
-    plane; a field built from amplitudes alone is stepped whole.
+    plane; a field built from a plane alone is stepped whole.  A field may
+    be built from its factors alone: plane is then None until amplitudes
+    is first read, which builds Y.T @ X and keeps it.
     """
 
     grid: GridSpec
     z_position: float
-    amplitudes: np.ndarray
+    plane: np.ndarray | None = field(default=None, repr=False)
     factors: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
         n = self.grid.samples_per_side
-        if amps.shape != (n, n):
-            raise ValueError(
-                f"amplitude array shape {amps.shape} does not match grid "
-                f"({n} x {n})")
-        object.__setattr__(self, "amplitudes", amps)
+        if self.plane is None and self.factors is None:
+            raise ValueError("a field needs its amplitudes or its factors")
+        if self.plane is not None:
+            amps = np.asarray(self.plane, dtype=np.complex128)
+            if amps.shape != (n, n):
+                raise ValueError(
+                    f"amplitude array shape {amps.shape} does not match grid "
+                    f"({n} x {n})")
+            object.__setattr__(self, "plane", amps)
         if self.factors is not None:
             y, x = (np.asarray(f, dtype=np.complex128) for f in self.factors)
             if y.ndim != 2 or y.shape != x.shape or y.shape[1] != n:
@@ -100,8 +105,32 @@ class ComplexField:
                     f"(R, {n})")
             object.__setattr__(self, "factors", (y, x))
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The N x N plane, built from the factors on first read."""
+        if self.plane is None:
+            y, x = self.factors
+            object.__setattr__(self, "plane", y.T @ x)
+        return self.plane
+
+    def window(self, rows: slice, cols: slice) -> np.ndarray:
+        """amplitudes[rows, cols]; without a plane, built from the factors'
+        rows and columns alone."""
+        if self.plane is None:
+            y, x = self.factors
+            return y[:, rows].T @ x[:, cols]
+        return self.plane[rows, cols]
+
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+def _factor_norm(y: np.ndarray, x: np.ndarray) -> float:
+    """sum |Y.T @ X|^2 from the R x R Gram matrices, without the plane:
+    sum_rs (Y Y^H)_rs (X X^H)_rs."""
+    gram_y = y @ y.conj().T
+    gram_x = x @ x.conj().T
+    return float(np.sum(gram_y * gram_x).real)
 
 
 @dataclass(frozen=True)
@@ -240,9 +269,10 @@ def mode_field(grid: GridSpec, n: int, l: int, waist: float) -> ComplexField:
 
     This is plain profile sampling: the waist is unconstrained, so the result
     is a valid initial condition for the numerical propagator whether or not
-    it is an eigenstate.  The field carries its rank-(2n+|l|+1) factors,
-    sampled in closed form as Hermite-Gauss products; a -l mode is the +l
-    mode mirrored, y -> -y, a reversal of its y-factors.
+    it is an eigenstate.  The field is its rank-(2n+|l|+1) factors,
+    sampled in closed form as Hermite-Gauss products and normalised from
+    their Gram matrices; its plane is built when first read.  A -l mode is
+    the +l mode mirrored, y -> -y, a reversal of its y-factors.
     """
     _check_degree(n)
     if not waist > 0:
@@ -253,17 +283,14 @@ def mode_field(grid: GridSpec, n: int, l: int, waist: float) -> ComplexField:
                            math.sqrt(2.0) * grid.axis() / waist)
     y = np.asarray(weights)[:, np.newaxis] * h
     x = h[::-1]
-    amps = y.T @ x
-    norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.pitch ** 2)
+    norm = math.sqrt(_factor_norm(y, x) * grid.pitch ** 2)
     if norm == 0.0:
         raise ValueError(f"mode (n={n}, l={l}) of waist {waist:.3e} m "
                          "sampled to an identically zero field")
-    amps /= norm
     y /= norm
     if l < 0:
-        return ComplexField(grid, 0.0, amps[::-1].copy(),
-                            (y[:, ::-1].copy(), x))
-    return ComplexField(grid, 0.0, amps, (y, x))
+        y = y[:, ::-1].copy()
+    return ComplexField(grid, 0.0, factors=(y, x))
 
 
 def sample_superposition(s: ModeSuperposition, grid: GridSpec,

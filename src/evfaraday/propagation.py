@@ -42,7 +42,8 @@ import numpy as np
 
 from .core import BeamParameters, base_wavenumber, larmor_wavenumber
 from .errors import ContainmentError, GridMismatchError, StepTooLargeError
-from .modes import ComplexField, GridSpec, ModeSuperposition, mode_field
+from .modes import (ComplexField, GridSpec, ModeSuperposition, _factor_norm,
+                    mode_field)
 
 #: Border-to-peak intensity ratio above which propagation refuses to continue.
 BORDER_INTENSITY_LIMIT = 1e-6
@@ -165,8 +166,13 @@ def make_plan(grid: GridSpec, p: BeamParameters, dz: float,
 
 
 def grid_norm(field: ComplexField) -> float:
-    """Discrete squared norm sum |a|^2 pitch^2."""
-    return float(np.sum(np.abs(field.amplitudes) ** 2)) * field.grid.pitch ** 2
+    """Discrete squared norm sum |a|^2 pitch^2; from the factors' Gram
+    matrices when the field carries factors, so no plane is built."""
+    if field.factors is not None:
+        total = _factor_norm(*field.factors)
+    else:
+        total = float(np.sum(np.abs(field.plane) ** 2))
+    return total * field.grid.pitch ** 2
 
 
 def _check_contained(*planes: np.ndarray, context: str):
@@ -185,6 +191,32 @@ def _check_contained(*planes: np.ndarray, context: str):
         raise ContainmentError(
             f"{context}: border intensity is {border / peak:.3e} of the peak "
             f"(limit {BORDER_INTENSITY_LIMIT:.0e}); enlarge the grid")
+
+
+def _check_field_contained(field: ComplexField, context: str):
+    """_check_contained on one field, deciding from its factors when it
+    has no plane yet.
+
+    The four border lines and the two central lines of Y.T @ X are read
+    from the factors in O(RN).  The mean intensity, from the Gram
+    matrices, and the largest central-line intensity are both at most the
+    peak; a border within BORDER_INTENSITY_LIMIT of the larger of them is
+    accepted without a plane.  Any other field has its plane built and
+    faces the exact rule, so the guard refuses exactly what the plane
+    check refuses.
+    """
+    if field.plane is None:
+        y, x = field.factors
+        n = field.grid.samples_per_side
+        c = n // 2
+        rows = np.abs(y[:, [0, -1, c]].T @ x) ** 2
+        cols = np.abs(y.T @ x[:, [0, -1, c]]) ** 2
+        border = max(rows[:2].max(), cols[:, :2].max())
+        bound = max(_factor_norm(y, x) / n ** 2, rows[2].max(),
+                    cols[:, 2].max())
+        if border <= BORDER_INTENSITY_LIMIT * bound:
+            return
+    _check_contained(field.amplitudes, context=context)
 
 
 def _sweep(lines: np.ndarray, plan: PropagationPlan, n_steps: int):
@@ -206,17 +238,17 @@ def _sweep(lines: np.ndarray, plan: PropagationPlan, n_steps: int):
         lines *= half if step == n_steps - 1 else full
 
 
-def _assemble(lines: np.ndarray, terms, k_l_z: float) -> np.ndarray:
-    """The plane of the terms (rows, l, coeff, mirrored) summed over the
-    factor stack lines = [Y; X]: each term adds coeff exp(-i l k_L z) times
-    its rows of Y, or their y-reversal, and the plane is one product of the
-    summed y-factors with X."""
+def _combine(lines: np.ndarray, terms, k_l_z: float) -> tuple:
+    """The factors (Y, X) of the terms (rows, l, coeff, mirrored) summed
+    over the factor stack lines = [Y; X]: each term adds coeff
+    exp(-i l k_L z) times its rows of Y, or their y-reversal, to new
+    y-factors; X is copied, so stepping lines leaves both unchanged."""
     rank = len(lines) // 2
     y = np.zeros_like(lines[:rank])
     for rows, l, coeff, mirrored in terms:
         part = lines[rows, ::-1] if mirrored else lines[rows]
         y[rows] += (coeff * cmath.exp(-1j * l * k_l_z)) * part
-    return y.T @ lines[rank:]
+    return y, lines[rank:].copy()
 
 
 def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
@@ -225,16 +257,18 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
 
     The caller asserts the field has azimuthal dependence exp(i l phi); the
     Zeeman interaction is then the exact scalar phase exp(-i l k_L dz) per
-    step.  A field with factors is stepped as its factor lines and keeps
-    them; one without is stepped as the whole plane.
+    step.  A field with factors is stepped as its factor lines and returns
+    factors alone, its plane built when first read; one without is stepped
+    as the whole plane.
     """
     if field.grid != plan.grid:
         raise GridMismatchError("field and plan grids differ")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if n_steps == 0:
-        return ComplexField(field.grid, field.z_position,
-                            field.amplitudes.copy(), field.factors)
+        plane = None if field.plane is None else field.plane.copy()
+        return ComplexField(field.grid, field.z_position, plane,
+                            field.factors)
     advance = n_steps * plan.dz
     k_l_z = larmor_wavenumber(plan.params) * advance
     if field.factors is None:
@@ -244,15 +278,17 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
         out = np.ascontiguousarray(columns.T)
         _sweep(out, plan, n_steps)
         out *= cmath.exp(-1j * l * k_l_z)
-        factors = None
+        result = ComplexField(field.grid, field.z_position + advance, out)
     else:
         rank = len(field.factors[0])
         lines = np.concatenate(field.factors)
         _sweep(lines, plan, n_steps)
-        factors = (lines[:rank] * cmath.exp(-1j * l * k_l_z), lines[rank:])
-        out = factors[0].T @ factors[1]
-    _check_contained(out, context=f"field at z = {advance:.6e} m")
-    return ComplexField(field.grid, field.z_position + advance, out, factors)
+        result = ComplexField(
+            field.grid, field.z_position + advance,
+            factors=(lines[:rank] * cmath.exp(-1j * l * k_l_z),
+                     lines[rank:]))
+    _check_field_contained(result, context=f"field at z = {advance:.6e} m")
+    return result
 
 
 def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
@@ -263,9 +299,10 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     plan.steps_per_output * plan.dz, n_outputs times.  The factors of one
     unit field per (n, |l|, waist) group share every sweep as one (2R, N)
     stack; a -l term reads its group's y-factors reversed, and each term's
-    Zeeman phase exp(-i l k_L z) is applied exactly, once, where a plane is
-    summed.  Every yielded plane passes the containment check and carries
-    no factors.
+    Zeeman phase exp(-i l k_L z) is applied exactly, once, where a field's
+    y-factors are summed.  Every yielded field passes the containment check
+    and is its own copy of the summed factors (Y, X), rank R; its plane is
+    built only if read.
     """
     if grid != plan.grid:
         raise GridMismatchError("grid and plan grids differ")
@@ -288,13 +325,13 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     # residual grid correction so the sum (every Zeeman phase is 1 at
     # z = 0) starts at unit norm
     lines[:rank] /= math.sqrt(grid_norm(
-        ComplexField(grid, 0.0, _assemble(lines, terms, 0.0))))
+        ComplexField(grid, 0.0, factors=_combine(lines, terms, 0.0))))
     k_l = larmor_wavenumber(plan.params)
     z = 0.0
     for plane in range(n_outputs + 1):
         if plane:
             _sweep(lines, plan, plan.steps_per_output)
             z += plan.steps_per_output * plan.dz
-        out = _assemble(lines, terms, k_l * z)
-        _check_contained(out, context=f"field at z = {z:.6e} m")
-        yield z, ComplexField(grid, z, out)
+        out = ComplexField(grid, z, factors=_combine(lines, terms, k_l * z))
+        _check_field_contained(out, context=f"field at z = {z:.6e} m")
+        yield z, out

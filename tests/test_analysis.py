@@ -60,6 +60,33 @@ class TestAngularIntensity:
                                       order=1, mode="nearest")
         assert np.max(np.abs(prof.samples - ref)) <= 1e-14 * intensity.max()
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_factored_field_reads_its_sub_block(self, w_b, l):
+        # the +-l pair as factors: its profile comes from the block of
+        # rows and columns the circle touches and equals the dense plane's
+        n, n_samples = 256, 512
+        grid = GridSpec(n, 12 * w_b)
+        y, x = mode_field(grid, 0, l, w_b).factors
+        y = (y + 0.6j * y[:, ::-1]) / 1.2
+        pair = ComplexField(grid, 0.0, factors=(y, x))
+        radius = petal_radius(w_b, l)
+        prof = angular_intensity(pair, radius, n_samples)
+        assert pair.plane is None
+        dense = ComplexField(grid, 0.0, y.T @ x)
+        intensity = dense.intensity()
+        scale = 1e-14 * intensity.max()
+        assert np.max(np.abs(
+            prof.samples
+            - angular_intensity(dense, radius, n_samples).samples)) <= scale
+        phi = 2 * np.pi * np.arange(n_samples) / n_samples
+        ix = radius * np.cos(phi) / grid.pitch + n / 2 - 0.5
+        iy = radius * np.sin(phi) / grid.pitch + n / 2 - 0.5
+        ref = ndimage.map_coordinates(intensity, np.vstack([iy, ix]),
+                                      order=1, mode="nearest")
+        assert np.max(np.abs(prof.samples - ref)) <= scale
+        # the pair has 2|l| petals, so the profile is not flat
+        assert np.ptp(prof.samples) > 0.5 * prof.samples.max()
+
     def test_radius_bounds(self, beam, w_b):
         field = mode_field(GridSpec(64, 8 * w_b), 0, 0, w_b)
         with pytest.raises(ValueError):

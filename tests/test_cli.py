@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ import pytest
 from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, FarField,
                        larmor_wavenumber, magnetic_width, verdet_parameter,
                        width_function_exact)
+from evfaraday import cli, propagation
 from evfaraday.cli import build_parser, main
-from evfaraday.fileio import load_field
+from evfaraday.fileio import load_field, write_intensity_pgm
 
 
 def read_csv(path):
@@ -163,6 +165,62 @@ class TestRotate:
         assert (outdir / "frame_0000.pgm").exists()
         assert (outdir / "frame_0002.pgm").exists()
         assert (outdir / "frame_0002.pgm.json").exists()
+
+
+    @staticmethod
+    def record_fields(monkeypatch):
+        """Wrap the CLI's superposition_evolution; the returned list gets
+        each yielded field and a copy of its factors as the CLI sees it."""
+        seen = []
+
+        def recording(*a, **kw):
+            for z, field in propagation.superposition_evolution(*a, **kw):
+                seen.append((field, [f.copy() for f in field.factors]))
+                yield z, field
+        monkeypatch.setattr(cli, "superposition_evolution", recording)
+        return seen
+
+    def test_default_run_builds_no_plane(self, tmp_path, capsys,
+                                         monkeypatch):
+        # the README rotate shape at 128^2: the fields stay (Y, X) from
+        # sampling to orientation, and no allocation reaches one N x N
+        # complex plane
+        n = 128
+        argv = ["rotate", "--grid-n", str(n), "--outputs", "8",
+                "-o", str(tmp_path / "rot")]
+        seen = self.record_fields(monkeypatch)
+        assert main(argv) == 0
+        assert len(seen) == 9
+        assert all(field.plane is None for field, _ in seen)
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n
+
+    def test_written_planes_are_the_factor_product(self, tmp_path,
+                                                   monkeypatch):
+        seen = self.record_fields(monkeypatch)
+        outdir = tmp_path / "snap"
+        assert main(["rotate", "-E", "60keV", "-B", "1T", "-l", "2",
+                     "--grid-n", "128", "--grid-side", "600nm",
+                     "--phi-max", "0.05rad",
+                     "--outputs", "4", "--snapshot-every", "2",
+                     "--pgm-every", "3", "-o", str(outdir)]) == 0
+        assert len(seen) == 5
+        for i, (_, (y, x)) in enumerate(seen):
+            plane = y.T @ x
+            if i % 2 == 0:
+                field, _ = load_field(str(outdir / f"field_{i:04d}.field"))
+                assert np.array_equal(field.amplitudes, plane)
+            if i % 3 == 0:
+                expected = tmp_path / f"expected_{i}.pgm"
+                write_intensity_pgm(str(expected), np.abs(plane) ** 2)
+                frame = outdir / f"frame_{i:04d}.pgm"
+                assert frame.read_bytes() == expected.read_bytes()
 
 
 class TestBreathe:
@@ -381,6 +439,23 @@ class TestErrorBoundary:
         # rejected before any output, the grating mask.pgm and the
         # quantities table included
         assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_derived_step_count_is_bounded(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a 64-sample grid of side 1 pm needs 2.6e11 exact steps for its
+        # one plane; the run is refused before any mode is sampled or
+        # stepped
+        def refuse(*a, **kw):
+            raise AssertionError("stepped a refused run")
+        monkeypatch.setattr(propagation, "_sweep", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main(["rotate", "--grid-n", "64", "--grid-side", "1e-12m",
+                     "--w0", "1e-13m", "--outputs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "needs 2.647e+11 steps" in err
+        assert f"{cli.MAX_TOTAL_STEPS:.0e} allowed" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["rotate", "breathe"])

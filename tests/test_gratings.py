@@ -71,6 +71,23 @@ class TestDesignValue:
         expected = ((value > 0.5) & aperture).astype(np.uint8)
         assert np.array_equal(mask.values, expected)
 
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_axis_design_equals_meshgrid_design(self, n, l):
+        # the mask evaluates the design on the axes, broadcast to the
+        # plane; it must equal the design evaluated on the full meshgrid
+        grid = GridSpec(n, 1e-6)
+        xg, yg = grid.meshgrid()
+        aperture = gratings._inscribed_aperture(n)
+        # fringes and the finest zones are 8 pixels wide
+        pitch, r_max = grid.pitch, grid.physical_side_length / 2
+        for reference in (PlaneReference(2 * math.pi / (8 * pitch)),
+                          SphericalReference(-math.pi / (8 * pitch * r_max))):
+            spec = HologramSpec(l, 0.3 * l, reference)
+            expected = (design_value(spec, xg, yg) > 0.5) & aperture
+            assert np.array_equal(synthesize_hologram(spec, grid).values,
+                                  expected.astype(np.uint8))
+
     def test_nodal_line_pixels_dark(self):
         grid = GridSpec(128, 1e-6)
         mask = synthesize_hologram(plane_spec(grid, fringes=16), grid)

@@ -21,6 +21,8 @@ from evfaraday import (BeamParameters, ComplexField, ELEMENTARY_CHARGE,
                        width_function_exact)
 from evfaraday.errors import (ContainmentError, GridMismatchError,
                               StepTooLargeError)
+from evfaraday.propagation import (BORDER_INTENSITY_LIMIT, _check_contained,
+                                   _check_field_contained)
 
 E60 = 60e3 * ELEMENTARY_CHARGE
 
@@ -552,6 +554,92 @@ class TestFactoredCore:
         for factors in (plan.kinetic_phase, plan.half_potential_phase,
                         plan.potential_phase):
             assert factors.shape == (64,)
+
+
+class TestFactorForm:
+    """Fields that carry only their factors (Y, X) are measured and guarded
+    from them; the plane Y.T @ X is built only when it is read."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 3), l=st.integers(-4, 4),
+           waist_rel=st.floats(0.7, 1.5),
+           scale=st.complex_numbers(min_magnitude=0.1, max_magnitude=10))
+    def test_gram_norm_equals_plane_sum(self, w_b, n, l, waist_rel, scale):
+        grid = GridSpec(128, 14 * w_b)
+        y, x = mode_field(grid, n, l, waist_rel * w_b).factors
+        field = ComplexField(grid, 0.0, factors=(scale * y, x))
+        plane_sum = float(np.sum(np.abs(field.amplitudes) ** 2)) * (
+            grid.pitch ** 2)
+        assert grid_norm(field) == pytest.approx(plane_sum, rel=1e-14)
+        assert plane_sum == pytest.approx(abs(scale) ** 2, rel=1e-13)
+
+    def test_plane_built_once_on_first_read(self, w_b):
+        field = mode_field(GridSpec(64, 8 * w_b), 0, 1, w_b)
+        assert field.plane is None
+        y, x = field.factors
+        first = field.amplitudes
+        assert first is field.amplitudes
+        assert np.array_equal(first, y.T @ x)
+
+    def test_field_needs_plane_or_factors(self, w_b):
+        with pytest.raises(ValueError, match="amplitudes or its factors"):
+            ComplexField(GridSpec(64, 8 * w_b), 0.0)
+
+    def test_yielded_fields_hold_their_own_factors(self, beam, w_b):
+        grid = GridSpec(64, 8 * w_b)
+        plan = make_plan(grid, beam, 1e-6, scheme="exact")
+        s = ModeSuperposition.opposite_pair(1, w_b, beam)
+        planes = []
+        for _, field in superposition_evolution(s, grid, plan, 3):
+            assert field.plane is None
+            planes.append((field, [f.copy() for f in field.factors]))
+        # the stack stepped in place after each yield left them untouched
+        for field, (y, x) in planes:
+            assert np.array_equal(field.factors[0], y)
+            assert np.array_equal(field.factors[1], x)
+            assert field.plane is None
+
+    @staticmethod
+    def guarded_field(n, centre, ratio):
+        """Rank-2 field: a Gaussian of unit peak at (centre, centre) plus
+        a copy of its x-profile on row 0, of border-to-peak ratio ratio."""
+        idx = np.arange(n)
+        g = np.exp(-((idx - centre) / (n / 16)) ** 2)
+        spike = np.zeros(n)
+        spike[0] = math.sqrt(ratio) - g[0]
+        grid = GridSpec(n, 1e-6)
+        return ComplexField(grid, 0.0, factors=(np.stack([g, spike]),
+                                                np.stack([g, g])))
+
+    @pytest.mark.parametrize("centre", [64, 32],
+                             ids=["peak-on-centre-lines", "peak-off-centre"])
+    @pytest.mark.parametrize("ratio_rel", [1 - 1e-9, 1 + 1e-9],
+                             ids=["just-below", "just-above"])
+    def test_guard_decides_as_the_plane_check(self, centre, ratio_rel):
+        ratio = ratio_rel * BORDER_INTENSITY_LIMIT
+        factored = self.guarded_field(128, centre, ratio)
+        y, x = factored.factors
+        plane = y.T @ x
+        intensity = np.abs(plane) ** 2
+        border = max(intensity[0].max(), intensity[-1].max(),
+                     intensity[:, 0].max(), intensity[:, -1].max())
+        assert border / intensity.max() == pytest.approx(ratio, rel=1e-12)
+        refused = []
+        for check, arg in ((_check_contained, plane),
+                           (_check_field_contained, factored)):
+            try:
+                check(arg, context="test")
+                refused.append(None)
+            except ContainmentError as exc:
+                refused.append(str(exc))
+        assert refused[0] == refused[1]
+        assert (refused[0] is None) == (ratio_rel < 1)
+        # only a field whose peak lies on a central line is accepted from
+        # its factors; the other three are decided on the built plane
+        early = centre == 64 and ratio_rel < 1
+        assert (factored.plane is None) == early
+        if not early:
+            assert np.array_equal(factored.plane, plane)
 
 
 class TestRotationProperties:
