@@ -154,7 +154,7 @@ def cmd_rotate(args) -> int:
                                 f"got {every}")
     p = _beam(args)
     k_l = larmor_wavenumber(p)
-    if p.field_bz != 0:
+    if k_l != 0:
         w0 = parse_length(args.w0) if args.w0 else magnetic_width(p)
         side = (parse_length(args.grid_side) if args.grid_side
                 else 8.0 * magnetic_width(p))
@@ -165,7 +165,8 @@ def cmd_rotate(args) -> int:
     else:
         if not (args.w0 and args.grid_side and args.z_max):
             raise CliUsageError(
-                "with -B 0T give --w0, --grid-side and --z-max explicitly")
+                "with -B 0T, or a field whose k_L rounds to 0, give --w0, "
+                "--grid-side and --z-max explicitly")
         w0 = parse_length(args.w0)
         side = parse_length(args.grid_side)
         z_target = parse_length(args.z_max)
@@ -222,13 +223,14 @@ def cmd_rotate(args) -> int:
 
 def cmd_breathe(args) -> int:
     p = _beam(args)
-    if p.field_bz == 0:
-        raise CliUsageError("breathing needs a non-zero field")
+    k_l = larmor_wavenumber(p)
+    if k_l == 0:
+        raise CliUsageError("breathing needs a non-zero field, and one whose "
+                            "k_L does not round to 0")
     w_b = magnetic_width(p)
     w0 = parse_length(args.w0) if args.w0 else args.w0_rel * w_b
     if not w0 > 0:
         raise CliUsageError("waist must be positive")
-    k_l = larmor_wavenumber(p)
     z_target = args.periods * math.pi / abs(k_l)
     side = (parse_length(args.grid_side) if args.grid_side
             else 6.0 * max(w0, w_b * w_b / w0))

@@ -20,7 +20,7 @@ from .analysis import effective_width
 from .core import BeamParameters, base_wavenumber
 from .errors import (CarrierResolutionError, ContainmentError,
                      OrderSeparationError)
-from .fileio import quantise_intensity
+from .fileio import QUANTISE_BLOCK_ROWS, quantise_intensity
 from .modes import ComplexField, GridSpec
 from .propagation import _check_contained
 
@@ -161,17 +161,18 @@ def _embed(values: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-def _half_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
-    """Rows 0..m/2 of fftshift(fft2(ifftshift(_embed(values, pad_factor)),
-    norm="ortho")) of a real n x n array, m = n * pad_factor.
+def _column_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
+    """The rfft stage of fftshift(fft2(ifftshift(_embed(values, pad_factor)),
+    norm="ortho")) of a real n x n array, m = n * pad_factor: an
+    (n, m/2 + 1) array whose row x is the transform along y of mask column x.
 
     Both shifts become a (-1)^(x+y) sign on the input, which needs m and n
     even (GridSpec makes n even).  The signed input is real, so its
-    spectrum is Hermitian and rows 0..m/2 hold all of it; an rfft along y
-    over the n mask columns, stored transposed so each is a contiguous row,
-    gives exactly those rows.  They land at the ifftshifted column positions
-    of a zeroed (m/2 + 1) x m array, where one in-place pass along x
-    finishes them without transforming the zero padding.
+    spectrum is Hermitian and rows 0..m/2 hold all of it.  An rfft along y
+    of the n mask columns alone gives those rows on the mask columns; the
+    zero columns of the padding would transform to zero and are skipped.
+    Row j is then one length-m fft along x of column j placed at the
+    ifftshifted positions of the mask columns (FarField._finish).
     """
     n = values.shape[0]
     m = n * pad_factor
@@ -181,16 +182,7 @@ def _half_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
     cols = np.zeros((n, m))
     cols[:, :h] = signed[:, h:]
     cols[:, m - h:] = signed[:, :h]
-    cols = np.fft.rfft(cols, axis=1, norm="ortho")
-    upper = np.zeros((m // 2 + 1, m), dtype=np.complex128)
-    upper[:, :h] = cols[h:].T
-    upper[:, m - h:] = cols[:h].T
-    np.fft.fft(upper, axis=1, norm="ortho", out=upper)
-    # rows 0 and m/2 are their own mirrors; rounding leaves their halves
-    # unequal in the last bit, so the right half is set from the left
-    for row in (0, m // 2):
-        np.conjugate(upper[row, m // 2 - 1:0:-1], out=upper[row, m // 2 + 1:])
-    return upper
+    return np.fft.rfft(cols, axis=1, norm="ortho")
 
 
 def _point_mirror(full: np.ndarray) -> np.ndarray:
@@ -205,25 +197,47 @@ def _point_mirror(full: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FarField:
-    """Centred far field of a real mask, stored as its rows 0..m/2.
+    """Centred far field of a real mask, stored as its column spectrum.
 
-    The spectrum of a real mask is Hermitian, so row j > m/2 of the full
-    m x m field is conj(upper[m - j, (m - c) % m]); rows() and frame()
-    mirror only what they return, and amplitudes builds the whole array.
-    pad_factor is the zero padding of the transform: the mask had
-    m / pad_factor samples per side.
+    columns is the (n, m/2 + 1) rfft stage of the transform, with n = m /
+    pad_factor the mask's samples per side (_column_spectrum).  Row j <= m/2
+    of the m x m field is finished from column j by one zero-padded
+    length-m fft along x.  The spectrum of a real mask is Hermitian, so row
+    j > m/2 is conj(row m - j) at columns (m - c) % m.  rows() finishes only
+    the rows it returns or mirrors, frame() finishes rows 0..m/2 a block at
+    a time, and amplitudes builds the whole array.  pad_factor is the zero
+    padding of the transform.
     """
 
     grid: GridSpec
-    upper: np.ndarray
+    columns: np.ndarray
     pad_factor: int
 
     def __post_init__(self):
         m = self.grid.samples_per_side
-        if self.upper.shape != (m // 2 + 1, m):
+        n = m // self.pad_factor
+        if n * self.pad_factor != m or self.columns.shape != (n, m // 2 + 1):
             raise ValueError(
-                f"half-plane shape {self.upper.shape} does not match grid "
-                f"({m // 2 + 1} x {m})")
+                f"column spectrum shape {self.columns.shape} does not match "
+                f"grid and padding ({m // self.pad_factor} x {m // 2 + 1})")
+
+    def _finish(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Write rows lo..hi-1 of the far field, 0 <= lo <= hi <= m/2 + 1,
+        into the (hi - lo) x m complex array out; returns out."""
+        m = self.grid.samples_per_side
+        half_n = self.columns.shape[0] // 2
+        # the mask columns land at their ifftshifted positions along x
+        out[:, :half_n] = self.columns[half_n:, lo:hi].T
+        out[:, half_n:m - half_n] = 0.0
+        out[:, m - half_n:] = self.columns[:half_n, lo:hi].T
+        np.fft.fft(out, axis=1, norm="ortho", out=out)
+        # rows 0 and m/2 are their own mirrors; rounding leaves their halves
+        # unequal in the last bit, so the right half is set from the left
+        for row in (0, m // 2):
+            if lo <= row < hi:
+                np.conjugate(out[row - lo, m // 2 - 1:0:-1],
+                             out=out[row - lo, m // 2 + 1:])
+        return out
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Complex rows lo..hi-1 of the full far field, as a new array."""
@@ -231,11 +245,23 @@ class FarField:
         h = m // 2
         if not 0 <= lo <= hi <= m:
             raise ValueError(f"rows {lo}:{hi} outside 0:{m}")
-        out = np.empty((hi - lo, m), dtype=np.complex128)
         split = min(max(lo, h + 1), hi)
-        out[:split - lo] = self.upper[lo:split]
-        # rows split..hi-1 mirror upper rows m-split..m-hi+1
-        src = self.upper[m - hi + 1:m - split + 1][::-1]
+        # rows split..hi-1 mirror rows m-split..m-hi+1; together with rows
+        # lo..split-1 they are one run a..b-1 of rows 0..m/2, finished once
+        if hi == split:
+            a, b = lo, hi
+        elif lo == split:
+            a, b = m - hi + 1, m - lo + 1
+        else:
+            a, b = min(lo, m - hi + 1), split
+        out = np.empty((hi - lo, m), dtype=np.complex128)
+        if (a, b) == (lo, split):
+            # the run is rows lo..split-1 themselves: finish them in place
+            finished = self._finish(a, b, out[:b - a])
+        else:
+            finished = self._finish(a, b, np.empty((b - a, m), np.complex128))
+            out[:split - lo] = finished[lo - a:split - a]
+        src = finished[m - hi + 1 - a:m - split + 1 - a][::-1]
         np.conjugate(src[:, 0], out=out[split - lo:, 0])
         np.conjugate(src[:, :0:-1], out=out[split - lo:, 1:])
         return out
@@ -245,15 +271,23 @@ class FarField:
         quantise_intensity(I, I.max()) with I = |amplitudes|^2.
 
         The mirrored rows repeat rows 0..m/2, so those rows hold the peak;
-        only they are squared and quantised, and the frame's other rows are
+        only they are finished, QUANTISE_BLOCK_ROWS at a time into one
+        buffer, then squared and quantised, and the frame's other rows are
         their point mirror, copied as bytes.
         """
         m = self.grid.samples_per_side
-        half = np.abs(self.upper)
-        np.square(half, out=half)
-        peak = float(half.max())
+        rows = m // 2 + 1
+        half = np.empty((rows, m))
+        block = np.empty((min(rows, QUANTISE_BLOCK_ROWS), m), np.complex128)
+        peak = 0.0
+        for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
+            hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
+            intensity = half[lo:hi]
+            np.abs(self._finish(lo, hi, block[:hi - lo]), out=intensity)
+            np.square(intensity, out=intensity)
+            peak = max(peak, float(intensity.max()))
         gray = np.empty((m, m), dtype=np.uint8)
-        quantise_intensity(half, peak, out=gray[:m // 2 + 1])
+        quantise_intensity(half, peak, out=gray[:rows])
         return _point_mirror(gray), peak
 
     @property
@@ -265,7 +299,8 @@ class FarField:
 def diffract_far_field(mask: BinaryMask,
                        pad_factor: int = DEFAULT_PAD_FACTOR) -> FarField:
     """Centred unitary Fourier transform of the mask as a unit-amplitude
-    transmission function, held as the half plane FarField mirrors.
+    transmission function, held as the column spectrum from which FarField
+    finishes only the rows it is asked for.
 
     The output grid is in spatial-frequency coordinates (cycles per metre);
     zero padding by pad_factor refines the far-field sampling without
@@ -277,7 +312,7 @@ def diffract_far_field(mask: BinaryMask,
         raise ValueError("pad_factor must be >= 1")
     freq_side = 1.0 / mask.grid.pitch
     out_grid = GridSpec(mask.grid.samples_per_side * pad_factor, freq_side)
-    return FarField(out_grid, _half_spectrum(mask.values, pad_factor),
+    return FarField(out_grid, _column_spectrum(mask.values, pad_factor),
                     pad_factor)
 
 

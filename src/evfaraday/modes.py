@@ -368,7 +368,8 @@ def width_function_exact(w0: float, p: BeamParameters, z):
     parameter solution of the paraxial envelope equation in a quadratic
     channel, with z = 0 at the waist.  Oscillates between w0 and w_B^2/w0
     with period pi/k_L and reduces to width_function when w0 is close to
-    the magnetic width.
+    the magnetic width.  It is taken as a hypot, so no square overflows
+    where the width itself does not.
     """
     if not w0 > 0:
         raise ValueError("w0 must be positive")
@@ -377,6 +378,5 @@ def width_function_exact(w0: float, p: BeamParameters, z):
     w_b = magnetic_width(p)
     k_l = larmor_wavenumber(p)
     zs = np.asarray(z, dtype=float)
-    val = np.sqrt(w0 ** 2 * np.cos(k_l * zs) ** 2
-                  + (w_b ** 4 / w0 ** 2) * np.sin(k_l * zs) ** 2)
+    val = np.hypot(w0 * np.cos(k_l * zs), w_b * (w_b / w0) * np.sin(k_l * zs))
     return float(val) if zs.ndim == 0 else val

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BeamParameters, base_wavenumber, larmor_wavenumber
-from .errors import ContainmentError, GridMismatchError, StepTooLargeError
+from .errors import (ContainmentError, GridMismatchError, InvalidGridError,
+                     StepTooLargeError)
 from .modes import (ComplexField, GridSpec, ModeSuperposition, _factor_norm,
                     mode_field)
 
@@ -74,10 +75,23 @@ class PropagationPlan:
     steps_per_output: int = 1
 
 
+def _step_limit(name: str, limit: float) -> float:
+    """limit, refused with InvalidGridError unless positive and finite."""
+    if not 0.0 < limit < math.inf:
+        raise InvalidGridError(
+            f"{name} is {limit:.3e} m: this grid and beam give no positive, "
+            "finite step; their length scales are beyond floating point")
+    return limit
+
+
 def aliasing_limit(grid: GridSpec, p: BeamParameters) -> float:
-    """Largest dz with kinetic phase below pi at the corner spatial frequency."""
-    kperp_max_sq = 2.0 * (math.pi / grid.pitch) ** 2
-    return 2.0 * math.pi * base_wavenumber(p) / kperp_max_sq
+    """Largest dz with kinetic phase below pi at the corner spatial frequency.
+
+    2 pi k0 / (2 (pi/pitch)^2) = k0 pitch^2 / pi, taken as a product that
+    cannot raise; InvalidGridError unless the result is positive and finite.
+    """
+    return _step_limit("aliasing_limit",
+                       base_wavenumber(p) * grid.pitch * grid.pitch / math.pi)
 
 
 def exact_step_limit(grid: GridSpec, p: BeamParameters) -> float:
@@ -88,26 +102,33 @@ def exact_step_limit(grid: GridSpec, p: BeamParameters) -> float:
     b = sin(Omega dz)/Omega steps by (pi/pitch)(b/k0)(2 pi/side), so
     b < (N/2) aliasing_limit.  Potential: the merged interior chirp of
     length 2a, a = tan(Omega dz/2)/Omega, steps by
-    k0 Omega^2 (side/2)(2a) pitch, so a < pi/(k0 Omega^2 side pitch).
-    At B = 0 only the kinetic bound remains, with b = dz.
+    k0 Omega^2 (side/2)(2a) pitch, so Omega a < pi/r with the dimensionless
+    r = (k0 pitch)(Omega side).  At B = 0 only the kinetic bound remains,
+    with b = dz.  No step of the arithmetic can raise; InvalidGridError
+    unless the result is positive and finite.
     """
     b_max = 0.5 * grid.samples_per_side * aliasing_limit(grid, p)
     omega = abs(larmor_wavenumber(p))
     if omega == 0.0:
         return b_max
-    a_max = math.pi / (base_wavenumber(p) * omega ** 2
-                       * grid.physical_side_length * grid.pitch)
-    limit = 2.0 * math.atan(omega * a_max) / omega
+    r = base_wavenumber(p) * grid.pitch * (omega * grid.physical_side_length)
+    # atan2(pi, r) = atan(pi / r), also where r underflows to 0
+    limit = 2.0 * math.atan2(math.pi, r) / omega
     if omega * b_max < 1.0:
         limit = min(limit, math.asin(omega * b_max) / omega)
-    return limit
+    return _step_limit("exact_step_limit", limit)
 
 
 def exact_steps_per_plane(grid: GridSpec, p: BeamParameters,
                           spacing: float) -> int:
     """Fewest equal exact-scheme steps across spacing, each below
     exact_step_limit: one unless the spacing reaches the limit."""
-    return math.floor(spacing / exact_step_limit(grid, p)) + 1
+    ratio = spacing / exact_step_limit(grid, p)
+    if not ratio < math.inf:
+        raise InvalidGridError(
+            f"a plane spacing of {spacing:.3e} m needs more exact steps than "
+            "a float can count; coarsen the grid or shorten the run")
+    return math.floor(ratio) + 1
 
 
 def default_step_size(grid: GridSpec, p: BeamParameters) -> float:
@@ -156,12 +177,20 @@ def make_plan(grid: GridSpec, p: BeamParameters, dz: float,
     else:
         half_length, kinetic_length = dz / 2.0, dz
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
-    confinement = k0 * k_l ** 2 * grid.axis() ** 2 / 2.0
+    # numpy's power overflows to inf where a float's ** raises; a phase
+    # that is not finite is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        confinement = k0 * np.float64(k_l) ** 2 * grid.axis() ** 2 / 2.0
+        phases = (np.exp(-1j * k ** 2 * kinetic_length / (2.0 * k0)),
+                  np.exp(-1j * confinement * half_length),
+                  np.exp(-1j * confinement * (2.0 * half_length)))
+    if not all(np.isfinite(phase).all() for phase in phases):
+        raise InvalidGridError(
+            "the step's phase factors are not finite: this grid and beam "
+            "have length scales beyond floating point")
     return PropagationPlan(
-        grid=grid, params=p, dz=dz,
-        kinetic_phase=np.exp(-1j * k ** 2 * kinetic_length / (2.0 * k0)),
-        half_potential_phase=np.exp(-1j * confinement * half_length),
-        potential_phase=np.exp(-1j * confinement * (2.0 * half_length)),
+        grid=grid, params=p, dz=dz, kinetic_phase=phases[0],
+        half_potential_phase=phases[1], potential_phase=phases[2],
         steps_per_output=steps_per_output)
 
 

@@ -7,10 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, FarField,
                        larmor_wavenumber, magnetic_width, verdet_parameter,
@@ -379,6 +383,39 @@ class TestGrating:
         assert main(["grating", "--spherical", "--grid-n", "64"]) == 2
 
 
+#: Finite inputs that once ended in OverflowError or ZeroDivisionError.
+EXTREME_COMMANDS = [
+    "rotate --grid-n 64 --grid-side 1e-200m --w0 1e-201m --outputs 1",
+    "rotate -B 1e300T --grid-n 16 --outputs 1",
+    "rotate -E 1e-300eV --grid-n 16 --outputs 1",
+    "breathe -B 1e-300T --grid-n 16 --outputs 1",
+]
+
+
+def extreme_quantity(unit):
+    """A unit value of either sign with magnitude from 1e-300 to 1e300."""
+    return st.builds(lambda sign, mantissa, exponent:
+                     f"{sign}{mantissa:.3f}e{exponent}{unit}",
+                     st.sampled_from(["", "-"]), st.floats(1.0, 9.999),
+                     st.integers(-300, 299))
+
+
+@st.composite
+def extreme_argv(draw):
+    command = draw(st.sampled_from(["rotate", "breathe"]))
+    units = {"--energy": "eV", "--field": "T", "--grid-side": "m",
+             "--w0": "m"}
+    if command == "rotate":
+        units.update({"--z-max": "m", "--phi-max": "rad"})
+    argv = [command]
+    for option, unit in units.items():
+        if draw(st.booleans()):
+            # --option=value, so a leading minus is not read as an option
+            argv.append(f"{option}={draw(extreme_quantity(unit))}")
+    return argv + ["--grid-n", str(draw(st.integers(0, 64))),
+                   "--outputs", str(draw(st.integers(-1, 4)))]
+
+
 class TestErrorBoundary:
     """Invalid inputs print 'error:' and exit 2, never a traceback."""
 
@@ -426,6 +463,14 @@ class TestErrorBoundary:
         # an infinite thickness would reach the JSON report as Infinity
         (["quantities", "-E", "60keV", "-B", "1T", "--thickness", "1e400m",
           "--json", "q.json"], "thickness must be finite"),
+        # finite inputs whose step limits or phases leave floating point
+        (shlex.split(EXTREME_COMMANDS[0]), "aliasing_limit is 0.000e+00 m"),
+        (shlex.split(EXTREME_COMMANDS[1]),
+         "the step's phase factors are not finite"),
+        (shlex.split(EXTREME_COMMANDS[2]), "aliasing_limit is 0.000e+00 m"),
+        (shlex.split(EXTREME_COMMANDS[3]), "k_L does not round to 0"),
+        (["rotate", "-B", "1e-300T", "--grid-n", "16", "--outputs", "1"],
+         "a field whose k_L rounds to 0"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):
@@ -440,6 +485,19 @@ class TestErrorBoundary:
         # quantities table included
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=extreme_argv())
+    @example(argv=shlex.split(EXTREME_COMMANDS[0]))
+    @example(argv=shlex.split(EXTREME_COMMANDS[1]))
+    @example(argv=shlex.split(EXTREME_COMMANDS[2]))
+    @example(argv=shlex.split(EXTREME_COMMANDS[3]))
+    def test_extreme_values_exit_cleanly(self, argv):
+        # --grid-n stays at most 64 and the step ceiling is lowered, so no
+        # example allocates a large plane or runs a long propagation
+        with tempfile.TemporaryDirectory() as outdir, \
+                mock.patch.object(cli, "MAX_TOTAL_STEPS", 1000):
+            assert main(argv + ["-o", outdir]) in (0, 1, 2)
 
     def test_derived_step_count_is_bounded(self, tmp_path, capsys,
                                            monkeypatch):

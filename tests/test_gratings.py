@@ -3,6 +3,7 @@ plus diffraction-order structure, symmetry and separation checks."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,8 +285,14 @@ class TestHalfPlaneFarField:
                 far.rows(lo, hi)
 
     def test_half_plane_shape_checked(self):
-        with pytest.raises(ValueError):
-            FarField(GridSpec(16, 1.0), np.zeros((16, 16), np.complex128), 1)
+        # the stored column spectrum is (n, m/2 + 1), n = m / pad_factor
+        grid = GridSpec(16, 1.0)
+        for pad, shape in ((1, (16, 9)), (2, (8, 9)), (4, (4, 9))):
+            FarField(grid, np.zeros(shape, np.complex128), pad)
+        for pad, shape in ((1, (16, 16)), (1, (9, 16)), (2, (16, 9)),
+                           (2, (8, 16)), (3, (5, 9)), (4, (9, 4))):
+            with pytest.raises(ValueError):
+                FarField(grid, np.zeros(shape, np.complex128), pad)
 
     @pytest.mark.parametrize("n, fringes, pad", [(256, 40, 4), (192, 40, 4)])
     def test_extract_order_matches_definition_crops(self, n, fringes, pad):
@@ -371,6 +378,98 @@ class TestFarFieldFrame:
         assert blob == b"P5\n256 256\n255\n" + bytes(256 * 256)
         assert (tmp_path / "farfield.pgm.json").read_text() == (
             '{"max_intensity": 0.0}\n')
+
+
+class TestStreamedFarField:
+    """FarField keeps the mask's column spectrum; rows() finishes the one
+    run of rows 0..m/2 it returns or mirrors, frame() finishes rows 0..m/2
+    in blocks of QUANTISE_BLOCK_ROWS into one buffer."""
+
+    # m/2 + 1 = 33 (under one block), 64 and 128 (whole blocks), 65 and
+    # 193 (one row past a block edge, so row m/2 is a block on its own)
+    BLOCK_CASES = [(16, 4), (126, 1), (254, 1), (32, 4), (48, 8)]
+
+    @staticmethod
+    def record_finishes(monkeypatch):
+        calls = []
+        finish = FarField._finish
+
+        def recording(self, lo, hi, out):
+            calls.append((lo, hi))
+            return finish(self, lo, hi, out)
+
+        monkeypatch.setattr(FarField, "_finish", recording)
+        return calls
+
+    @pytest.mark.parametrize("n, pad", BLOCK_CASES)
+    def test_frame_and_rows_match_definition(self, n, pad):
+        mask = random_mask(n, 17 * n + pad)
+        far = diffract_far_field(mask, pad)
+        m = far.grid.samples_per_side
+        expected = padded_transform_definition(mask.values, pad)
+        got = far.rows(0, m)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        gray, peak = far.frame()
+        intensity = np.abs(got) ** 2
+        assert peak == intensity.max()
+        assert np.array_equal(gray, np.rint(255.0 * intensity / peak))
+        reference = 255.0 * np.abs(expected) ** 2 / peak
+        assert np.abs(gray - reference).max() <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("n, pad", BLOCK_CASES)
+    def test_bands_across_block_edges_and_middle_row(self, n, pad):
+        mask = random_mask(n, 19 * n + pad)
+        far = diffract_far_field(mask, pad)
+        m = far.grid.samples_per_side
+        h = m // 2
+        expected = padded_transform_definition(mask.values, pad)
+        bound = 1e-13 * np.abs(expected).max()
+        edge = gratings.QUANTISE_BLOCK_ROWS
+        bands = [(h - 1, h + 1), (h, h + 2), (h - 5, h + 5), (1, h),
+                 (h + 1, h + 2), (m - h // 2, m)]
+        bands += [(lo, hi) for lo, hi in ((edge - 1, edge + 1),
+                                          (edge - 3, h + 7),
+                                          (m - edge - 2, m - edge + 3))
+                  if 0 <= lo <= hi <= m]
+        for lo, hi in bands:
+            got = far.rows(lo, hi)
+            assert got.shape == (hi - lo, m)
+            assert np.abs(got - expected[lo:hi]).max() <= bound
+
+    def test_rows_finish_one_run_frame_finishes_blocks(self, monkeypatch):
+        far = diffract_far_field(random_mask(48, 5), 8)
+        m = far.grid.samples_per_side
+        h = m // 2
+        calls = self.record_finishes(monkeypatch)
+        far.rows(h - 20, h + 20)     # extract_order's band
+        far.rows(h + 1, h + 4)       # mirror only
+        far.rows(10, 30)             # direct only
+        far.rows(0, m)
+        assert calls == [(h - 20, h + 1), (h - 3, h), (10, 30), (0, h + 1)]
+        calls.clear()
+        far.frame()
+        block = gratings.QUANTISE_BLOCK_ROWS
+        assert calls == [(lo, min(lo + block, h + 1))
+                         for lo in range(0, h + 1, block)]
+
+    def test_plane_op_memory(self):
+        # one README-sized plane op with a cold aperture kernel: the column
+        # spectrum (8 MiB), the half intensity (16 MiB), the frame (4 MiB)
+        # and one block; the whole complex half plane alone is 32 MiB
+        grid = GridSpec(512, 1e-6)
+        spec = HologramSpec(3, 0.4, PlaneReference(2.5e8))
+        mask = synthesize_hologram(spec, grid)
+        _aperture_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            far = diffract_far_field(mask, 4)
+            far.frame()
+            for order in (-1, 0, 1):
+                extract_order(far, spec, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from evfaraday import (BeamParameters, ComplexField, ELEMENTARY_CHARGE,
                        unwrap_orientations, width_function,
                        width_function_exact)
 from evfaraday.errors import (ContainmentError, GridMismatchError,
-                              StepTooLargeError)
+                              InvalidGridError, StepTooLargeError)
 from evfaraday.propagation import (BORDER_INTENSITY_LIMIT, _check_contained,
                                    _check_field_contained)
 
@@ -373,6 +373,49 @@ class TestExactScheme:
         # with the field on, sin(Omega dz)/Omega < dz only loosens the
         # kinetic bound
         assert exact_step_limit(grid, beam) > 128 * aliasing_limit(grid, beam)
+
+    @pytest.mark.parametrize("n, sides, tesla", [
+        (64, 8, 1.0), (256, 12, -2.0), (512, 8, 0.1), (128, 100, 5.0)])
+    def test_limits_equal_their_textbook_forms(self, n, sides, tesla):
+        # the overflow-free forms differ from the formulas only in rounding
+        p = BeamParameters(E60, tesla)
+        grid = GridSpec(n, sides * magnetic_width(p))
+        k0, omega = base_wavenumber(p), abs(larmor_wavenumber(p))
+        alias = 2 * math.pi * k0 / (2 * (math.pi / grid.pitch) ** 2)
+        assert aliasing_limit(grid, p) == pytest.approx(alias, rel=1e-15)
+        a_max = math.pi / (k0 * omega ** 2 * grid.physical_side_length
+                           * grid.pitch)
+        limit = 2 * math.atan(omega * a_max) / omega
+        if omega * n / 2 * alias < 1:
+            limit = min(limit, math.asin(omega * n / 2 * alias) / omega)
+        assert exact_step_limit(grid, p) == pytest.approx(limit, rel=1e-14)
+
+    @pytest.mark.parametrize("n, side, tesla, electronvolts", [
+        (64, 1e-200, 1.0, 60e3),     # pitch^2 underflows
+        (16, 1e-300, 0.0, 60e3),     # also with the field off
+        (16, 1e300, 1.0, 60e3),      # pitch^2 overflows
+        (16, 1e-7, 1.0, 1e-300)])    # k0 rounds to 0
+    def test_unrepresentable_limits_refused(self, n, side, tesla,
+                                            electronvolts):
+        p = BeamParameters(electronvolts * ELEMENTARY_CHARGE, tesla)
+        grid = GridSpec(n, side)
+        for limit in (aliasing_limit, exact_step_limit):
+            with pytest.raises(InvalidGridError, match="positive, finite"):
+                limit(grid, p)
+
+    def test_uncountable_steps_refused(self, beam):
+        grid = GridSpec(16, 1e-150)
+        assert exact_step_limit(grid, beam) < 1e-280
+        with pytest.raises(InvalidGridError, match="more exact steps"):
+            exact_steps_per_plane(grid, beam, 1e300)
+
+    def test_unrepresentable_phases_refused(self):
+        # k_L^2 overflows, though both step limits are finite
+        p = BeamParameters(E60, 1e300)
+        grid = GridSpec(16, 8 * magnetic_width(p))
+        dz = 0.5 * exact_step_limit(grid, p)
+        with pytest.raises(InvalidGridError, match="not finite"):
+            make_plan(grid, p, dz, scheme="exact")
 
     def test_step_bound_names_exact_step_limit(self, beam, w_b):
         grid = GridSpec(64, 8 * w_b)
