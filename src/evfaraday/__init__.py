@@ -17,7 +17,7 @@ from .core import (BOHR_MAGNETON, ELECTRON_MASS, ELEMENTARY_CHARGE, G_FACTOR,
                    mode_wavenumber, paraxial_phase, verdet_parameter)
 from .gratings import (BinaryMask, FarField, HologramSpec, PlaneReference,
                        SphericalReference, default_carrier, design_value,
-                       diffract_far_field, extract_order,
+                       diffract_far_field, extract_orders,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
 from .modes import (ComplexField, GridSpec, ModeSuperposition, assoc_laguerre,

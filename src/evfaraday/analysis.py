@@ -119,11 +119,11 @@ def unwrap_orientations(angles, l: int, start: float = 0.0) -> np.ndarray:
     return out
 
 
-def radial_peak_radius(field: ComplexField, floor_pixels: float = 2.0) -> float:
+def radial_peak_radius(field: ComplexField) -> float:
     """Radius of maximum azimuthally averaged intensity, in metres.
 
     Used to pick the most informative circle for angular profiling; the
-    result never falls below floor_pixels grid pitches so the circle stays
+    result never falls below two grid pitches so the circle stays
     resolvable.
     """
     intensity = field.intensity()
@@ -134,7 +134,7 @@ def radial_peak_radius(field: ComplexField, floor_pixels: float = 2.0) -> float:
     usable = field.grid.samples_per_side // 2 - 1
     mean = sums[:usable] / counts[:usable]
     peak = int(np.argmax(mean)) + 0.5
-    return max(peak, floor_pixels) * field.grid.pitch
+    return max(peak, 2.0) * field.grid.pitch
 
 
 def effective_width(field: ComplexField, l: int = 0) -> float:

@@ -27,9 +27,9 @@ from .core import (ELEMENTARY_CHARGE, BeamParameters, ModeIndex,
 from .errors import EvfError, NoPatternError
 from .fileio import (format_csv, save_field, write_frame_pgm,
                      write_intensity_pgm, write_mask_pgm, write_text)
-from .gratings import (DEFAULT_PAD_FACTOR, HologramSpec, PlaneReference,
-                       SphericalReference, default_carrier,
-                       diffract_far_field, extract_order,
+from .gratings import (CHIRPED_EMBED_FACTOR, DEFAULT_PAD_FACTOR,
+                       HologramSpec, PlaneReference, SphericalReference,
+                       default_carrier, diffract_far_field, extract_orders,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
 from .modes import (GridSpec, ModeSuperposition, petal_radius,
@@ -46,6 +46,13 @@ ROTATION_SELF_CHECK_RTOL = 0.02
 #: Most exact-scheme steps a rotate or breathe run may take over all its
 #: output planes; the README examples take one per plane.
 MAX_TOTAL_STEPS = 10 ** 6
+
+#: Most samples a side of a grid, far field or chirped-order embed; twice
+#: the README's 2048^2 far field.  A 4096^2 complex plane is 256 MiB.
+MAX_PLANE_SIDE = 4096
+
+#: Most energies evf verdet-curve samples; the README example takes 64.
+MAX_CURVE_POINTS = 10 ** 5
 
 #: Largest relative deviation of the measured width from
 #: width_function_exact that evf breathe accepts; acceptance criterion 3's
@@ -82,6 +89,15 @@ def _plane_stepping(args, grid: GridSpec, p: BeamParameters,
             f"output plane) on this grid, more than the {MAX_TOTAL_STEPS:.0e} "
             "allowed; coarsen the grid or shorten the run")
     return spacing / steps, steps
+
+
+def _check_plane_side(what: str, side: int):
+    """Refuse a plane of more than MAX_PLANE_SIDE samples a side before
+    anything is allocated."""
+    if side > MAX_PLANE_SIDE:
+        raise CliUsageError(
+            f"the {what} would be {side} samples a side, more than the "
+            f"{MAX_PLANE_SIDE} allowed; coarsen the grid")
 
 
 def _ensure_outdir(args) -> str:
@@ -132,6 +148,8 @@ def cmd_verdet_curve(args) -> int:
         raise CliUsageError("need 0 < E_min < E_max")
     if args.points < 2:
         raise CliUsageError("need at least 2 points")
+    if args.points > MAX_CURVE_POINTS:
+        raise CliUsageError(f"need at most {MAX_CURVE_POINTS} points")
     energies = np.geomspace(e_min, e_max, args.points)
     rows = []
     for energy in energies:
@@ -170,6 +188,7 @@ def cmd_rotate(args) -> int:
         w0 = parse_length(args.w0)
         side = parse_length(args.grid_side)
         z_target = parse_length(args.z_max)
+    _check_plane_side("grid", args.grid_n)
     grid = GridSpec(args.grid_n, side)
     dz, steps_per_output = _plane_stepping(args, grid, p, z_target)
     pair = ModeSuperposition.opposite_pair(args.l, w0, p)
@@ -234,6 +253,7 @@ def cmd_breathe(args) -> int:
     z_target = args.periods * math.pi / abs(k_l)
     side = (parse_length(args.grid_side) if args.grid_side
             else 6.0 * max(w0, w_b * w_b / w0))
+    _check_plane_side("grid", args.grid_n)
     grid = GridSpec(args.grid_n, side)
     dz, steps_per_output = _plane_stepping(args, grid, p, z_target)
     mode = ModeSuperposition(((ModeIndex(0, args.l), 1.0, w0),), p)
@@ -265,9 +285,10 @@ def cmd_breathe(args) -> int:
 def _plane_diffraction_report(args, mask, spec, p, outdir) -> dict:
     far = diffract_far_field(mask, args.pad)
     write_frame_pgm(os.path.join(outdir, "farfield.pgm"), *far.frame())
+    fields = extract_orders(far, spec)
     report = {}
     for order, label in ((-1, "order_m1"), (0, "order_0"), (1, "order_p1")):
-        field = extract_order(far, spec, order)
+        field = fields[order]
         save_field(os.path.join(outdir, label + ".field"), field, _energy_ev(p),
                    p.field_bz, note=f"diffraction order {order:+d}")
         # each order is probed where its own azimuthal average peaks
@@ -301,6 +322,7 @@ def _spherical_focus_report(mask, spec, p) -> dict:
 
 
 def cmd_grating(args) -> int:
+    _check_plane_side("grid", args.grid_n)
     grid = GridSpec(args.grid_n, parse_length(args.grid_side))
     phi0 = parse_angle(args.phi0)
     if args.spherical:
@@ -318,9 +340,14 @@ def cmd_grating(args) -> int:
     if args.diffract:
         # reject the analysis inputs before any output is written
         p = BeamParameters(parse_energy(args.energy), 0.0)
-        if not args.spherical and args.pad < 1:
+        if args.spherical:
+            _check_plane_side("chirped-order embed",
+                              args.grid_n * CHIRPED_EMBED_FACTOR)
+        elif args.pad < 1:
             raise CliUsageError(
                 f"pad_factor must be >= 1, got --pad {args.pad}")
+        else:
+            _check_plane_side("far field", args.grid_n * args.pad)
     mask = synthesize_hologram(spec, grid)
     outdir = _ensure_outdir(args)
     write_mask_pgm(os.path.join(outdir, "mask.pgm"), mask.values)

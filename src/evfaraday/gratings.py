@@ -186,10 +186,11 @@ def _column_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
 
 
 def _point_mirror(full: np.ndarray) -> np.ndarray:
-    """Fill rows m/2 + 1..m - 1 of an m x m array of any dtype from its rows
-    0..m/2, full[j, c] = full[m - j, (m - c) % m], the point mirror under
-    which the intensity of a Hermitian spectrum is invariant; returns full."""
-    h = full.shape[1] // 2
+    """Fill rows h + 1..2h - 1 of a 2h x m array of any dtype from its rows
+    h - 1..1, full[h + k, c] = full[h - k, (m - c) % m], the point mirror
+    about row h under which the intensity of a Hermitian spectrum is
+    invariant (h = m/2 for the whole frame); returns full."""
+    h = full.shape[0] // 2
     full[h + 1:, 0] = full[h - 1:0:-1, 0]
     full[h + 1:, 1:] = full[h - 1:0:-1, :0:-1]
     return full
@@ -203,10 +204,11 @@ class FarField:
     pad_factor the mask's samples per side (_column_spectrum).  Row j <= m/2
     of the m x m field is finished from column j by one zero-padded
     length-m fft along x.  The spectrum of a real mask is Hermitian, so row
-    j > m/2 is conj(row m - j) at columns (m - c) % m.  rows() finishes only
-    the rows it returns or mirrors, frame() finishes rows 0..m/2 a block at
-    a time, and amplitudes builds the whole array.  pad_factor is the zero
-    padding of the transform.
+    j > m/2 is conj(row m - j) at columns (m - c) % m.  band(half) finishes
+    only rows m/2 - half..m/2 and mirrors the rest of the centred band it
+    returns, frame() finishes rows 0..m/2 a block at a time, and amplitudes
+    is the widest band, the whole array.  pad_factor, an integer >= 1, is
+    the zero padding of the transform.
     """
 
     grid: GridSpec
@@ -214,12 +216,14 @@ class FarField:
     pad_factor: int
 
     def __post_init__(self):
-        m = self.grid.samples_per_side
-        n = m // self.pad_factor
-        if n * self.pad_factor != m or self.columns.shape != (n, m // 2 + 1):
+        m, pad = self.grid.samples_per_side, self.pad_factor
+        if not isinstance(pad, (int, np.integer)) or pad < 1:
+            raise ValueError(f"pad_factor must be an integer >= 1, got {pad}")
+        n = m // pad
+        if n * pad != m or self.columns.shape != (n, m // 2 + 1):
             raise ValueError(
                 f"column spectrum shape {self.columns.shape} does not match "
-                f"grid and padding ({m // self.pad_factor} x {m // 2 + 1})")
+                f"grid and padding ({n} x {m // 2 + 1})")
 
     def _finish(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Write rows lo..hi-1 of the far field, 0 <= lo <= hi <= m/2 + 1,
@@ -239,31 +243,17 @@ class FarField:
                              out=out[row - lo, m // 2 + 1:])
         return out
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Complex rows lo..hi-1 of the full far field, as a new array."""
-        m = self.grid.samples_per_side
-        h = m // 2
-        if not 0 <= lo <= hi <= m:
-            raise ValueError(f"rows {lo}:{hi} outside 0:{m}")
-        split = min(max(lo, h + 1), hi)
-        # rows split..hi-1 mirror rows m-split..m-hi+1; together with rows
-        # lo..split-1 they are one run a..b-1 of rows 0..m/2, finished once
-        if hi == split:
-            a, b = lo, hi
-        elif lo == split:
-            a, b = m - hi + 1, m - lo + 1
-        else:
-            a, b = min(lo, m - hi + 1), split
-        out = np.empty((hi - lo, m), dtype=np.complex128)
-        if (a, b) == (lo, split):
-            # the run is rows lo..split-1 themselves: finish them in place
-            finished = self._finish(a, b, out[:b - a])
-        else:
-            finished = self._finish(a, b, np.empty((b - a, m), np.complex128))
-            out[:split - lo] = finished[lo - a:split - a]
-        src = finished[m - hi + 1 - a:m - split + 1 - a][::-1]
-        np.conjugate(src[:, 0], out=out[split - lo:, 0])
-        np.conjugate(src[:, :0:-1], out=out[split - lo:, 1:])
+    def band(self, half: int) -> np.ndarray:
+        """Complex rows m/2 - half..m/2 + half - 1 of the full far field,
+        for 1 <= half <= m/2, as a new array: rows up to m/2 are finished
+        in place, the rows above are their conjugate point mirror."""
+        h = self.grid.samples_per_side // 2
+        if not 1 <= half <= h:
+            raise ValueError(f"band half-width {half} outside 1..{h}")
+        out = np.empty((2 * half, 2 * h), dtype=np.complex128)
+        self._finish(h - half, h + 1, out[:half + 1])
+        mirrored = _point_mirror(out)[half + 1:]
+        np.conjugate(mirrored, out=mirrored)
         return out
 
     def frame(self) -> tuple[np.ndarray, float]:
@@ -292,8 +282,9 @@ class FarField:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The full m x m complex far field, built on each access."""
-        return self.rows(0, self.grid.samples_per_side)
+        """The full m x m complex far field, the widest band, built on each
+        access."""
+        return self.band(self.grid.samples_per_side // 2)
 
 
 def diffract_far_field(mask: BinaryMask,
@@ -319,15 +310,13 @@ def diffract_far_field(mask: BinaryMask,
 @lru_cache(maxsize=4)
 def _aperture_kernel(n: int, pad_factor: int,
                      half: int) -> tuple[np.ndarray, int]:
-    """(|rows|^2, open-pixel count) of the bare inscribed-circle aperture's
-    far field, rows m/2 - half..m/2 + half - 1: the band extract_order
-    reads.  By Parseval the whole plane sums to the count."""
+    """(|band(half)|^2, open-pixel count) of the bare inscribed-circle
+    aperture's far field: the band extract_orders reads, rows m/2 -
+    half..m/2 + half - 1.  By Parseval the whole plane sums to the count."""
     disk = _inscribed_aperture(n)
     # the transform works in pixels; the grid's side length does not enter
     far = diffract_far_field(BinaryMask(GridSpec(n, 1.0), disk), pad_factor)
-    centre = far.grid.samples_per_side // 2
-    band = np.abs(far.rows(centre - half, centre + half)) ** 2
-    return band, int(np.count_nonzero(disk))
+    return np.abs(far.band(half)) ** 2, int(np.count_nonzero(disk))
 
 
 def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
@@ -339,18 +328,19 @@ def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
     return float(band[:, c0:c1].sum())
 
 
-def extract_order(far_field: FarField, spec: HologramSpec,
-                  order: int) -> ComplexField:
-    """Crop the far field around one diffraction order and re-centre it.
+def extract_orders(far_field: FarField,
+                   spec: HologramSpec) -> dict[int, ComplexField]:
+    """Crop the far field around orders -1, 0 and +1 and re-centre each;
+    returns {-1: field, 0: field, +1: field}.
 
     Only plane-reference holograms separate their orders transversely;
     spherical references raise OrderSeparationError.  The window half-width
-    is k_x / 2; estimated neighbour leakage above 1 percent of the order's
-    own power, spread by the aperture kernel at the far field's own
-    padding, also raises OrderSeparationError.
+    is k_x / 2, and every window and crop spans the one band of rows m/2 +-
+    k_x / 2, finished once.  Estimated neighbour leakage above 1 percent of
+    an order's own power, spread by the aperture kernel at the far field's
+    own padding, also raises OrderSeparationError; orders are checked in
+    the order -1, 0, +1.
     """
-    if order not in (-1, 0, +1):
-        raise ValueError("order must be -1, 0 or +1")
     if isinstance(spec.reference, SphericalReference):
         raise OrderSeparationError(
             "spherical-reference orders separate longitudinally, not "
@@ -366,39 +356,41 @@ def extract_order(far_field: FarField, spec: HologramSpec,
             f"carrier spans only {carrier_px:.1f} far-field pixels; windows "
             "would be smaller than a usable grid")
     centre = m // 2
-    col = centre + round(order * carrier_px)
-    if col - half < 0 or col + half > m:
+    cols = {o: centre + round(o * carrier_px) for o in range(-3, 4)}
+    # the +-1 windows are mirror images about the centre and order 0's lies
+    # between them, so order -1's lower edge bounds all three
+    if cols[-1] - half < 0:
         raise OrderSeparationError(
-            f"order {order:+d} window falls outside the sampled far field")
+            "order -1 window falls outside the sampled far field")
 
-    # all windows and the crop span the same rows; the bounds check above
-    # implies half <= m/2, so these rows lie inside the far field
-    band = far_field.rows(centre - half, centre + half)
+    # the bounds check above implies half <= m/2, a valid band
+    band = far_field.band(half)
     intensity = np.abs(band) ** 2
     kernel_band, kernel_total = _aperture_kernel(n_mask, pad_factor, half)
-    powers = {}
-    for o in (-3, -2, -1, 0, 1, 2, 3):
-        p = _window_sum(intensity, centre + round(o * carrier_px), half)
-        if not math.isnan(p):
-            powers[o] = p
-    own = powers[order]
-    leak = 0.0
-    for o, p in powers.items():
-        if o == order:
-            continue
-        spread = _window_sum(kernel_band,
-                             centre + round(abs(o - order) * carrier_px), half)
-        if not math.isnan(spread):
-            leak += p * spread / kernel_total
-    if own <= 0 or leak > LEAKAGE_LIMIT * own:
-        raise OrderSeparationError(
-            f"estimated neighbour leakage {leak:.3e} exceeds 1% of order "
-            f"{order:+d} power {own:.3e}; increase the carrier frequency")
-
-    # the crop is the order's own window, whose power is `own`
-    norm = math.sqrt(own * freq_pitch ** 2)
+    # a window that leaves the band sums to nan and adds no leakage
+    powers = {o: _window_sum(intensity, col, half) for o, col in cols.items()}
+    # an order's neighbours lie 1..4 carriers away
+    spreads = {d: _window_sum(kernel_band, centre + round(d * carrier_px),
+                              half) for d in range(1, 5)}
     out_grid = GridSpec(2 * half, 2 * half * freq_pitch)
-    return ComplexField(out_grid, 0.0, band[:, col - half:col + half] / norm)
+    fields = {}
+    for order in (-1, 0, +1):
+        own = powers[order]
+        leak = 0.0
+        for o, p in powers.items():
+            spread = math.nan if o == order else spreads[abs(o - order)]
+            if not math.isnan(p * spread):
+                leak += p * spread / kernel_total
+        if own <= 0 or leak > LEAKAGE_LIMIT * own:
+            raise OrderSeparationError(
+                f"estimated neighbour leakage {leak:.3e} exceeds 1% of order "
+                f"{order:+d} power {own:.3e}; increase the carrier frequency")
+        # the crop is the order's own window, whose power is `own`
+        norm = math.sqrt(own * freq_pitch ** 2)
+        col = cols[order]
+        fields[order] = ComplexField(out_grid, 0.0,
+                                     band[:, col - half:col + half] / norm)
+    return fields
 
 
 def spherical_focus_distance(spec: HologramSpec, p: BeamParameters) -> float:

@@ -106,6 +106,18 @@ class TestVerdetCurve:
         assert main(["verdet-curve", "--e-min", "10keV",
                      "--e-max", "1keV"]) == 2
 
+    def test_point_count_bounded(self, capsys, monkeypatch):
+        # refused on the count alone, before any energy is sampled
+        def refuse(*a, **kw):
+            raise AssertionError("sampled a refused curve")
+        monkeypatch.setattr(np, "geomspace", refuse)
+        assert main(["verdet-curve", "--e-min", "1keV", "--e-max", "2keV",
+                     "-n", str(cli.MAX_CURVE_POINTS + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: need at most {cli.MAX_CURVE_POINTS} points\n")
+
 
 class TestRotate:
     def test_tracks_analytic_and_self_checks(self, tmp_path, capsys):
@@ -402,9 +414,12 @@ def extreme_quantity(unit):
 
 @st.composite
 def extreme_argv(draw):
-    command = draw(st.sampled_from(["rotate", "breathe"]))
-    units = {"--energy": "eV", "--field": "T", "--grid-side": "m",
-             "--w0": "m"}
+    command = draw(st.sampled_from(["rotate", "breathe", "grating"]))
+    units = {"--energy": "eV", "--grid-side": "m"}
+    if command == "grating":
+        units.update({"--kx": "m-1", "--curvature": "m-2", "--phi0": "rad"})
+    else:
+        units.update({"--field": "T", "--w0": "m"})
     if command == "rotate":
         units.update({"--z-max": "m", "--phi-max": "rad"})
     argv = [command]
@@ -412,8 +427,12 @@ def extreme_argv(draw):
         if draw(st.booleans()):
             # --option=value, so a leading minus is not read as an option
             argv.append(f"{option}={draw(extreme_quantity(unit))}")
-    return argv + ["--grid-n", str(draw(st.integers(0, 64))),
-                   "--outputs", str(draw(st.integers(-1, 4)))]
+    argv += ["--grid-n", str(draw(st.integers(0, 64)))]
+    if command == "grating":
+        spherical = ["--spherical"] if draw(st.booleans()) else []
+        return argv + spherical + ["--pad", str(draw(st.integers(-1, 8))),
+                                   "--diffract"]
+    return argv + ["--outputs", str(draw(st.integers(-1, 4)))]
 
 
 class TestErrorBoundary:
@@ -493,8 +512,9 @@ class TestErrorBoundary:
     @example(argv=shlex.split(EXTREME_COMMANDS[2]))
     @example(argv=shlex.split(EXTREME_COMMANDS[3]))
     def test_extreme_values_exit_cleanly(self, argv):
-        # --grid-n stays at most 64 and the step ceiling is lowered, so no
-        # example allocates a large plane or runs a long propagation
+        # --grid-n stays at most 64, --pad at most 8, and the step ceiling
+        # is lowered, so no example allocates a large plane or runs a long
+        # propagation
         with tempfile.TemporaryDirectory() as outdir, \
                 mock.patch.object(cli, "MAX_TOTAL_STEPS", 1000):
             assert main(argv + ["-o", outdir]) in (0, 1, 2)
@@ -592,6 +612,64 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "even integer >= 16" in err
+
+
+class TestPlaneSizeCeiling:
+    """Every plane a command would build is at most MAX_PLANE_SIDE samples
+    a side, checked on the value alone before anything is allocated."""
+
+    class Reached(Exception):
+        """The run got past its checks to its first large allocation."""
+
+    @pytest.fixture
+    def stop_before_allocation(self, monkeypatch):
+        # make_plan and synthesize_hologram allocate first in their commands
+        def stop(*a, **kw):
+            raise self.Reached
+        monkeypatch.setattr(cli, "make_plan", stop)
+        monkeypatch.setattr(cli, "synthesize_hologram", stop)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rotate", "--grid-n", str(10 ** 12)],
+         "the grid would be 1000000000000 samples a side"),
+        (["breathe", "--grid-n", str(cli.MAX_PLANE_SIDE + 2)],
+         f"the grid would be {cli.MAX_PLANE_SIDE + 2} samples a side"),
+        (["grating", "--grid-n", str(cli.MAX_PLANE_SIDE + 2)],
+         f"the grid would be {cli.MAX_PLANE_SIDE + 2} samples a side"),
+        (["grating", "--kx", "2.5e8m-1", "--pad", "9", "--diffract"],
+         "the far field would be 4608 samples a side"),
+        (["grating", "--kx", "2.5e8m-1", "--pad", str(10 ** 15),
+          "--diffract"], f"the far field would be {512 * 10 ** 15} samples"),
+        (["grating", "--spherical", "--curvature", "1.5e14m-2",
+          "--grid-n", str(cli.MAX_PLANE_SIDE // 2 + 2), "--diffract"],
+         f"the chirped-order embed would be {cli.MAX_PLANE_SIDE + 4} "
+         "samples a side"),
+    ])
+    def test_refused_before_allocation(self, tmp_path, capsys, monkeypatch,
+                                       stop_before_allocation, argv,
+                                       message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert f"more than the {cli.MAX_PLANE_SIDE} allowed" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["grating", "--grid-n", str(cli.MAX_PLANE_SIDE)],
+        # the README far field is 2048^2; its double is admitted
+        ["grating", "--kx", "2.5e8m-1", "--grid-n",
+         str(cli.MAX_PLANE_SIDE // 4), "--pad", "4", "--diffract"],
+        ["grating", "--spherical", "--curvature", "1.5e14m-2",
+         "--grid-n", str(cli.MAX_PLANE_SIDE // 2), "--diffract"],
+    ])
+    def test_bound_itself_admitted(self, tmp_path, stop_before_allocation,
+                                   argv):
+        assert cli.MAX_PLANE_SIDE >= 2 * 512 * cli.DEFAULT_PAD_FACTOR
+        with pytest.raises(self.Reached):
+            main(argv + ["-o", str(tmp_path)])
 
 
 class TestEntryPoints:

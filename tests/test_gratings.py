@@ -16,7 +16,7 @@ from evfaraday import (BeamParameters, BinaryMask, ComplexField,
                        PlaneReference, SphericalReference, angular_intensity,
                        base_wavenumber, default_carrier, design_value,
                        diffract_far_field, effective_width,
-                       exact_steps_per_plane, extract_order,
+                       exact_steps_per_plane, extract_orders,
                        harmonic_fraction, isolate_chirped_order,
                        locate_minimum_width_plane, make_plan,
                        pattern_orientation, propagate_definite_l,
@@ -130,7 +130,7 @@ class TestMaskGeometry:
                 spec = plane_spec(grid, fringes=40, l=l, phi0=phi0)
                 mask = synthesize_hologram(spec, grid)
                 far = diffract_far_field(mask, 8)
-                field = extract_order(far, spec, +1)
+                field = extract_orders(far, spec)[+1]
                 prof = angular_intensity(field, radial_peak_radius(field), 256)
                 measured.append((pattern_orientation(prof, l),
                                  harmonic_fraction(prof, 2 * l)))
@@ -227,7 +227,7 @@ class TestFarField:
     @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
     def test_aperture_kernel_matches_definition(self, n, pad):
         # the cached kernel is the band of rows m/2 - half..m/2 + half - 1
-        # that extract_order reads, and the disk's open-pixel count
+        # that extract_orders reads, and the disk's open-pixel count
         idx = np.arange(n) - n / 2 + 0.5
         xg, yg = np.meshgrid(idx, idx)
         disk = (xg ** 2 + yg ** 2 <= (n / 2.0) ** 2).astype(np.float64)
@@ -250,7 +250,7 @@ def random_mask(n, seed):
 
 
 class TestHalfPlaneFarField:
-    """The far field is stored as rows 0..m/2; every other row is a
+    """Rows 0..m/2 of the far field hold all of it; every other row is a
     point-mirrored conjugate of one of them."""
 
     @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
@@ -271,18 +271,18 @@ class TestHalfPlaneFarField:
         m = far.grid.samples_per_side
         h = m // 2
         bound = 1e-13 * np.abs(expected).max()
-        # bands straddling m/2, mirror-only bands, the whole plane
-        for lo, hi in ((h - 1, h + 2), (h - 3, h + 3), (h, h + 1),
-                       (h + 1, m), (m - 1, m), (2, m - 1), (0, m)):
-            got = far.rows(lo, hi)
-            assert got.shape == (hi - lo, m)
-            assert np.abs(got - expected[lo:hi]).max() <= bound
+        # band(half) is rows h - half..h + half - 1; band(h) the whole plane
+        for half in sorted({1, 2, m // 4, h - 1, h}):
+            got = far.band(half)
+            assert got.shape == (2 * half, m)
+            assert np.abs(got - expected[h - half:h + half]).max() <= bound
 
     def test_rows_out_of_range_rejected(self):
+        # a band is 1..m/2 rows either side of row m/2
         far = diffract_far_field(random_mask(16, 1), 2)
-        for lo, hi in ((-1, 3), (5, 4), (0, 33)):
-            with pytest.raises(ValueError):
-                far.rows(lo, hi)
+        for half in (0, 17, -1):
+            with pytest.raises(ValueError, match="band half-width"):
+                far.band(half)
 
     def test_half_plane_shape_checked(self):
         # the stored column spectrum is (n, m/2 + 1), n = m / pad_factor
@@ -293,6 +293,10 @@ class TestHalfPlaneFarField:
                            (2, (8, 16)), (3, (5, 9)), (4, (9, 4))):
             with pytest.raises(ValueError):
                 FarField(grid, np.zeros(shape, np.complex128), pad)
+        # the padding is an integer >= 1, refused before it divides
+        for pad in (0, -2, 1.0):
+            with pytest.raises(ValueError, match="pad_factor must be an int"):
+                FarField(grid, np.zeros((16, 9), np.complex128), pad)
 
     @pytest.mark.parametrize("n, fringes, pad", [(256, 40, 4), (192, 40, 4)])
     def test_extract_order_matches_definition_crops(self, n, fringes, pad):
@@ -305,12 +309,14 @@ class TestHalfPlaneFarField:
         carrier_px = spec.reference.k_x / (2 * math.pi) / far.grid.pitch
         half = int(carrier_px / 2)
         rows = slice(m // 2 - half, m // 2 + half)
+        fields = extract_orders(far, spec)
+        assert list(fields) == [-1, 0, 1]
         for order in (-1, 0, 1):
             col = m // 2 + round(order * carrier_px)
             crop = expected[rows, col - half:col + half]
             crop = crop / math.sqrt(float(np.sum(np.abs(crop) ** 2))
                                     * far.grid.pitch ** 2)
-            got = extract_order(far, spec, order).amplitudes
+            got = fields[order].amplitudes
             assert got.shape == crop.shape
             assert np.abs(got - crop).max() <= 1e-13 * np.abs(crop).max()
 
@@ -381,8 +387,8 @@ class TestFarFieldFrame:
 
 
 class TestStreamedFarField:
-    """FarField keeps the mask's column spectrum; rows() finishes the one
-    run of rows 0..m/2 it returns or mirrors, frame() finishes rows 0..m/2
+    """FarField keeps the mask's column spectrum; band(half) finishes rows
+    m/2 - half..m/2 once and mirrors the rest, frame() finishes rows 0..m/2
     in blocks of QUANTISE_BLOCK_ROWS into one buffer."""
 
     # m/2 + 1 = 33 (under one block), 64 and 128 (whole blocks), 65 and
@@ -407,7 +413,7 @@ class TestStreamedFarField:
         far = diffract_far_field(mask, pad)
         m = far.grid.samples_per_side
         expected = padded_transform_definition(mask.values, pad)
-        got = far.rows(0, m)
+        got = far.band(m // 2)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         gray, peak = far.frame()
         intensity = np.abs(got) ** 2
@@ -425,32 +431,43 @@ class TestStreamedFarField:
         expected = padded_transform_definition(mask.values, pad)
         bound = 1e-13 * np.abs(expected).max()
         edge = gratings.QUANTISE_BLOCK_ROWS
-        bands = [(h - 1, h + 1), (h, h + 2), (h - 5, h + 5), (1, h),
-                 (h + 1, h + 2), (m - h // 2, m)]
-        bands += [(lo, hi) for lo, hi in ((edge - 1, edge + 1),
-                                          (edge - 3, h + 7),
-                                          (m - edge - 2, m - edge + 3))
-                  if 0 <= lo <= hi <= m]
-        for lo, hi in bands:
-            got = far.rows(lo, hi)
-            assert got.shape == (hi - lo, m)
-            assert np.abs(got - expected[lo:hi]).max() <= bound
+        # bands whose lowest row h - half sits on, or either side of, a
+        # block edge, and the narrow bands around row m/2
+        lowest = {e + d for e in range(edge, h + 1, edge) for d in (-1, 0, 1)}
+        halves = {h - lo for lo in lowest if lo < h} | {1, 2, 5, h}
+        for half in sorted(halves):
+            got = far.band(half)
+            assert got.shape == (2 * half, m)
+            assert (np.abs(got - expected[h - half:h + half]).max()
+                    <= bound)
 
     def test_rows_finish_one_run_frame_finishes_blocks(self, monkeypatch):
         far = diffract_far_field(random_mask(48, 5), 8)
         m = far.grid.samples_per_side
         h = m // 2
         calls = self.record_finishes(monkeypatch)
-        far.rows(h - 20, h + 20)     # extract_order's band
-        far.rows(h + 1, h + 4)       # mirror only
-        far.rows(10, 30)             # direct only
-        far.rows(0, m)
-        assert calls == [(h - 20, h + 1), (h - 3, h), (10, 30), (0, h + 1)]
+        far.band(20)
+        far.band(1)
+        far.band(h)
+        assert calls == [(h - 20, h + 1), (h - 1, h + 1), (0, h + 1)]
         calls.clear()
         far.frame()
         block = gratings.QUANTISE_BLOCK_ROWS
         assert calls == [(lo, min(lo + block, h + 1))
                          for lo in range(0, h + 1, block)]
+
+    def test_extract_orders_finishes_one_band(self, monkeypatch):
+        # the windows and crops of all three orders read one band of rows
+        # m/2 - half..m/2 + half - 1; its rows up to m/2 are finished once
+        grid = GridSpec(256, 1e-6)
+        spec = plane_spec(grid, fringes=40, l=2, phi0=0.3)
+        far = diffract_far_field(synthesize_hologram(spec, grid), 4)
+        extract_orders(far, spec)     # the aperture kernel is now cached
+        calls = self.record_finishes(monkeypatch)
+        extract_orders(far, spec)
+        h = far.grid.samples_per_side // 2
+        half = int(spec.reference.k_x / (2 * math.pi) / far.grid.pitch / 2)
+        assert calls == [(h - half, h + 1)]
 
     def test_plane_op_memory(self):
         # one README-sized plane op with a cold aperture kernel: the column
@@ -464,8 +481,7 @@ class TestStreamedFarField:
         try:
             far = diffract_far_field(mask, 4)
             far.frame()
-            for order in (-1, 0, 1):
-                extract_order(far, spec, order)
+            extract_orders(far, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -492,7 +508,7 @@ def sph():
 class TestExtractOrder:
     def test_first_order_two_lobes_oriented(self, far_and_spec):
         far, spec = far_and_spec
-        field = extract_order(far, spec, +1)
+        field = extract_orders(far, spec)[+1]
         radius = radial_peak_radius(field)
         prof = angular_intensity(field, radius, 256)
         assert harmonic_fraction(prof, 2 * spec.l) > 0.5
@@ -503,7 +519,7 @@ class TestExtractOrder:
 
     def test_zero_order_unstructured(self, far_and_spec):
         far, spec = far_and_spec
-        field = extract_order(far, spec, 0)
+        field = extract_orders(far, spec)[0]
         prof = angular_intensity(field, radial_peak_radius(field), 256)
         assert harmonic_fraction(prof, 2 * spec.l) < 0.1
 
@@ -513,8 +529,9 @@ class TestExtractOrder:
         # the half-open even crops has no mirror partner, so the comparison
         # runs on the shared region with a common normalisation.
         far, spec = far_and_spec
-        plus = extract_order(far, spec, +1).intensity()[1:, 1:]
-        minus = extract_order(far, spec, -1).intensity()
+        fields = extract_orders(far, spec)
+        plus = fields[+1].intensity()[1:, 1:]
+        minus = fields[-1].intensity()
         reflected = np.roll(minus[::-1, ::-1], 1, axis=(0, 1))[1:, 1:]
         reflected = reflected * (plus.sum() / reflected.sum())
         assert np.max(np.abs(plus - reflected)) < 1e-6 * plus.max()
@@ -525,7 +542,7 @@ class TestExtractOrder:
         mask = synthesize_hologram(spec, grid)
         far = diffract_far_field(mask, 4)
         with pytest.raises(OrderSeparationError):
-            extract_order(far, spec, +1)
+            extract_orders(far, spec)
 
     def test_leakage_uses_the_far_fields_own_padding(self):
         # at pad 4 a 20-fringe carrier leaks more than 1% into the +1
@@ -535,13 +552,15 @@ class TestExtractOrder:
         spec = plane_spec(grid, fringes=20, l=1, phi0=0.3)
         far = diffract_far_field(synthesize_hologram(spec, grid), 4)
         assert far.pad_factor == 4
-        with pytest.raises(OrderSeparationError, match="leakage"):
-            extract_order(far, spec, +1)
+        # orders are checked -1 first, as the CLI reports them
+        with pytest.raises(OrderSeparationError,
+                           match="leakage .* of order -1 power"):
+            extract_orders(far, spec)
 
     def test_aperture_built_once_for_all_orders(self, far_and_spec,
                                                 monkeypatch):
-        # the kernel band and the open-pixel count are cached together, so
-        # the three orders of one far field build the aperture at most once
+        # the kernel band and the open-pixel count are cached together, and
+        # the three orders of one far field look them up once
         far, spec = far_and_spec
         aperture, built = gratings._inscribed_aperture, []
 
@@ -551,9 +570,10 @@ class TestExtractOrder:
 
         monkeypatch.setattr(gratings, "_inscribed_aperture", counting)
         _aperture_kernel.cache_clear()
-        for order in (-1, 0, 1):
-            extract_order(far, spec, order)
-        assert len(built) <= 1
+        extract_orders(far, spec)
+        assert len(built) == 1
+        info = _aperture_kernel.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
 
     def test_spherical_reference_rejected(self):
         grid = GridSpec(128, 1e-6)
@@ -561,12 +581,7 @@ class TestExtractOrder:
         mask = synthesize_hologram(plane_spec(grid, fringes=16), grid)
         far = diffract_far_field(mask, 2)
         with pytest.raises(OrderSeparationError):
-            extract_order(far, sph, +1)
-
-    def test_invalid_order(self, far_and_spec):
-        far, spec = far_and_spec
-        with pytest.raises(ValueError):
-            extract_order(far, spec, 2)
+            extract_orders(far, sph)
 
 
 class TestSphericalReference:
