@@ -282,8 +282,8 @@ def cmd_breathe(args) -> int:
     return 0
 
 
-def _plane_diffraction_report(args, mask, spec, p, outdir) -> dict:
-    far = diffract_far_field(mask, args.pad)
+def _plane_diffraction_report(pad, mask, spec, p, outdir) -> dict:
+    far = diffract_far_field(mask, pad)
     write_frame_pgm(os.path.join(outdir, "farfield.pgm"), *far.frame())
     fields = extract_orders(far, spec)
     report = {}
@@ -325,6 +325,11 @@ def cmd_grating(args) -> int:
     _check_plane_side("grid", args.grid_n)
     grid = GridSpec(args.grid_n, parse_length(args.grid_side))
     phi0 = parse_angle(args.phi0)
+    # the padding only refines the plane reference's far field
+    if args.pad is not None and (args.spherical or not args.diffract):
+        raise CliUsageError("--pad has no effect " + (
+            "with --spherical" if args.spherical else "without --diffract"))
+    pad = DEFAULT_PAD_FACTOR if args.pad is None else args.pad
     if args.spherical:
         if not args.curvature:
             raise CliUsageError("--spherical needs --curvature")
@@ -343,11 +348,10 @@ def cmd_grating(args) -> int:
         if args.spherical:
             _check_plane_side("chirped-order embed",
                               args.grid_n * CHIRPED_EMBED_FACTOR)
-        elif args.pad < 1:
-            raise CliUsageError(
-                f"pad_factor must be >= 1, got --pad {args.pad}")
+        elif pad < 1:
+            raise CliUsageError(f"pad_factor must be >= 1, got --pad {pad}")
         else:
-            _check_plane_side("far field", args.grid_n * args.pad)
+            _check_plane_side("far field", args.grid_n * pad)
     mask = synthesize_hologram(spec, grid)
     outdir = _ensure_outdir(args)
     write_mask_pgm(os.path.join(outdir, "mask.pgm"), mask.values)
@@ -363,7 +367,7 @@ def cmd_grating(args) -> int:
               f"virtual at {report['virtual_focus_m']:.6e} m "
               f"(expected ±{report['expected_abs_focus_m']:.6e} m)")
     else:
-        report = _plane_diffraction_report(args, mask, spec, p, outdir)
+        report = _plane_diffraction_report(pad, mask, spec, p, outdir)
         write_text(os.path.join(outdir, "purity.json"),
                    json.dumps(report, indent=2) + "\n")
         plus = report["order_p1"]["harmonic_fraction_2l"]
@@ -456,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--grid-side", default="1um")
     g.add_argument("-E", "--energy", default="60keV",
                    help="illumination energy for diffraction analysis")
-    g.add_argument("--pad", type=int, default=DEFAULT_PAD_FACTOR,
-                   help="far-field oversampling factor")
+    g.add_argument("--pad", type=int, default=None,
+                   help="far-field oversampling factor of a plane "
+                        f"--diffract (default {DEFAULT_PAD_FACTOR})")
     g.add_argument("--diffract", action="store_true",
                    help="also compute the far field and order reports")
     g.add_argument("-o", "--outdir", default="evf_output")

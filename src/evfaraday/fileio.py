@@ -108,8 +108,28 @@ def write_mask_pgm(path: str, values: np.ndarray):
     write_pgm(path, values.astype(np.uint8) * 255)
 
 
-#: Rows quantise_intensity scales at a time, bounding its float scratch.
+#: Rows quantise_intensity scales at a time, bounding its float scratch;
+#: also the block height of every far-field stage of a plane op.
 QUANTISE_BLOCK_ROWS = 64
+
+
+def quantise_block(intensity: np.ndarray, peak: float, scratch: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Write rint(255 * intensity / peak) of a block of rows into the uint8
+    array out, all zeros unless peak > 0; returns out.
+
+    The block is scaled in the float array scratch of its shape, in that
+    operation order; scratch may be intensity itself, which is then
+    overwritten.
+    """
+    if not peak > 0:
+        out.fill(0)
+        return out
+    np.multiply(intensity, 255.0, out=scratch)
+    scratch /= peak
+    np.rint(scratch, out=scratch)
+    out[...] = scratch
+    return out
 
 
 def quantise_intensity(intensity: np.ndarray, peak: float,
@@ -117,25 +137,21 @@ def quantise_intensity(intensity: np.ndarray, peak: float,
     """8-bit frame rint(255 * intensity / peak) of a 2-D intensity, all
     zeros unless peak > 0; written into the uint8 array out if given.
 
-    The rows are scaled a block at a time, in that operation order, so the
-    bytes do not depend on the block size and the input is not modified.
+    The rows are scaled a block at a time (quantise_block) through one
+    scratch, so the bytes do not depend on the block size and the input is
+    not modified.
     """
     if intensity.ndim != 2:
         raise ValueError("PGM output needs a 2-D array")
     if out is None:
         out = np.empty(intensity.shape, dtype=np.uint8)
-    if not peak > 0:
-        out.fill(0)
-        return out
     rows = intensity.shape[0]
     scratch = np.empty((min(rows, QUANTISE_BLOCK_ROWS), intensity.shape[1]),
                        dtype=np.result_type(intensity, 255.0))
     for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
-        block = scratch[:min(rows - lo, QUANTISE_BLOCK_ROWS)]
-        np.multiply(intensity[lo:lo + len(block)], 255.0, out=block)
-        block /= peak
-        np.rint(block, out=block)
-        out[lo:lo + len(block)] = block
+        hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
+        quantise_block(intensity[lo:hi], peak, scratch[:hi - lo],
+                       out[lo:hi])
     return out
 
 

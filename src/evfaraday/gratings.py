@@ -20,7 +20,7 @@ from .analysis import effective_width
 from .core import BeamParameters, base_wavenumber
 from .errors import (CarrierResolutionError, ContainmentError,
                      OrderSeparationError)
-from .fileio import QUANTISE_BLOCK_ROWS, quantise_intensity
+from .fileio import QUANTISE_BLOCK_ROWS, quantise_block
 from .modes import ComplexField, GridSpec
 from .propagation import _check_contained
 
@@ -124,7 +124,9 @@ def _check_carrier_resolved(spec: HologramSpec, grid: GridSpec):
         what = "fringe period"
     else:
         r_max = grid.physical_side_length / 2.0
-        period = math.pi / (abs(spec.reference.curvature) * r_max)
+        # |C| r_max may underflow to 0: such a chirp is resolved on any grid
+        chirp = abs(spec.reference.curvature) * r_max
+        period = math.pi / chirp if chirp > 0 else math.inf
         what = "finest local zone spacing"
     if period < 4.0 * grid.pitch:
         raise CarrierResolutionError(
@@ -161,6 +163,25 @@ def _embed(values: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
+def _signed_columns(values: np.ndarray, pad_factor: int):
+    """Yield (lo, hi, block) for mask columns lo..hi-1, QUANTISE_BLOCK_ROWS
+    at a time: block row x - lo is mask column x as the length-m input of
+    the transform along y, signed and ifftshifted (_column_spectrum), in
+    one reused (B, m) real buffer whose padding columns stay zero."""
+    n = values.shape[0]
+    m = n * pad_factor
+    h = n // 2
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    buffer = np.zeros((min(n, QUANTISE_BLOCK_ROWS), m))
+    for lo in range(0, n, QUANTISE_BLOCK_ROWS):
+        hi = min(lo + QUANTISE_BLOCK_ROWS, n)
+        signed = values[:, lo:hi].T * np.multiply.outer(sign[lo:hi], sign)
+        block = buffer[:hi - lo]
+        block[:, :h] = signed[:, h:]
+        block[:, m - h:] = signed[:, :h]
+        yield lo, hi, block
+
+
 def _column_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
     """The rfft stage of fftshift(fft2(ifftshift(_embed(values, pad_factor)),
     norm="ortho")) of a real n x n array, m = n * pad_factor: an
@@ -171,18 +192,37 @@ def _column_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
     spectrum is Hermitian and rows 0..m/2 hold all of it.  An rfft along y
     of the n mask columns alone gives those rows on the mask columns; the
     zero columns of the padding would transform to zero and are skipped.
+    The columns are transformed QUANTISE_BLOCK_ROWS at a time through one
+    zero-padded buffer (_signed_columns) straight into the result; each
+    row's rfft is independent, so the blocks do not change a bit of it.
     Row j is then one length-m fft along x of column j placed at the
-    ifftshifted positions of the mask columns (FarField._finish).
+    ifftshifted positions of the mask columns (_finish_rows).
     """
     n = values.shape[0]
-    m = n * pad_factor
-    h = n // 2
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    signed = values.T * np.multiply.outer(sign, sign)
-    cols = np.zeros((n, m))
-    cols[:, :h] = signed[:, h:]
-    cols[:, m - h:] = signed[:, :h]
-    return np.fft.rfft(cols, axis=1, norm="ortho")
+    out = np.empty((n, n * pad_factor // 2 + 1), dtype=np.complex128)
+    for lo, hi, block in _signed_columns(values, pad_factor):
+        np.fft.rfft(block, axis=1, norm="ortho", out=out[lo:hi])
+    return out
+
+
+def _finish_rows(columns: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Write far-field rows lo..lo + k - 1, 0 <= lo, lo + k <= m/2 + 1,
+    into the k x m complex array out from columns, the matching k bins of
+    an (n, .) column spectrum; returns out."""
+    m = out.shape[1]
+    half_n = columns.shape[0] // 2
+    # the mask columns land at their ifftshifted positions along x
+    out[:, :half_n] = columns[half_n:].T
+    out[:, half_n:m - half_n] = 0.0
+    out[:, m - half_n:] = columns[:half_n].T
+    np.fft.fft(out, axis=1, norm="ortho", out=out)
+    # rows 0 and m/2 are their own mirrors; rounding leaves their halves
+    # unequal in the last bit, so the right half is set from the left
+    for row in (0, m // 2):
+        if lo <= row < lo + len(out):
+            np.conjugate(out[row - lo, m // 2 - 1:0:-1],
+                         out=out[row - lo, m // 2 + 1:])
+    return out
 
 
 def _point_mirror(full: np.ndarray) -> np.ndarray:
@@ -196,6 +236,43 @@ def _point_mirror(full: np.ndarray) -> np.ndarray:
     return full
 
 
+def _intensity_blocks(finish, m: int, starts, stop: int):
+    """For each lo in starts, finish rows lo..min(lo + B, stop) - 1 of an
+    m x m far field through finish(lo, hi, out) into one reused complex
+    block, B = QUANTISE_BLOCK_ROWS, and yield (lo, rows, |rows|^2), the
+    squared moduli in one reused float block."""
+    size = min(QUANTISE_BLOCK_ROWS, stop - min(starts))
+    block = np.empty((size, m), dtype=np.complex128)
+    scratch = np.empty((size, m))
+    for lo in starts:
+        hi = min(lo + QUANTISE_BLOCK_ROWS, stop)
+        rows = finish(lo, hi, block[:hi - lo])
+        intensity = scratch[:hi - lo]
+        np.abs(rows, out=intensity)
+        np.square(intensity, out=intensity)
+        yield lo, rows, intensity
+
+
+def _band_blocks(finish, m: int, half: int, power: np.ndarray):
+    """Yield (lo, rows) for rows m/2 - half..m/2 of an m x m far field,
+    finished a block at a time as _intensity_blocks does.  Meanwhile adds
+    into power, a zeroed length-m vector, the column sums of
+    |band(half)|^2: complete once the blocks are exhausted.
+
+    Rows m/2 - half + 1..m/2 - 1 reappear above m/2 point-mirrored, so
+    their column power is added once more, reflected to column (m - c) % m.
+    """
+    h = m // 2
+    mirrored = np.zeros(m)
+    for lo, rows, intensity in _intensity_blocks(
+            finish, m, range(h - half, h + 1, QUANTISE_BLOCK_ROWS), h + 1):
+        power += intensity.sum(axis=0)
+        mirrored += intensity[max(h - half + 1 - lo, 0):h - lo].sum(axis=0)
+        yield lo, rows
+    power[0] += mirrored[0]
+    power[1:] += mirrored[:0:-1]
+
+
 @dataclass(frozen=True)
 class FarField:
     """Centred far field of a real mask, stored as its column spectrum.
@@ -204,11 +281,14 @@ class FarField:
     pad_factor the mask's samples per side (_column_spectrum).  Row j <= m/2
     of the m x m field is finished from column j by one zero-padded
     length-m fft along x.  The spectrum of a real mask is Hermitian, so row
-    j > m/2 is conj(row m - j) at columns (m - c) % m.  band(half) finishes
-    only rows m/2 - half..m/2 and mirrors the rest of the centred band it
-    returns, frame() finishes rows 0..m/2 a block at a time, and amplitudes
-    is the widest band, the whole array.  pad_factor, an integer >= 1, is
-    the zero padding of the transform.
+    j > m/2 is conj(row m - j) at columns (m - c) % m.  Only rows 0..m/2
+    are ever finished.  frame() and extract_orders finish them a
+    QUANTISE_BLOCK_ROWS block at a time, so neither holds an array the
+    size of the far field beside the column spectrum and the frame.
+    band(half) returns the centred band of complex rows, its rows above
+    m/2 mirrored, and amplitudes is the widest band, the whole array, for
+    library callers.  pad_factor, an integer >= 1, is the zero padding of
+    the transform.
     """
 
     grid: GridSpec
@@ -228,20 +308,7 @@ class FarField:
     def _finish(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Write rows lo..hi-1 of the far field, 0 <= lo <= hi <= m/2 + 1,
         into the (hi - lo) x m complex array out; returns out."""
-        m = self.grid.samples_per_side
-        half_n = self.columns.shape[0] // 2
-        # the mask columns land at their ifftshifted positions along x
-        out[:, :half_n] = self.columns[half_n:, lo:hi].T
-        out[:, half_n:m - half_n] = 0.0
-        out[:, m - half_n:] = self.columns[:half_n, lo:hi].T
-        np.fft.fft(out, axis=1, norm="ortho", out=out)
-        # rows 0 and m/2 are their own mirrors; rounding leaves their halves
-        # unequal in the last bit, so the right half is set from the left
-        for row in (0, m // 2):
-            if lo <= row < hi:
-                np.conjugate(out[row - lo, m // 2 - 1:0:-1],
-                             out=out[row - lo, m // 2 + 1:])
-        return out
+        return _finish_rows(self.columns[:, lo:hi], lo, out)
 
     def band(self, half: int) -> np.ndarray:
         """Complex rows m/2 - half..m/2 + half - 1 of the full far field,
@@ -260,25 +327,36 @@ class FarField:
         """(m x m uint8 frame, peak) of the intensity, byte for byte
         quantise_intensity(I, I.max()) with I = |amplitudes|^2.
 
-        The mirrored rows repeat rows 0..m/2, so those rows hold the peak;
-        only they are finished, QUANTISE_BLOCK_ROWS at a time into one
-        buffer, then squared and quantised, and the frame's other rows are
-        their point mirror, copied as bytes.
+        The mirrored rows repeat rows 0..m/2, so only those rows are
+        finished, QUANTISE_BLOCK_ROWS at a time, and each block is squared
+        and quantised into the frame as soon as it is finished; the frame's
+        other rows are their point mirror, copied as bytes.  The mask is
+        non-negative, so |F(k)| <= sum(mask) = F(0): the block holding row
+        m/2, and so the zero frequency, comes first and its largest
+        intensity is the peak.  Should rounding lift a pixel of a later
+        block above it (a mask of a few open pixels, whose far field is
+        nearly flat), the blocks are finished and quantised once more with
+        the largest intensity seen.
         """
         m = self.grid.samples_per_side
         rows = m // 2 + 1
-        half = np.empty((rows, m))
-        block = np.empty((min(rows, QUANTISE_BLOCK_ROWS), m), np.complex128)
-        peak = 0.0
-        for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
-            hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
-            intensity = half[lo:hi]
-            np.abs(self._finish(lo, hi, block[:hi - lo]), out=intensity)
-            np.square(intensity, out=intensity)
-            peak = max(peak, float(intensity.max()))
+        starts = list(range(0, rows, QUANTISE_BLOCK_ROWS))
+        starts.insert(0, starts.pop())
         gray = np.empty((m, m), dtype=np.uint8)
-        quantise_intensity(half, peak, out=gray[:rows])
-        return _point_mirror(gray), peak
+        peak = None
+        while True:
+            largest = 0.0
+            for lo, _, intensity in _intensity_blocks(self._finish, m,
+                                                      starts, rows):
+                largest = max(largest, float(intensity.max()))
+                if peak is None:
+                    peak = largest
+                # the intensity is scaled in place, its block's only scratch
+                quantise_block(intensity, peak, intensity,
+                               gray[lo:lo + len(intensity)])
+            if largest <= peak:
+                return _point_mirror(gray), peak
+            peak = largest
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -310,22 +388,36 @@ def diffract_far_field(mask: BinaryMask,
 @lru_cache(maxsize=4)
 def _aperture_kernel(n: int, pad_factor: int,
                      half: int) -> tuple[np.ndarray, int]:
-    """(|band(half)|^2, open-pixel count) of the bare inscribed-circle
-    aperture's far field: the band extract_orders reads, rows m/2 -
-    half..m/2 + half - 1.  By Parseval the whole plane sums to the count."""
+    """(column power, open-pixel count) of the bare inscribed-circle
+    aperture's far field: power[c] sums |band(half)|^2 over its rows m/2 -
+    half..m/2 + half - 1 at column c, the length-m vector whose column
+    ranges extract_orders sums into window spreads.  Only bins m/2 -
+    half..m/2 of the disk's column spectrum are kept, each block's rfft
+    cut to them, and its rows are finished as extract_orders finishes the
+    far field's.  By Parseval power sums to the count at half = m/2."""
     disk = _inscribed_aperture(n)
-    # the transform works in pixels; the grid's side length does not enter
-    far = diffract_far_field(BinaryMask(GridSpec(n, 1.0), disk), pad_factor)
-    return np.abs(far.band(half)) ** 2, int(np.count_nonzero(disk))
+    m = n * pad_factor
+    base = m // 2 - half
+    bins = np.empty((n, half + 1), dtype=np.complex128)
+    for lo, hi, block in _signed_columns(disk, pad_factor):
+        bins[lo:hi] = np.fft.rfft(block, axis=1, norm="ortho")[:, base:]
+
+    def finish(lo, hi, out):
+        return _finish_rows(bins[:, lo - base:hi - base], lo, out)
+
+    power = np.zeros(m)
+    for _ in _band_blocks(finish, m, half, power):
+        pass
+    return power, int(np.count_nonzero(disk))
 
 
-def _window_sum(band: np.ndarray, centre_col: int, half: int) -> float:
-    """Sum over all rows of the band and columns centre_col +- half;
-    nan if those columns leave the band."""
+def _window_sum(power: np.ndarray, centre_col: int, half: int) -> float:
+    """Sum of the column power over columns centre_col +- half; nan if
+    those columns leave the far field."""
     c0, c1 = centre_col - half, centre_col + half
-    if c0 < 0 or c1 > band.shape[1]:
+    if c0 < 0 or c1 > len(power):
         return math.nan
-    return float(band[:, c0:c1].sum())
+    return float(power[c0:c1].sum())
 
 
 def extract_orders(far_field: FarField,
@@ -335,11 +427,16 @@ def extract_orders(far_field: FarField,
 
     Only plane-reference holograms separate their orders transversely;
     spherical references raise OrderSeparationError.  The window half-width
-    is k_x / 2, and every window and crop spans the one band of rows m/2 +-
-    k_x / 2, finished once.  Estimated neighbour leakage above 1 percent of
-    an order's own power, spread by the aperture kernel at the far field's
-    own padding, also raises OrderSeparationError; orders are checked in
-    the order -1, 0, +1.
+    is k_x / 2, and every window and crop spans the band of rows m/2 +-
+    k_x / 2.  Its rows up to m/2 are finished once, a block at a time:
+    each block adds to the band's column power and is copied into one
+    (half + 1) x (2 half + 1) buffer per order, its window and one column
+    more.  Window powers are sums over column ranges, and the crop rows
+    above m/2 are the conjugate of order -o's buffer reversed on both axes
+    (the carrier columns are point-symmetric, cols[-o] = m - cols[o]).
+    Estimated neighbour leakage above 1 percent of an order's own power,
+    spread by the aperture kernel at the far field's own padding, also
+    raises OrderSeparationError; orders are checked in the order -1, 0, +1.
     """
     if isinstance(spec.reference, SphericalReference):
         raise OrderSeparationError(
@@ -364,13 +461,21 @@ def extract_orders(far_field: FarField,
             "order -1 window falls outside the sampled far field")
 
     # the bounds check above implies half <= m/2, a valid band
-    band = far_field.band(half)
-    intensity = np.abs(band) ** 2
-    kernel_band, kernel_total = _aperture_kernel(n_mask, pad_factor, half)
-    # a window that leaves the band sums to nan and adds no leakage
-    powers = {o: _window_sum(intensity, col, half) for o, col in cols.items()}
+    power = np.zeros(m)
+    windows = {o: np.empty((half + 1, 2 * half + 1), dtype=np.complex128)
+               for o in (-1, 0, +1)}
+    for lo, rows in _band_blocks(far_field._finish, m, half, power):
+        top = lo - (centre - half)
+        for o, window in windows.items():
+            c0 = cols[o] - half
+            window[top:top + len(rows), :-1] = rows[:, c0:c0 + 2 * half]
+            # column m, one past order +1's window at its widest, is column 0
+            window[top:top + len(rows), -1] = rows[:, (c0 + 2 * half) % m]
+    kernel_power, kernel_total = _aperture_kernel(n_mask, pad_factor, half)
+    # a window that leaves the far field sums to nan and adds no leakage
+    powers = {o: _window_sum(power, col, half) for o, col in cols.items()}
     # an order's neighbours lie 1..4 carriers away
-    spreads = {d: _window_sum(kernel_band, centre + round(d * carrier_px),
+    spreads = {d: _window_sum(kernel_power, centre + round(d * carrier_px),
                               half) for d in range(1, 5)}
     out_grid = GridSpec(2 * half, 2 * half * freq_pitch)
     fields = {}
@@ -385,11 +490,15 @@ def extract_orders(far_field: FarField,
             raise OrderSeparationError(
                 f"estimated neighbour leakage {leak:.3e} exceeds 1% of order "
                 f"{order:+d} power {own:.3e}; increase the carrier frequency")
+        crop = np.empty((2 * half, 2 * half), dtype=np.complex128)
+        crop[:half + 1] = windows[order][:, :-1]
+        # row m/2 + k at column c is conj(row m/2 - k) at column m - c, in
+        # order -o's window
+        np.conjugate(windows[-order][half - 1:0:-1, :0:-1],
+                     out=crop[half + 1:])
         # the crop is the order's own window, whose power is `own`
-        norm = math.sqrt(own * freq_pitch ** 2)
-        col = cols[order]
-        fields[order] = ComplexField(out_grid, 0.0,
-                                     band[:, col - half:col + half] / norm)
+        crop /= math.sqrt(own * freq_pitch ** 2)
+        fields[order] = ComplexField(out_grid, 0.0, crop)
     return fields
 
 

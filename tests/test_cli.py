@@ -429,9 +429,10 @@ def extreme_argv(draw):
             argv.append(f"{option}={draw(extreme_quantity(unit))}")
     argv += ["--grid-n", str(draw(st.integers(0, 64)))]
     if command == "grating":
-        spherical = ["--spherical"] if draw(st.booleans()) else []
-        return argv + spherical + ["--pad", str(draw(st.integers(-1, 8))),
-                                   "--diffract"]
+        # --pad is refused with --spherical, so only plane argv draw it
+        if draw(st.booleans()):
+            return argv + ["--spherical", "--diffract"]
+        return argv + ["--pad", str(draw(st.integers(-1, 8))), "--diffract"]
     return argv + ["--outputs", str(draw(st.integers(-1, 4)))]
 
 
@@ -490,6 +491,15 @@ class TestErrorBoundary:
         (shlex.split(EXTREME_COMMANDS[3]), "k_L does not round to 0"),
         (["rotate", "-B", "1e-300T", "--grid-n", "16", "--outputs", "1"],
          "a field whose k_L rounds to 0"),
+        # the padding refines only a plane reference's far field
+        (["grating", "-l", "1", "--pad", "-7"],
+         "--pad has no effect without --diffract"),
+        (["grating", "--pad", "4"], "--pad has no effect without --diffract"),
+        (["grating", "-l", "1", "--spherical", "--curvature", "1.5e14m-2",
+          "--grid-n", "128", "--pad", "-7", "--diffract"],
+         "--pad has no effect with --spherical"),
+        (["grating", "--spherical", "--curvature", "1.5e14m-2", "--pad",
+          "4", "--diffract"], "--pad has no effect with --spherical"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):
@@ -511,6 +521,10 @@ class TestErrorBoundary:
     @example(argv=shlex.split(EXTREME_COMMANDS[1]))
     @example(argv=shlex.split(EXTREME_COMMANDS[2]))
     @example(argv=shlex.split(EXTREME_COMMANDS[3]))
+    # a zone-spacing product that underflows to 0 once divided by zero
+    @example(argv=["grating", "--grid-side=1.000e-162m",
+                   "--curvature=1.000e-162m-2", "--grid-n", "16",
+                   "--spherical", "--diffract"])
     def test_extreme_values_exit_cleanly(self, argv):
         # --grid-n stays at most 64, --pad at most 8, and the step ceiling
         # is lowered, so no example allocates a large plane or runs a long

@@ -26,7 +26,7 @@ from evfaraday import gratings
 from evfaraday.gratings import _aperture_kernel, _embed
 from evfaraday.errors import (CarrierResolutionError, ContainmentError,
                               OrderSeparationError)
-from evfaraday.fileio import write_frame_pgm
+from evfaraday.fileio import quantise_intensity, write_frame_pgm
 
 E60 = 60e3 * ELEMENTARY_CHARGE
 BEAM = BeamParameters(E60, 0.0)
@@ -226,27 +226,42 @@ class TestFarField:
 
     @pytest.mark.parametrize("n, pad", SPECTRUM_CASES)
     def test_aperture_kernel_matches_definition(self, n, pad):
-        # the cached kernel is the band of rows m/2 - half..m/2 + half - 1
-        # that extract_orders reads, and the disk's open-pixel count
+        # the cached kernel is the column power of the band of rows m/2 -
+        # half..m/2 + half - 1 that extract_orders reads, and the disk's
+        # open-pixel count
         idx = np.arange(n) - n / 2 + 0.5
         xg, yg = np.meshgrid(idx, idx)
         disk = (xg ** 2 + yg ** 2 <= (n / 2.0) ** 2).astype(np.float64)
         expected = np.abs(padded_transform_definition(disk, pad)) ** 2
         h = n * pad // 2
         for half in (1, 3, h // 2, h - 1, h):
-            band, count = _aperture_kernel(n, pad, half)
-            assert band.shape == (2 * half, 2 * h)
-            assert (np.abs(band - expected[h - half:h + half]).max()
-                    <= 1e-13 * expected.max())
+            power, count = _aperture_kernel(n, pad, half)
+            assert power.shape == (2 * h,)
+            columns = expected[h - half:h + half].sum(axis=0)
+            assert (np.abs(power - columns).max()
+                    <= 1e-13 * columns.max())
             assert count == int(disk.sum())
         # Parseval: the whole plane sums to the count
-        assert band.sum() == pytest.approx(count, rel=1e-12)
+        assert power.sum() == pytest.approx(count, rel=1e-12)
 
 
 def random_mask(n, seed):
     rng = np.random.default_rng(seed)
     return BinaryMask(GridSpec(n, 1e-6),
                       (rng.random((n, n)) < 0.5).astype(np.uint8))
+
+
+def record_finishes(monkeypatch):
+    """The (lo, hi) of every FarField._finish call from now on."""
+    calls = []
+    finish = FarField._finish
+
+    def recording(self, lo, hi, out):
+        calls.append((lo, hi))
+        return finish(self, lo, hi, out)
+
+    monkeypatch.setattr(FarField, "_finish", recording)
+    return calls
 
 
 class TestHalfPlaneFarField:
@@ -320,6 +335,34 @@ class TestHalfPlaneFarField:
             assert got.shape == crop.shape
             assert np.abs(got - crop).max() <= 1e-13 * np.abs(crop).max()
 
+    def test_crops_reach_column_zero(self):
+        # a carrier for which order -1's window starts at column 0: order
+        # +1's window then ends at column m, and the mirror of column 0 is
+        # column 0 itself, (m - c) % m.  The fringes are under 4 pixels, so
+        # the design is thresholded here without the resolution guard.
+        n, pad = 128, 2
+        grid = GridSpec(n, 1e-6)
+        spec = plane_spec(grid, fringes=42.8, l=1, phi0=0.3)
+        x = grid.axis()
+        open_pixels = design_value(spec, x[np.newaxis, :], x[:, np.newaxis])
+        values = ((open_pixels > 0.5)
+                  & gratings._inscribed_aperture(n)).astype(np.uint8)
+        far = diffract_far_field(BinaryMask(grid, values), pad)
+        expected = padded_transform_definition(values, pad)
+        m = far.grid.samples_per_side
+        carrier_px = spec.reference.k_x / (2 * math.pi) / far.grid.pitch
+        half = int(carrier_px / 2)
+        assert m // 2 - round(carrier_px) - half == 0
+        rows = slice(m // 2 - half, m // 2 + half)
+        fields = extract_orders(far, spec)
+        for order in (-1, 0, 1):
+            col = m // 2 + round(order * carrier_px)
+            crop = expected[rows, col - half:col + half]
+            crop = crop / math.sqrt(float(np.sum(np.abs(crop) ** 2))
+                                    * far.grid.pitch ** 2)
+            got = fields[order].amplitudes
+            assert np.abs(got - crop).max() <= 1e-13 * np.abs(crop).max()
+
     @settings(max_examples=10, deadline=None)
     @given(n=st.sampled_from([16, 32, 64]), pad=st.sampled_from([1, 2, 4]),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -337,8 +380,9 @@ class TestHalfPlaneFarField:
 
 
 class TestFarFieldFrame:
-    """farfield.pgm is quantised on rows 0..m/2 and point-mirrored as bytes;
-    its file equals quantising the full-plane intensity."""
+    """farfield.pgm is quantised on rows 0..m/2, a block at a time against
+    the peak at the zero frequency, and point-mirrored as bytes; its file
+    equals quantising the full-plane intensity."""
 
     @staticmethod
     def full_plane_files(far):
@@ -386,26 +430,61 @@ class TestFarFieldFrame:
             '{"max_intensity": 0.0}\n')
 
 
+    @staticmethod
+    def degenerate_mask(case):
+        """(values, pad) of masks with a nearly flat far field, where
+        rounding may lift a pixel above the zero frequency."""
+        if case == "one pixel":
+            values = np.zeros((16, 16), dtype=np.uint8)
+            values[5, 9] = 1
+            return values, 4
+        if case == "two pixels":
+            values = np.zeros((64, 64), dtype=np.uint8)
+            values[10, 20] = values[40, 3] = 1
+            return values, 2
+        if case == "lattice":
+            values = np.zeros((32, 32), dtype=np.uint8)
+            values[::4, ::4] = 1
+            return values, 1
+        return gratings._inscribed_aperture(64).astype(np.uint8), 4
+
+    @pytest.mark.parametrize("case", ["one pixel", "two pixels", "lattice",
+                                      "disk"])
+    def test_degenerate_masks(self, tmp_path, monkeypatch, case):
+        values, pad = self.degenerate_mask(case)
+        n = values.shape[0]
+        far = diffract_far_field(BinaryMask(GridSpec(n, 1e-6), values), pad)
+        intensity = np.abs(far.amplitudes) ** 2
+        finished = record_finishes(monkeypatch)
+        blob, peak = self.written(far, tmp_path)
+        m = far.grid.samples_per_side
+        h = m // 2
+        assert peak == intensity.max() > 0
+        gray = quantise_intensity(intensity, intensity.max())
+        assert blob == f"P5\n{m} {m}\n255\n".encode() + gray.tobytes()
+        block = gratings.QUANTISE_BLOCK_ROWS
+        first = intensity[h - h % block:h + 1].max()
+        if case == "two pixels":
+            # a pixel outside the first block rounds above the peak taken
+            # from it, and quantising with that peak would flip bytes:
+            # every row is finished and quantised twice
+            assert peak > first
+            assert not np.array_equal(
+                quantise_intensity(intensity, first), gray)
+            assert len(finished) == 2 * len(set(finished))
+        else:
+            assert peak == first
+            assert len(finished) == len(set(finished))
+
+
 class TestStreamedFarField:
     """FarField keeps the mask's column spectrum; band(half) finishes rows
-    m/2 - half..m/2 once and mirrors the rest, frame() finishes rows 0..m/2
-    in blocks of QUANTISE_BLOCK_ROWS into one buffer."""
+    m/2 - half..m/2 once and mirrors the rest, frame() and extract_orders
+    finish their rows in blocks of QUANTISE_BLOCK_ROWS into one buffer."""
 
     # m/2 + 1 = 33 (under one block), 64 and 128 (whole blocks), 65 and
     # 193 (one row past a block edge, so row m/2 is a block on its own)
     BLOCK_CASES = [(16, 4), (126, 1), (254, 1), (32, 4), (48, 8)]
-
-    @staticmethod
-    def record_finishes(monkeypatch):
-        calls = []
-        finish = FarField._finish
-
-        def recording(self, lo, hi, out):
-            calls.append((lo, hi))
-            return finish(self, lo, hi, out)
-
-        monkeypatch.setattr(FarField, "_finish", recording)
-        return calls
 
     @pytest.mark.parametrize("n, pad", BLOCK_CASES)
     def test_frame_and_rows_match_definition(self, n, pad):
@@ -445,34 +524,43 @@ class TestStreamedFarField:
         far = diffract_far_field(random_mask(48, 5), 8)
         m = far.grid.samples_per_side
         h = m // 2
-        calls = self.record_finishes(monkeypatch)
+        calls = record_finishes(monkeypatch)
         far.band(20)
         far.band(1)
         far.band(h)
         assert calls == [(h - 20, h + 1), (h - 1, h + 1), (0, h + 1)]
         calls.clear()
         far.frame()
+        # the block holding row m/2, and so the peak, comes first; then
+        # the others in order, each row finished once
         block = gratings.QUANTISE_BLOCK_ROWS
-        assert calls == [(lo, min(lo + block, h + 1))
-                         for lo in range(0, h + 1, block)]
+        blocks = [(lo, min(lo + block, h + 1))
+                  for lo in range(0, h + 1, block)]
+        assert calls == blocks[-1:] + blocks[:-1]
 
     def test_extract_orders_finishes_one_band(self, monkeypatch):
         # the windows and crops of all three orders read one band of rows
-        # m/2 - half..m/2 + half - 1; its rows up to m/2 are finished once
+        # m/2 - half..m/2 + half - 1; its rows up to m/2 are finished once,
+        # in blocks that cover them exactly
         grid = GridSpec(256, 1e-6)
         spec = plane_spec(grid, fringes=40, l=2, phi0=0.3)
         far = diffract_far_field(synthesize_hologram(spec, grid), 4)
         extract_orders(far, spec)     # the aperture kernel is now cached
-        calls = self.record_finishes(monkeypatch)
+        calls = record_finishes(monkeypatch)
         extract_orders(far, spec)
         h = far.grid.samples_per_side // 2
         half = int(spec.reference.k_x / (2 * math.pi) / far.grid.pitch / 2)
-        assert calls == [(h - half, h + 1)]
+        block = gratings.QUANTISE_BLOCK_ROWS
+        assert half + 1 > block       # the band takes more than one block
+        assert calls == [(lo, min(lo + block, h + 1))
+                         for lo in range(h - half, h + 1, block)]
 
     def test_plane_op_memory(self):
-        # one README-sized plane op with a cold aperture kernel: the column
-        # spectrum (8 MiB), the half intensity (16 MiB), the frame (4 MiB)
-        # and one block; the whole complex half plane alone is 32 MiB
+        # one README-sized plane op with a cold aperture kernel holds the
+        # column spectrum (8 MiB) and, while it is built, the frame (4 MiB)
+        # plus one block of rows (2 MiB complex, 1 MiB intensity); the
+        # complex half plane alone would be 32 MiB, its float intensity
+        # 16 MiB
         grid = GridSpec(512, 1e-6)
         spec = HologramSpec(3, 0.4, PlaneReference(2.5e8))
         mask = synthesize_hologram(spec, grid)
@@ -485,7 +573,7 @@ class TestStreamedFarField:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2 ** 20
+        assert peak < 20 * 2 ** 20
 
 
 @pytest.fixture(scope="module")
