@@ -107,11 +107,12 @@ def pattern_orientation(profile: AngularProfile, l: int) -> float:
     return (-np.angle(c) / (2.0 * la)) % period
 
 
-def unwrap_orientations(angles, l: int, start: float = 0.0) -> np.ndarray:
-    """Continue mod-pi/|l| orientations across a series by nearest branch."""
+def unwrap_orientations(angles, l: int) -> np.ndarray:
+    """Continue mod-pi/|l| orientations across a series by nearest branch,
+    the first taken on the branch nearest 0."""
     period = math.pi / abs(l)
     out = np.empty(len(angles))
-    prev = start
+    prev = 0.0
     for i, a in enumerate(angles):
         k = round((prev - a) / period)
         prev = a + k * period

@@ -137,7 +137,8 @@ def cmd_quantities(args) -> int:
     for name, value, unit in rows:
         print(f"{name:<{width}}  {value:>14}  {unit}")
     if args.json_path:
-        write_text(args.json_path, json.dumps(report, indent=2) + "\n")
+        write_text(args.json_path,
+                   json.dumps(report, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -214,7 +215,7 @@ def cmd_rotate(args) -> int:
             write_intensity_pgm(os.path.join(outdir, f"frame_{i:04d}.pgm"),
                                 field.intensity())
 
-    measured = unwrap_orientations(raw, args.l, start=0.0)
+    measured = unwrap_orientations(raw, args.l)
     analytic = k_l * np.asarray(zs)
     rows = list(zip(zs, measured, analytic))
     write_text(os.path.join(outdir, "rotation.csv"),
@@ -362,14 +363,14 @@ def cmd_grating(args) -> int:
     if args.spherical:
         report = _spherical_focus_report(mask, spec, p)
         write_text(os.path.join(outdir, "focus.json"),
-                   json.dumps(report, indent=2) + "\n")
+                   json.dumps(report, indent=2, allow_nan=False) + "\n")
         print(f"grating: real focus at {report['real_focus_m']:.6e} m, "
               f"virtual at {report['virtual_focus_m']:.6e} m "
               f"(expected ±{report['expected_abs_focus_m']:.6e} m)")
     else:
         report = _plane_diffraction_report(pad, mask, spec, p, outdir)
         write_text(os.path.join(outdir, "purity.json"),
-                   json.dumps(report, indent=2) + "\n")
+                   json.dumps(report, indent=2, allow_nan=False) + "\n")
         plus = report["order_p1"]["harmonic_fraction_2l"]
         zero = report["order_0"]["harmonic_fraction_2l"]
         print(f"grating: 2l-harmonic fraction {plus:.3f} in order +1, "

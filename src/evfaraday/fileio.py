@@ -109,7 +109,8 @@ def write_mask_pgm(path: str, values: np.ndarray):
 
 
 #: Rows quantise_intensity scales at a time, bounding its float scratch;
-#: also the block height of every far-field stage of a plane op.
+#: also the block height of a plane op's column spectrum, frame and band
+#: power.
 QUANTISE_BLOCK_ROWS = 64
 
 
@@ -132,10 +133,9 @@ def quantise_block(intensity: np.ndarray, peak: float, scratch: np.ndarray,
     return out
 
 
-def quantise_intensity(intensity: np.ndarray, peak: float,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def quantise_intensity(intensity: np.ndarray, peak: float) -> np.ndarray:
     """8-bit frame rint(255 * intensity / peak) of a 2-D intensity, all
-    zeros unless peak > 0; written into the uint8 array out if given.
+    zeros unless peak > 0.
 
     The rows are scaled a block at a time (quantise_block) through one
     scratch, so the bytes do not depend on the block size and the input is
@@ -143,8 +143,7 @@ def quantise_intensity(intensity: np.ndarray, peak: float,
     """
     if intensity.ndim != 2:
         raise ValueError("PGM output needs a 2-D array")
-    if out is None:
-        out = np.empty(intensity.shape, dtype=np.uint8)
+    out = np.empty(intensity.shape, dtype=np.uint8)
     rows = intensity.shape[0]
     scratch = np.empty((min(rows, QUANTISE_BLOCK_ROWS), intensity.shape[1]),
                        dtype=np.result_type(intensity, 255.0))

@@ -236,41 +236,25 @@ def _point_mirror(full: np.ndarray) -> np.ndarray:
     return full
 
 
-def _intensity_blocks(finish, m: int, starts, stop: int):
-    """For each lo in starts, finish rows lo..min(lo + B, stop) - 1 of an
-    m x m far field through finish(lo, hi, out) into one reused complex
-    block, B = QUANTISE_BLOCK_ROWS, and yield (lo, rows, |rows|^2), the
-    squared moduli in one reused float block."""
-    size = min(QUANTISE_BLOCK_ROWS, stop - min(starts))
-    block = np.empty((size, m), dtype=np.complex128)
-    scratch = np.empty((size, m))
-    for lo in starts:
-        hi = min(lo + QUANTISE_BLOCK_ROWS, stop)
-        rows = finish(lo, hi, block[:hi - lo])
-        intensity = scratch[:hi - lo]
-        np.abs(rows, out=intensity)
-        np.square(intensity, out=intensity)
-        yield lo, rows, intensity
-
-
-def _band_blocks(finish, m: int, half: int, power: np.ndarray):
-    """Yield (lo, rows) for rows m/2 - half..m/2 of an m x m far field,
-    finished a block at a time as _intensity_blocks does.  Meanwhile adds
-    into power, a zeroed length-m vector, the column sums of
-    |band(half)|^2: complete once the blocks are exhausted.
+def _band_power(upper: np.ndarray) -> np.ndarray:
+    """Column sums of |band(half)|^2 of an m x m far field from its rows
+    m/2 - half..m/2, the (half + 1) x m array upper: a length-m vector.
 
     Rows m/2 - half + 1..m/2 - 1 reappear above m/2 point-mirrored, so
     their column power is added once more, reflected to column (m - c) % m.
+    The rows are summed QUANTISE_BLOCK_ROWS at a time, bounding the float
+    scratch.
     """
-    h = m // 2
-    mirrored = np.zeros(m)
-    for lo, rows, intensity in _intensity_blocks(
-            finish, m, range(h - half, h + 1, QUANTISE_BLOCK_ROWS), h + 1):
+    half = len(upper) - 1
+    power, mirrored = np.zeros(upper.shape[1]), np.zeros(upper.shape[1])
+    for lo in range(0, half + 1, QUANTISE_BLOCK_ROWS):
+        intensity = np.abs(upper[lo:lo + QUANTISE_BLOCK_ROWS])
+        np.square(intensity, out=intensity)
         power += intensity.sum(axis=0)
-        mirrored += intensity[max(h - half + 1 - lo, 0):h - lo].sum(axis=0)
-        yield lo, rows
+        mirrored += intensity[max(1 - lo, 0):half - lo].sum(axis=0)
     power[0] += mirrored[0]
     power[1:] += mirrored[:0:-1]
+    return power
 
 
 @dataclass(frozen=True)
@@ -281,14 +265,14 @@ class FarField:
     pad_factor the mask's samples per side (_column_spectrum).  Row j <= m/2
     of the m x m field is finished from column j by one zero-padded
     length-m fft along x.  The spectrum of a real mask is Hermitian, so row
-    j > m/2 is conj(row m - j) at columns (m - c) % m.  Only rows 0..m/2
-    are ever finished.  frame() and extract_orders finish them a
-    QUANTISE_BLOCK_ROWS block at a time, so neither holds an array the
-    size of the far field beside the column spectrum and the frame.
-    band(half) returns the centred band of complex rows, its rows above
-    m/2 mirrored, and amplitudes is the widest band, the whole array, for
-    library callers.  pad_factor, an integer >= 1, is the zero padding of
-    the transform.
+    j > m/2 is conj(row m - j) at columns (m - c) % m, and only rows 0..m/2
+    are ever finished.  frame() finishes them a QUANTISE_BLOCK_ROWS block
+    at a time, so no array the size of the far field is held beside the
+    column spectrum and the frame; extract_orders finishes the rows up to
+    m/2 of one centred band at once.  band(half) returns the centred band
+    of complex rows, its rows above m/2 mirrored, and amplitudes is the
+    widest band, the whole array, for library callers.  pad_factor, an
+    integer >= 1, is the zero padding of the transform.
     """
 
     grid: GridSpec
@@ -343,17 +327,22 @@ class FarField:
         starts = list(range(0, rows, QUANTISE_BLOCK_ROWS))
         starts.insert(0, starts.pop())
         gray = np.empty((m, m), dtype=np.uint8)
+        block = np.empty((min(QUANTISE_BLOCK_ROWS, rows), m),
+                         dtype=np.complex128)
+        scratch = np.empty(block.shape)
         peak = None
         while True:
             largest = 0.0
-            for lo, _, intensity in _intensity_blocks(self._finish, m,
-                                                      starts, rows):
+            for lo in starts:
+                hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
+                intensity = scratch[:hi - lo]
+                np.abs(self._finish(lo, hi, block[:hi - lo]), out=intensity)
+                np.square(intensity, out=intensity)
                 largest = max(largest, float(intensity.max()))
                 if peak is None:
                     peak = largest
                 # the intensity is scaled in place, its block's only scratch
-                quantise_block(intensity, peak, intensity,
-                               gray[lo:lo + len(intensity)])
+                quantise_block(intensity, peak, intensity, gray[lo:hi])
             if largest <= peak:
                 return _point_mirror(gray), peak
             peak = largest
@@ -390,25 +379,21 @@ def _aperture_kernel(n: int, pad_factor: int,
                      half: int) -> tuple[np.ndarray, int]:
     """(column power, open-pixel count) of the bare inscribed-circle
     aperture's far field: power[c] sums |band(half)|^2 over its rows m/2 -
-    half..m/2 + half - 1 at column c, the length-m vector whose column
-    ranges extract_orders sums into window spreads.  Only bins m/2 -
-    half..m/2 of the disk's column spectrum are kept, each block's rfft
-    cut to them, and its rows are finished as extract_orders finishes the
-    far field's.  By Parseval power sums to the count at half = m/2."""
+    half..m/2 + half - 1 at column c (_band_power), the length-m vector
+    whose column ranges extract_orders sums into window spreads.  Only
+    bins m/2 - half..m/2 of the disk's column spectrum are kept, each
+    block's rfft cut to them, and rows m/2 - half..m/2 are finished from
+    them at once, as extract_orders finishes the far field's.  By Parseval
+    power sums to the count at half = m/2."""
     disk = _inscribed_aperture(n)
     m = n * pad_factor
     base = m // 2 - half
     bins = np.empty((n, half + 1), dtype=np.complex128)
     for lo, hi, block in _signed_columns(disk, pad_factor):
         bins[lo:hi] = np.fft.rfft(block, axis=1, norm="ortho")[:, base:]
-
-    def finish(lo, hi, out):
-        return _finish_rows(bins[:, lo - base:hi - base], lo, out)
-
-    power = np.zeros(m)
-    for _ in _band_blocks(finish, m, half, power):
-        pass
-    return power, int(np.count_nonzero(disk))
+    upper = _finish_rows(bins, base,
+                         np.empty((half + 1, m), dtype=np.complex128))
+    return _band_power(upper), int(np.count_nonzero(disk))
 
 
 def _window_sum(power: np.ndarray, centre_col: int, half: int) -> float:
@@ -428,15 +413,14 @@ def extract_orders(far_field: FarField,
     Only plane-reference holograms separate their orders transversely;
     spherical references raise OrderSeparationError.  The window half-width
     is k_x / 2, and every window and crop spans the band of rows m/2 +-
-    k_x / 2.  Its rows up to m/2 are finished once, a block at a time:
-    each block adds to the band's column power and is copied into one
-    (half + 1) x (2 half + 1) buffer per order, its window and one column
-    more.  Window powers are sums over column ranges, and the crop rows
-    above m/2 are the conjugate of order -o's buffer reversed on both axes
-    (the carrier columns are point-symmetric, cols[-o] = m - cols[o]).
-    Estimated neighbour leakage above 1 percent of an order's own power,
-    spread by the aperture kernel at the far field's own padding, also
-    raises OrderSeparationError; orders are checked in the order -1, 0, +1.
+    k_x / 2.  Its rows up to m/2, upper, are finished once, after the
+    aperture kernel is fetched.  Window powers are sums over column ranges
+    of the band's column power (_band_power).  Each crop is upper at its
+    own columns c, and its rows above m/2 are conj(upper) reversed along
+    the rows at columns (m - c) % m.  Estimated neighbour leakage, spread
+    by the aperture kernel at the far field's own padding, must be within
+    1 percent of an order's positive own power, or OrderSeparationError is
+    raised; orders are checked in the order -1, 0, +1.
     """
     if isinstance(spec.reference, SphericalReference):
         raise OrderSeparationError(
@@ -460,18 +444,12 @@ def extract_orders(far_field: FarField,
         raise OrderSeparationError(
             "order -1 window falls outside the sampled far field")
 
-    # the bounds check above implies half <= m/2, a valid band
-    power = np.zeros(m)
-    windows = {o: np.empty((half + 1, 2 * half + 1), dtype=np.complex128)
-               for o in (-1, 0, +1)}
-    for lo, rows in _band_blocks(far_field._finish, m, half, power):
-        top = lo - (centre - half)
-        for o, window in windows.items():
-            c0 = cols[o] - half
-            window[top:top + len(rows), :-1] = rows[:, c0:c0 + 2 * half]
-            # column m, one past order +1's window at its widest, is column 0
-            window[top:top + len(rows), -1] = rows[:, (c0 + 2 * half) % m]
+    # the kernel is built before the band is held, so their rows are never
+    # held together; the bounds check above implies half <= m/2
     kernel_power, kernel_total = _aperture_kernel(n_mask, pad_factor, half)
+    upper = far_field._finish(centre - half, centre + 1,
+                              np.empty((half + 1, m), dtype=np.complex128))
+    power = _band_power(upper)
     # a window that leaves the far field sums to nan and adds no leakage
     powers = {o: _window_sum(power, col, half) for o, col in cols.items()}
     # an order's neighbours lie 1..4 carriers away
@@ -486,16 +464,15 @@ def extract_orders(far_field: FarField,
             spread = math.nan if o == order else spreads[abs(o - order)]
             if not math.isnan(p * spread):
                 leak += p * spread / kernel_total
-        if own <= 0 or leak > LEAKAGE_LIMIT * own:
+        if not (own > 0 and leak <= LEAKAGE_LIMIT * own):
             raise OrderSeparationError(
                 f"estimated neighbour leakage {leak:.3e} exceeds 1% of order "
                 f"{order:+d} power {own:.3e}; increase the carrier frequency")
+        c = np.arange(cols[order] - half, cols[order] + half)
         crop = np.empty((2 * half, 2 * half), dtype=np.complex128)
-        crop[:half + 1] = windows[order][:, :-1]
-        # row m/2 + k at column c is conj(row m/2 - k) at column m - c, in
-        # order -o's window
-        np.conjugate(windows[-order][half - 1:0:-1, :0:-1],
-                     out=crop[half + 1:])
+        crop[:half + 1] = upper[:, c]
+        # row m/2 + k at column c is conj(row m/2 - k) at column m - c
+        np.conjugate(upper[half - 1:0:-1, (m - c) % m], out=crop[half + 1:])
         # the crop is the order's own window, whose power is `own`
         crop /= math.sqrt(own * freq_pitch ** 2)
         fields[order] = ComplexField(out_grid, 0.0, crop)
@@ -563,7 +540,8 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
     are straight, so the planes 0, z and copysign(z_max, z) bound the
     border intensity between them; as the peak changes along z, the largest
     border intensity of the three is checked against their smallest peak.
-    The width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.
+    The width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.  Non-finite
+    moments, from a field whose scales leave floating point, are refused.
     """
     grid, amps, k0 = field.grid, field.amplitudes, base_wavenumber(p)
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
@@ -579,13 +557,17 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
     p2 = float((power * k_sq).sum() / power.sum())
     z_focus = -k0 * rp / (2.0 * p2)
     width = math.sqrt(2.0 * (r2 - rp ** 2 / (4.0 * p2)))
+    if not (math.isfinite(z_focus) and math.isfinite(width)):
+        raise ContainmentError(
+            f"focus moments are not finite (z = {z_focus:.6e} m, width "
+            f"{width:.6e} m): the field's scales leave floating point")
     z_guard = math.copysign(z_max, z_focus)
     guard, plane = (np.fft.ifft2(spectrum * np.exp(-0.5j * k_sq * z / k0))
                     for z in (z_guard, z_focus))
     _check_contained(amps, guard, plane, context=(
         f"fields at z = 0, {z_guard:.6e} and {z_focus:.6e} m"))
     measured = effective_width(ComplexField(grid, z_focus, plane))
-    if abs(measured - width) > FOCUS_WIDTH_CROSSCHECK_RTOL * width:
+    if not abs(measured - width) <= FOCUS_WIDTH_CROSSCHECK_RTOL * width:
         raise ContainmentError(
             f"focus width {measured:.6e} m propagated, {width:.6e} m from "
             "the moment law: the field wraps around the grid; enlarge it")

@@ -207,16 +207,23 @@ def grid_norm(field: ComplexField) -> float:
 def _check_contained(*planes: np.ndarray, context: str):
     """Refuse planes whose largest border intensity exceeds
     BORDER_INTENSITY_LIMIT times their smallest peak; for one plane, its
-    own border-to-peak ratio."""
+    own border-to-peak ratio.  A plane whose peak or border intensity is
+    not finite is refused."""
     border, peak = 0.0, math.inf
     for amps in planes:
         intensity = np.abs(amps) ** 2
-        peak = min(peak, intensity.max())
+        # numpy's max propagates nan, so a plane's peak is finite only if
+        # every pixel is, its border pixels included
+        plane_peak = intensity.max()
+        if not math.isfinite(plane_peak):
+            raise ContainmentError(
+                f"{context}: intensity is not finite (peak {plane_peak:.3e})")
+        peak = min(peak, plane_peak)
         border = max(border, intensity[0].max(), intensity[-1].max(),
                      intensity[:, 0].max(), intensity[:, -1].max())
     if peak == 0.0:
         return
-    if border > BORDER_INTENSITY_LIMIT * peak:
+    if not border <= BORDER_INTENSITY_LIMIT * peak:
         raise ContainmentError(
             f"{context}: border intensity is {border / peak:.3e} of the peak "
             f"(limit {BORDER_INTENSITY_LIMIT:.0e}); enlarge the grid")

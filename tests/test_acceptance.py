@@ -49,7 +49,7 @@ def measure_rotation_series(l, grid, plan, n_outputs):
         prof = angular_intensity(field, petal_radius(W_B, l), 512)
         zs.append(z)
         raw.append(pattern_orientation(prof, l))
-    return np.asarray(zs), unwrap_orientations(raw, l, start=0.0)
+    return np.asarray(zs), unwrap_orientations(raw, l)
 
 
 def test_criterion_1_worked_example():

@@ -170,13 +170,13 @@ class TestUnwrap:
         period = math.pi / l
         truth = np.linspace(0.0, 3.1 * period, 40)
         wrapped = truth % period
-        recovered = unwrap_orientations(wrapped, l, start=0.0)
+        recovered = unwrap_orientations(wrapped, l)
         assert np.allclose(recovered, truth, atol=1e-12)
 
     def test_negative_direction(self):
         truth = np.linspace(0.0, -2.4 * math.pi, 30)
         wrapped = truth % math.pi
-        recovered = unwrap_orientations(wrapped, 1, start=0.0)
+        recovered = unwrap_orientations(wrapped, 1)
         assert np.allclose(recovered, truth, atol=1e-12)
 
 

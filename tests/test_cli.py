@@ -376,6 +376,16 @@ class TestGrating:
         assert "border intensity" in err
         assert not (tmp_path / "focus.json").exists()
 
+    def test_non_finite_focus_refused(self, tmp_path, capsys):
+        # scales that leave floating point make the focus moments nan; the
+        # run is refused instead of reporting a nan focus
+        assert main(["grating", "--grid-side=1.000e-100m",
+                     "--curvature=1.000e-250m-2", "--grid-n", "64",
+                     "--spherical", "--diffract", "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.sub(r"^(warning: .*\n)*", "", err).startswith("error:")
+        assert not (tmp_path / "focus.json").exists()
+
     def test_spherical_focus_guard_spans_planes(self, tmp_path, capsys,
                                                 monkeypatch):
         # the guard plane's border intensity is 3.3e-8 of its own peak but

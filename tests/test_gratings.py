@@ -479,8 +479,9 @@ class TestFarFieldFrame:
 
 class TestStreamedFarField:
     """FarField keeps the mask's column spectrum; band(half) finishes rows
-    m/2 - half..m/2 once and mirrors the rest, frame() and extract_orders
-    finish their rows in blocks of QUANTISE_BLOCK_ROWS into one buffer."""
+    m/2 - half..m/2 once and mirrors the rest, frame() finishes its rows in
+    blocks of QUANTISE_BLOCK_ROWS into one buffer, and extract_orders
+    finishes its band's rows up to m/2 in one call."""
 
     # m/2 + 1 = 33 (under one block), 64 and 128 (whole blocks), 65 and
     # 193 (one row past a block edge, so row m/2 is a block on its own)
@@ -540,8 +541,9 @@ class TestStreamedFarField:
 
     def test_extract_orders_finishes_one_band(self, monkeypatch):
         # the windows and crops of all three orders read one band of rows
-        # m/2 - half..m/2 + half - 1; its rows up to m/2 are finished once,
-        # in blocks that cover them exactly
+        # m/2 - half..m/2 + half - 1; with a warm aperture kernel its rows
+        # up to m/2 are finished in one call, though they span more than
+        # one block
         grid = GridSpec(256, 1e-6)
         spec = plane_spec(grid, fringes=40, l=2, phi0=0.3)
         far = diffract_far_field(synthesize_hologram(spec, grid), 4)
@@ -550,10 +552,8 @@ class TestStreamedFarField:
         extract_orders(far, spec)
         h = far.grid.samples_per_side // 2
         half = int(spec.reference.k_x / (2 * math.pi) / far.grid.pitch / 2)
-        block = gratings.QUANTISE_BLOCK_ROWS
-        assert half + 1 > block       # the band takes more than one block
-        assert calls == [(lo, min(lo + block, h + 1))
-                         for lo in range(h - half, h + 1, block)]
+        assert half + 1 > gratings.QUANTISE_BLOCK_ROWS
+        assert calls == [(h - half, h + 1)]
 
     def test_plane_op_memory(self):
         # one README-sized plane op with a cold aperture kernel holds the
@@ -662,6 +662,15 @@ class TestExtractOrder:
         assert len(built) == 1
         info = _aperture_kernel.cache_info()
         assert (info.hits, info.misses) == (0, 1)
+
+    def test_nan_far_field_refused(self, far_and_spec):
+        # nan window powers fail every comparison with the leakage limit;
+        # the rule must refuse them rather than return all-nan crops
+        far, spec = far_and_spec
+        nan_far = FarField(far.grid, np.full_like(far.columns, np.nan),
+                           far.pad_factor)
+        with pytest.raises(OrderSeparationError, match="order -1 power nan"):
+            extract_orders(nan_far, spec)
 
     def test_spherical_reference_rejected(self):
         grid = GridSpec(128, 1e-6)

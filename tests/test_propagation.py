@@ -33,7 +33,7 @@ def measure_rotation(s, grid, plan, n_outputs, radius, l):
         prof = angular_intensity(field, radius, 512)
         zs.append(z)
         raw.append(pattern_orientation(prof, l))
-    return np.asarray(zs), unwrap_orientations(raw, l, start=0.0)
+    return np.asarray(zs), unwrap_orientations(raw, l)
 
 
 class TestPlan:
@@ -683,6 +683,33 @@ class TestFactorForm:
         assert (factored.plane is None) == early
         if not early:
             assert np.array_equal(factored.plane, plane)
+
+    @pytest.mark.parametrize("case", ["nan pixel", "all nan",
+                                      "inf border pixel"])
+    def test_non_finite_plane_refused(self, case):
+        # a nan or inf intensity fails every comparison with the limit, so
+        # the guard must refuse it rather than find nothing above it
+        plane = self.guarded_field(64, 32, 0.0).amplitudes.copy()
+        if case == "nan pixel":
+            plane[30, 30] = np.nan
+        elif case == "all nan":
+            plane[:] = np.nan
+        else:
+            plane[0, 10] = np.inf
+        with pytest.raises(ContainmentError, match="not finite"):
+            _check_contained(plane, context="test")
+        # also when a finite, contained plane is checked beside it
+        with pytest.raises(ContainmentError, match="not finite"):
+            _check_contained(self.guarded_field(64, 32, 0.0).amplitudes,
+                             plane, context="test")
+
+    def test_nan_factors_refused(self):
+        field = self.guarded_field(64, 32, 0.0)
+        y, x = field.factors
+        nan_field = ComplexField(field.grid, 0.0,
+                                 factors=(y, np.full_like(x, np.nan)))
+        with pytest.raises(ContainmentError, match="not finite"):
+            _check_field_contained(nan_field, context="test")
 
 
 class TestRotationProperties:
