@@ -34,10 +34,8 @@ from .gratings import (CHIRPED_EMBED_FACTOR, DEFAULT_PAD_FACTOR,
                        spherical_focus_distance, synthesize_hologram)
 from .modes import (GridSpec, ModeSuperposition, petal_radius,
                     width_function_exact)
-# propagate_definite_l is unused here but kept importable: the benchmark's
-# instrumentation self-test (perfbench/tests) patches it at this import site.
-from .propagation import (exact_steps_per_plane, make_plan,  # noqa: F401
-                          propagate_definite_l, superposition_evolution)
+from .propagation import (exact_steps_per_plane, make_plan,
+                          superposition_evolution)
 from .units import (parse_angle, parse_curvature, parse_energy, parse_field,
                     parse_length, parse_wavenumber)
 
@@ -72,23 +70,46 @@ def _energy_ev(p: BeamParameters) -> float:
     return p.kinetic_energy / ELEMENTARY_CHARGE
 
 
-def _plane_stepping(args, grid: GridSpec, p: BeamParameters,
-                    z_target: float) -> tuple[float, int]:
-    """(dz, steps per output plane) of the exact scheme: one step per plane,
-    split only where the plane spacing exceeds exact_step_limit.  A run of
-    more than MAX_TOTAL_STEPS steps in all is refused."""
+def _channel_planes(args, s: ModeSuperposition, side: float,
+                    z_target: float):
+    """The planes of s on an args.grid_n grid of this side: z = 0, then
+    args.outputs more evenly spaced to z_target.  The exact scheme takes one
+    step per plane, split only where the plane spacing exceeds
+    exact_step_limit; a run of more than MAX_TOTAL_STEPS steps in all is
+    refused."""
+    _check_plane_side("grid", args.grid_n)
+    grid = GridSpec(args.grid_n, side)
     if args.outputs < 1 or not 0 < z_target < math.inf:
         raise CliUsageError(
             "need at least one output plane at positive, finite z")
     spacing = z_target / args.outputs
-    steps = exact_steps_per_plane(grid, p, spacing)
+    steps = exact_steps_per_plane(grid, s.params, spacing)
     total = steps * args.outputs
     if total > MAX_TOTAL_STEPS:
         raise CliUsageError(
             f"the exact scheme needs {total:.3e} steps ({steps:.3e} per "
             f"output plane) on this grid, more than the {MAX_TOTAL_STEPS:.0e} "
             "allowed; coarsen the grid or shorten the run")
-    return spacing / steps, steps
+    plan = make_plan(grid, s.params, spacing / steps, steps, scheme="exact")
+    return superposition_evolution(s, grid, plan, args.outputs)
+
+
+def _self_check(command: str, summary: str, pairs, rtol: float) -> int:
+    """Print summary with the largest relative deviation of the measured
+    values from their references, pairs of (measured, reference); return 1
+    with a FAILED line unless every deviation is at most rtol, so that a
+    non-finite deviation fails."""
+    measured, reference = np.asarray(pairs, dtype=float).T
+    deviations = np.abs(measured - reference) / np.abs(reference)
+    print(summary + f"max relative deviation {np.max(deviations):.3e}")
+    if not np.all(deviations <= rtol):
+        print(f"{command}: self-check FAILED (> {rtol:.0%})", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _write_json(path: str, report: dict):
+    write_text(path, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _check_plane_side(what: str, side: int):
@@ -137,8 +158,7 @@ def cmd_quantities(args) -> int:
     for name, value, unit in rows:
         print(f"{name:<{width}}  {value:>14}  {unit}")
     if args.json_path:
-        write_text(args.json_path,
-                   json.dumps(report, indent=2, allow_nan=False) + "\n")
+        _write_json(args.json_path, report)
     return 0
 
 
@@ -189,17 +209,12 @@ def cmd_rotate(args) -> int:
         w0 = parse_length(args.w0)
         side = parse_length(args.grid_side)
         z_target = parse_length(args.z_max)
-    _check_plane_side("grid", args.grid_n)
-    grid = GridSpec(args.grid_n, side)
-    dz, steps_per_output = _plane_stepping(args, grid, p, z_target)
     pair = ModeSuperposition.opposite_pair(args.l, w0, p)
-    plan = make_plan(grid, p, dz, steps_per_output, scheme="exact")
-
+    planes = _channel_planes(args, pair, side, z_target)
     radius = petal_radius(w0, args.l)
 
     zs, raw = [], []
-    for i, (z, field) in enumerate(superposition_evolution(
-            pair, grid, plan, args.outputs)):
+    for i, (z, field) in enumerate(planes):
         if i == 0:
             # the modes are sampled with the first plane: a waist the grid
             # samples to zero is rejected before any output exists
@@ -231,14 +246,9 @@ def cmd_rotate(args) -> int:
         print(summary + "no plane has a non-zero analytic angle; "
               f"max absolute deviation {worst:.3e} rad")
         return 0
-    worst = max(abs(m - a) / abs(a) for _, m, a in rows
-                if abs(a) > 1e-3 * scale)
-    print(summary + f"max relative deviation {worst:.3e}")
-    if worst > ROTATION_SELF_CHECK_RTOL:
-        print(f"rotate: self-check FAILED (> {ROTATION_SELF_CHECK_RTOL:.0%})",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _self_check("rotate", summary,
+                       [(m, a) for _, m, a in rows if abs(a) > 1e-3 * scale],
+                       ROTATION_SELF_CHECK_RTOL)
 
 
 def cmd_breathe(args) -> int:
@@ -254,16 +264,10 @@ def cmd_breathe(args) -> int:
     z_target = args.periods * math.pi / abs(k_l)
     side = (parse_length(args.grid_side) if args.grid_side
             else 6.0 * max(w0, w_b * w_b / w0))
-    _check_plane_side("grid", args.grid_n)
-    grid = GridSpec(args.grid_n, side)
-    dz, steps_per_output = _plane_stepping(args, grid, p, z_target)
     mode = ModeSuperposition(((ModeIndex(0, args.l), 1.0, w0),), p)
-    plan = make_plan(grid, p, dz, steps_per_output, scheme="exact")
-
     rows = [(z, effective_width(field, args.l),
              width_function_exact(w0, p, z))
-            for z, field in superposition_evolution(mode, grid, plan,
-                                                    args.outputs)]
+            for z, field in _channel_planes(args, mode, side, z_target)]
     outdir = _ensure_outdir(args)
     write_text(os.path.join(outdir, "breathing.csv"),
                format_csv("beam width vs propagation distance; exact column "
@@ -272,15 +276,11 @@ def cmd_breathe(args) -> int:
                           ("z_m", "width_measured_m", "width_exact_m"),
                           rows))
     widths = [r[1] for r in rows]
-    worst = max(abs(m - e) / e for _, m, e in rows)
-    print(f"breathe: {len(rows)} samples over {args.periods} period(s); "
-          f"width range [{min(widths):.6e}, {max(widths):.6e}] m, "
-          f"max relative deviation {worst:.3e}")
-    if worst > BREATHING_SELF_CHECK_RTOL:
-        print(f"breathe: self-check FAILED "
-              f"(> {BREATHING_SELF_CHECK_RTOL:.0%})", file=sys.stderr)
-        return 1
-    return 0
+    return _self_check("breathe",
+                       f"breathe: {len(rows)} samples over {args.periods} "
+                       f"period(s); width range [{min(widths):.6e}, "
+                       f"{max(widths):.6e}] m, ",
+                       [r[1:] for r in rows], BREATHING_SELF_CHECK_RTOL)
 
 
 def _plane_diffraction_report(pad, mask, spec, p, outdir) -> dict:
@@ -362,15 +362,13 @@ def cmd_grating(args) -> int:
         return 0
     if args.spherical:
         report = _spherical_focus_report(mask, spec, p)
-        write_text(os.path.join(outdir, "focus.json"),
-                   json.dumps(report, indent=2, allow_nan=False) + "\n")
+        _write_json(os.path.join(outdir, "focus.json"), report)
         print(f"grating: real focus at {report['real_focus_m']:.6e} m, "
               f"virtual at {report['virtual_focus_m']:.6e} m "
               f"(expected ±{report['expected_abs_focus_m']:.6e} m)")
     else:
         report = _plane_diffraction_report(pad, mask, spec, p, outdir)
-        write_text(os.path.join(outdir, "purity.json"),
-                   json.dumps(report, indent=2, allow_nan=False) + "\n")
+        _write_json(os.path.join(outdir, "purity.json"), report)
         plus = report["order_p1"]["harmonic_fraction_2l"]
         zero = report["order_0"]["harmonic_fraction_2l"]
         print(f"grating: 2l-harmonic fraction {plus:.3f} in order +1, "

@@ -4,6 +4,7 @@ tables.  Every write is atomic (temp file then rename)."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -157,8 +158,10 @@ def quantise_intensity(intensity: np.ndarray, peak: float) -> np.ndarray:
 def write_frame_pgm(path: str, gray: np.ndarray, peak: float) -> float:
     """Quantised intensity frame plus its '<path>.json' sidecar recording the
     peak, so frames remain quantitatively comparable; returns the peak."""
+    # a non-finite peak is refused before the frame is written
+    sidecar = json.dumps({"max_intensity": peak}, allow_nan=False) + "\n"
     write_pgm(path, gray)
-    write_text(path + ".json", json.dumps({"max_intensity": peak}) + "\n")
+    write_text(path + ".json", sidecar)
     return peak
 
 
@@ -170,8 +173,12 @@ def write_intensity_pgm(path: str, intensity: np.ndarray) -> float:
 
 
 def format_csv(comment: str, columns, rows) -> str:
-    """CSV with a '#' comment line naming columns and units."""
+    """CSV with a '#' comment line naming columns and units.  A row with a
+    non-finite value is refused with ValueError."""
     lines = [f"# {comment}" if comment else "#", ",".join(columns)]
     for row in rows:
-        lines.append(",".join(f"{value:.12e}" for value in row))
+        line = ",".join(f"{value:.12e}" for value in row)
+        if not all(math.isfinite(value) for value in row):
+            raise ValueError(f"refusing to write a non-finite CSV row: {line}")
+        lines.append(line)
     return "\n".join(lines) + "\n"

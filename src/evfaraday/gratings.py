@@ -417,10 +417,11 @@ def extract_orders(far_field: FarField,
     aperture kernel is fetched.  Window powers are sums over column ranges
     of the band's column power (_band_power).  Each crop is upper at its
     own columns c, and its rows above m/2 are conj(upper) reversed along
-    the rows at columns (m - c) % m.  Estimated neighbour leakage, spread
-    by the aperture kernel at the far field's own padding, must be within
-    1 percent of an order's positive own power, or OrderSeparationError is
-    raised; orders are checked in the order -1, 0, +1.
+    the rows at columns (m - c) % m.  An order's own power must be positive
+    and finite, and its estimated neighbour leakage, spread by the aperture
+    kernel at the far field's own padding, within 1 percent of it, or
+    OrderSeparationError is raised; orders are checked in the order -1, 0,
+    +1.
     """
     if isinstance(spec.reference, SphericalReference):
         raise OrderSeparationError(
@@ -464,7 +465,11 @@ def extract_orders(far_field: FarField,
             spread = math.nan if o == order else spreads[abs(o - order)]
             if not math.isnan(p * spread):
                 leak += p * spread / kernel_total
-        if not (own > 0 and leak <= LEAKAGE_LIMIT * own):
+        if not 0 < own < math.inf:
+            raise OrderSeparationError(
+                f"order {order:+d} window power {own:.3e} is not positive "
+                "and finite")
+        if not leak <= LEAKAGE_LIMIT * own:
             raise OrderSeparationError(
                 f"estimated neighbour leakage {leak:.3e} exceeds 1% of order "
                 f"{order:+d} power {own:.3e}; increase the carrier frequency")

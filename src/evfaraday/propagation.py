@@ -329,7 +329,8 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
 
 def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
                             plan: PropagationPlan, n_outputs: int):
-    """Yield (z, ComplexField) for a superposition propagated from z = 0.
+    """Yield (z, ComplexField) for a superposition propagated from z = 0
+    by a plan for its own grid and beam.
 
     Emits the initial field and then one field every
     plan.steps_per_output * plan.dz, n_outputs times.  The factors of one
@@ -342,6 +343,9 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     """
     if grid != plan.grid:
         raise GridMismatchError("grid and plan grids differ")
+    if s.params != plan.params:
+        raise ValueError("the superposition's beam and the plan's beam "
+                         "differ")
     if n_outputs < 1:
         raise ValueError("n_outputs must be >= 1")
     groups, terms = {}, []

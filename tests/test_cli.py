@@ -1,5 +1,7 @@
 """Command-line surface: parsing, outputs, self-checks and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -297,8 +299,52 @@ class TestBreathe:
         assert "max relative deviation 1.96" in captured.out
         assert "breathe: self-check FAILED (> 1%)" in captured.err
 
+    def test_nan_reference_is_not_a_pass(self, tmp_path, capsys,
+                                         monkeypatch):
+        # max() drops a nan that is not first and nan > bound is false: a
+        # reference that is nan past z = 0 must still not pass the check
+        monkeypatch.setattr(
+            cli, "width_function_exact",
+            lambda w0, p, z: math.nan if z > 0 else
+            width_function_exact(w0, p, z))
+        outdir = tmp_path / "br"
+        assert main(["breathe", "--w0-rel", "0.5", "--grid-n", "160",
+                     "--periods", "0.5", "--outputs", "8",
+                     "-o", str(outdir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: refusing to write a "
+                                       "non-finite CSV row")
+        assert captured.out == ""
+        assert not (outdir / "breathing.csv").exists()
+
     def test_zero_field_rejected(self):
         assert main(["breathe", "-B", "0T"]) == 2
+
+
+class TestSelfCheck:
+    @pytest.mark.parametrize("pairs", [
+        [(1.0, 1.0), (math.nan, 1.0), (1.001, 1.0)],
+        [(1.0, 1.0), (1.0, math.nan)],
+        [(1.0, 1.0), (math.inf, 1.0)],
+    ])
+    def test_non_finite_deviation_fails(self, capsys, pairs):
+        assert cli._self_check("breathe", "breathe: summary, ", pairs,
+                               0.01) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("breathe: summary, max relative "
+                                       "deviation ")
+        assert captured.err == "breathe: self-check FAILED (> 1%)\n"
+
+    def test_bound_is_inclusive(self, capsys):
+        # deviations 0 and 0.5: the largest is printed, and equal to the
+        # bound it passes
+        assert cli._self_check("rotate", "rotate: s, ",
+                               [(1.0, 1.0), (-3.0, -2.0)], 0.5) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "rotate: s, max relative deviation 5.000e-01\n"
+        assert captured.err == ""
+        assert cli._self_check("rotate", "rotate: s, ",
+                               [(-3.0, -2.0)], 0.49) == 1
 
 
 class TestGrating:
@@ -404,6 +450,10 @@ class TestGrating:
     def test_spherical_needs_curvature(self):
         assert main(["grating", "--spherical", "--grid-n", "64"]) == 2
 
+
+#: A decimal number, or a nan or inf token as Python and numpy print them.
+NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
+                    r"|(?i:\b(?:nan|inf(?:inity)?)\b)")
 
 #: Finite inputs that once ended in OverflowError or ZeroDivisionError.
 EXTREME_COMMANDS = [
@@ -535,13 +585,29 @@ class TestErrorBoundary:
     @example(argv=["grating", "--grid-side=1.000e-162m",
                    "--curvature=1.000e-162m-2", "--grid-n", "16",
                    "--spherical", "--diffract"])
+    # a focus whose moments leave floating point once printed nan and
+    # exited 0
+    @example(argv=["grating", "--grid-side=1.000e-100m",
+                   "--curvature=1.000e-250m-2", "--grid-n", "64",
+                   "--spherical", "--diffract"])
     def test_extreme_values_exit_cleanly(self, argv):
         # --grid-n stays at most 64, --pad at most 8, and the step ceiling
         # is lowered, so no example allocates a large plane or runs a long
         # propagation
+        stdout = io.StringIO()
         with tempfile.TemporaryDirectory() as outdir, \
-                mock.patch.object(cli, "MAX_TOTAL_STEPS", 1000):
-            assert main(argv + ["-o", outdir]) in (0, 1, 2)
+                mock.patch.object(cli, "MAX_TOTAL_STEPS", 1000), \
+                contextlib.redirect_stdout(stdout):
+            code = main(argv + ["-o", outdir])
+            assert code in (0, 1, 2)
+            if code == 0:
+                # a run that succeeds prints and writes only finite numbers
+                texts = [stdout.getvalue()] + [
+                    path.read_text() for path in pathlib.Path(outdir).iterdir()
+                    if path.suffix in (".csv", ".json")]
+                for text in texts:
+                    for token in re.findall(NUMBER, text):
+                        assert math.isfinite(float(token)), text
 
     def test_derived_step_count_is_bounded(self, tmp_path, capsys,
                                            monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from evfaraday import ComplexField, GridSpec
 from evfaraday.fileio import (format_csv, load_field, save_field,
-                              write_intensity_pgm, write_mask_pgm, write_pgm,
-                              write_text)
+                              write_frame_pgm, write_intensity_pgm,
+                              write_mask_pgm, write_pgm, write_text)
 
 
 def random_field(n=32, side=1e-6, seed=5):
@@ -199,6 +199,15 @@ class TestPgm:
         sidecar = json.loads((tmp_path / "z.pgm.json").read_text())
         assert sidecar["max_intensity"] == 0.0
 
+    @pytest.mark.parametrize("peak", [np.nan, np.inf])
+    def test_non_finite_peak_refused(self, tmp_path, peak):
+        # NaN and Infinity are not JSON; neither the sidecar nor its frame
+        # is written
+        with pytest.raises(ValueError):
+            write_frame_pgm(str(tmp_path / "f.pgm"),
+                            np.zeros((4, 4), dtype=np.uint8), peak)
+        assert not list(tmp_path.iterdir())
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(str(tmp_path / "x.pgm"), np.zeros(16, dtype=np.uint8))
@@ -213,6 +222,14 @@ class TestCsvAndText:
         assert a.splitlines()[0] == "# units"
         assert a.splitlines()[1] == "x,y"
         assert "1.000000000000e+00,2.000000000000e+00" in a
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused(self, bad):
+        # nan and inf are not numbers a CSV reader can trust; a table that
+        # holds one is refused, wherever in it the value lies
+        with pytest.raises(ValueError, match="non-finite CSV row"):
+            format_csv("units", ("x", "y"),
+                       [(1.0, 2.0), (3.0, np.float64(bad))])
 
     def test_write_text_replaces_atomically(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -665,11 +665,14 @@ class TestExtractOrder:
 
     def test_nan_far_field_refused(self, far_and_spec):
         # nan window powers fail every comparison with the leakage limit;
-        # the rule must refuse them rather than return all-nan crops
+        # they are refused as powers, not as leakage, rather than returned
+        # as all-nan crops
         far, spec = far_and_spec
         nan_far = FarField(far.grid, np.full_like(far.columns, np.nan),
                            far.pad_factor)
-        with pytest.raises(OrderSeparationError, match="order -1 power nan"):
+        with pytest.raises(OrderSeparationError,
+                           match="order -1 window power nan is not positive "
+                                 "and finite"):
             extract_orders(nan_far, spec)
 
     def test_spherical_reference_rejected(self):

@@ -220,6 +220,16 @@ class TestSuperpositionRotation:
             angles[bz] = measured
         assert np.allclose(angles[1.0], -angles[-1.0], atol=1e-9)
 
+    def test_beam_mismatch_refused(self, beam, w_b):
+        # the plan's k_L drives the Zeeman phases, so a +1 T pair stepped
+        # by a -1 T plan would rotate the wrong way without a word
+        grid = GridSpec(64, 8 * w_b)
+        reversed_beam = BeamParameters(beam.kinetic_energy, -beam.field_bz)
+        plan = make_plan(grid, reversed_beam, 1e-8, scheme="exact")
+        s = ModeSuperposition.opposite_pair(1, w_b, beam)
+        with pytest.raises(ValueError, match="plan's beam"):
+            next(superposition_evolution(s, grid, plan, 1))
+
 
 class TestNormAndConvergence:
     def test_grid_norm_scaling(self, beam, w_b):
