@@ -90,7 +90,7 @@ class BinaryMask:
         n = self.grid.samples_per_side
         if vals.shape != (n, n):
             raise ValueError("mask shape does not match grid")
-        if not np.isin(vals, (0, 1)).all():
+        if not ((vals == 0) | (vals == 1)).all():
             raise ValueError("mask values must be strictly binary")
         object.__setattr__(self, "values", vals.astype(np.uint8))
 
@@ -208,7 +208,8 @@ def _column_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
 def _finish_rows(columns: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
     """Write far-field rows lo..lo + k - 1, 0 <= lo, lo + k <= m/2 + 1,
     into the k x m complex array out from columns, the matching k bins of
-    an (n, .) column spectrum; returns out."""
+    an (n, .) column spectrum; returns out.  The rows are transformed in
+    the precision of out: a complex64 out takes the columns cast to it."""
     m = out.shape[1]
     half_n = columns.shape[0] // 2
     # the mask columns land at their ifftshifted positions along x
@@ -267,9 +268,10 @@ class FarField:
     length-m fft along x.  The spectrum of a real mask is Hermitian, so row
     j > m/2 is conj(row m - j) at columns (m - c) % m, and only rows 0..m/2
     are ever finished.  frame() finishes them a QUANTISE_BLOCK_ROWS block
-    at a time, so no array the size of the far field is held beside the
-    column spectrum and the frame; extract_orders finishes the rows up to
-    m/2 of one centred band at once.  band(half) returns the centred band
+    at a time in single precision, so no array the size of the far field
+    is held beside the column spectrum and the frame; extract_orders
+    finishes the rows up to m/2 of one centred band at once, in double
+    precision like the column spectrum.  band(half) returns the centred band
     of complex rows, its rows above m/2 mirrored, and amplitudes is the
     widest band, the whole array, for library callers.  pad_factor, an
     integer >= 1, is the zero padding of the transform.
@@ -308,44 +310,48 @@ class FarField:
         return out
 
     def frame(self) -> tuple[np.ndarray, float]:
-        """(m x m uint8 frame, peak) of the intensity, byte for byte
-        quantise_intensity(I, I.max()) with I = |amplitudes|^2.
+        """(m x m uint8 frame, peak) of the intensity I = |amplitudes|^2:
+        rint(255 I / peak), peak the zero frequency's intensity.
 
-        The mirrored rows repeat rows 0..m/2, so only those rows are
-        finished, QUANTISE_BLOCK_ROWS at a time, and each block is squared
-        and quantised into the frame as soon as it is finished; the frame's
-        other rows are their point mirror, copied as bytes.  The mask is
-        non-negative, so |F(k)| <= sum(mask) = F(0): the block holding row
-        m/2, and so the zero frequency, comes first and its largest
-        intensity is the peak.  Should rounding lift a pixel of a later
-        block above it (a mask of a few open pixels, whose far field is
-        nearly flat), the blocks are finished and quantised once more with
-        the largest intensity seen.
+        The mask is non-negative, so |F(k)| <= F(0): peak is the largest
+        intensity, and it is taken in double precision from row m/2 alone,
+        before any other row is finished.  The frame keeps 8 bits, so rows
+        0..m/2 are finished in single precision, QUANTISE_BLOCK_ROWS at a
+        time in one ascending pass, and each block is squared and quantised
+        into the frame as soon as it is finished; the frame's other rows
+        are their point mirror, copied as bytes.  A peak that is not
+        finite, or a block whose largest intensity is not within half a
+        level of peak, peak * 255.5 / 255, and so would not fit 8 bits, is
+        refused with ValueError (a nan or inf among the columns spreads
+        along its rows).
         """
         m = self.grid.samples_per_side
         rows = m // 2 + 1
-        starts = list(range(0, rows, QUANTISE_BLOCK_ROWS))
-        starts.insert(0, starts.pop())
+        zero_row = self._finish(m // 2, rows,
+                                np.empty((1, m), dtype=np.complex128))
+        peak = float(np.square(np.abs(zero_row[0, m // 2])))
+        if not math.isfinite(peak):
+            raise ValueError(f"far-field zero-order peak {peak:.6e} is not "
+                             "finite")
+        limit = peak * 255.5 / 255
         gray = np.empty((m, m), dtype=np.uint8)
         block = np.empty((min(QUANTISE_BLOCK_ROWS, rows), m),
-                         dtype=np.complex128)
-        scratch = np.empty(block.shape)
-        peak = None
-        while True:
-            largest = 0.0
-            for lo in starts:
-                hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
-                intensity = scratch[:hi - lo]
-                np.abs(self._finish(lo, hi, block[:hi - lo]), out=intensity)
-                np.square(intensity, out=intensity)
-                largest = max(largest, float(intensity.max()))
-                if peak is None:
-                    peak = largest
-                # the intensity is scaled in place, its block's only scratch
-                quantise_block(intensity, peak, intensity, gray[lo:hi])
-            if largest <= peak:
-                return _point_mirror(gray), peak
-            peak = largest
+                         dtype=np.complex64)
+        scratch = np.empty(block.shape, dtype=np.float32)
+        for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
+            hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
+            intensity = scratch[:hi - lo]
+            np.abs(self._finish(lo, hi, block[:hi - lo]), out=intensity)
+            np.square(intensity, out=intensity)
+            largest = float(intensity.max())
+            if not largest <= limit:
+                raise ValueError(
+                    f"far-field intensity {largest:.6e} in rows {lo}.."
+                    f"{hi - 1} is not within half a level of the zero-order "
+                    f"peak {peak:.6e}")
+            # the intensity is scaled in place, its block's only scratch
+            quantise_block(intensity, peak, intensity, gray[lo:hi])
+        return _point_mirror(gray), peak
 
     @property
     def amplitudes(self) -> np.ndarray:
