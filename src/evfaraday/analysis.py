@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import GridMismatchError, NoPatternError
-from .modes import ComplexField
+from .modes import ComplexField, GridSpec
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,24 @@ def radial_peak_radius(field: ComplexField) -> float:
     result never falls below two grid pitches so the circle stays
     resolvable.
     """
-    intensity = field.intensity()
-    xg, yg = field.grid.meshgrid()
-    bins = np.floor(np.hypot(xg, yg) / field.grid.pitch).astype(int).ravel()
-    sums = np.bincount(bins, weights=intensity.ravel())
-    counts = np.maximum(np.bincount(bins), 1)
-    usable = field.grid.samples_per_side // 2 - 1
-    mean = sums[:usable] / counts[:usable]
+    bins, counts = _radius_bins(field.grid)
+    sums = np.bincount(bins, weights=field.intensity().ravel())
+    mean = sums[:len(counts)] / counts
     peak = int(np.argmax(mean)) + 0.5
     return max(peak, 2.0) * field.grid.pitch
+
+
+@lru_cache(maxsize=4)
+def _radius_bins(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(whole-pitch radius bin of every pixel, raveled; pixel count of each
+    usable bin, the n/2 - 1 innermost, at least 1) of a grid, shared by
+    the fields radial_peak_radius reads on it."""
+    xg, yg = grid.meshgrid()
+    bins = np.floor(np.hypot(xg, yg) / grid.pitch).astype(int).ravel()
+    usable = grid.samples_per_side // 2 - 1
+    counts = np.maximum(np.bincount(bins)[:usable], 1)
+    bins.flags.writeable = counts.flags.writeable = False
+    return bins, counts
 
 
 def effective_width(field: ComplexField, l: int = 0) -> float:

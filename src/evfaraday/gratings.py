@@ -108,14 +108,25 @@ def design_value(spec: HologramSpec, x, y):
     """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
-    phi = np.arctan2(ys, xs)
-    target = 2.0 * np.cos(spec.l * (phi - spec.phi0))
+    # the value is built in place in one broadcast array, in the operation
+    # order of (t^2 + 2 t cos(ref) + 1) / 3, t = 2 cos(l (phi - phi0))
+    val = np.arctan2(ys, xs,
+                     out=np.empty(np.broadcast_shapes(xs.shape, ys.shape)))
+    val -= spec.phi0
+    val *= spec.l
+    np.cos(val, out=val)
+    val *= 2.0
+    square = np.square(val)
     if isinstance(spec.reference, PlaneReference):
         ref_phase = spec.reference.k_x * xs
     else:
         ref_phase = spec.reference.curvature * (xs ** 2 + ys ** 2)
-    val = (target ** 2 + 2.0 * target * np.cos(ref_phase) + 1.0) / 3.0
-    return float(val) if xs.ndim == 0 and ys.ndim == 0 else val
+    val *= 2.0
+    val *= np.cos(ref_phase)
+    val += square
+    val += 1.0
+    val /= 3.0
+    return float(val) if val.ndim == 0 else val
 
 
 def _check_carrier_resolved(spec: HologramSpec, grid: GridSpec):
@@ -137,8 +148,9 @@ def _check_carrier_resolved(spec: HologramSpec, grid: GridSpec):
 def _inscribed_aperture(n: int) -> np.ndarray:
     """The inscribed circular aperture: pixels of an n x n grid whose centres
     lie within radius side/2, compared exactly in pixel units."""
-    idx = np.arange(n) - n / 2 + 0.5
-    return idx[:, np.newaxis] ** 2 + idx ** 2 <= (n / 2.0) ** 2
+    # squares of half-integers and their differences are exact
+    sq = (np.arange(n) - n / 2 + 0.5) ** 2
+    return sq <= ((n / 2.0) ** 2 - sq)[:, np.newaxis]
 
 
 def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
@@ -150,8 +162,8 @@ def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
     # and the plane reference's cos(k_x x) is taken on the N row samples
     x = grid.axis()
     open_pixels = design_value(spec, x[np.newaxis, :], x[:, np.newaxis]) > 0.5
-    aperture = _inscribed_aperture(grid.samples_per_side)
-    return BinaryMask(grid, (open_pixels & aperture).astype(np.uint8))
+    open_pixels &= _inscribed_aperture(grid.samples_per_side)
+    return BinaryMask(grid, open_pixels)
 
 
 def _embed(values: np.ndarray, factor: int) -> np.ndarray:
@@ -324,6 +336,22 @@ class FarField:
         level of peak, peak * 255.5 / 255, and so would not fit 8 bits, is
         refused with ValueError (a nan or inf among the columns spreads
         along its rows).
+
+        A block whose rows all provably quantise to zero is left zero
+        without being finished.  Row j is the ortho length-m transform of
+        column j of the spectrum, so by the triangle inequality none of
+        its pixels exceeds B_j = (sum_x |columns[x, j]|)^2 / m, summed in
+        double precision a block of mask columns at a time.  A row is dark
+        when B_j < (0.5 / 255) peak (1 - 1e-3).  Finished in single
+        precision, each pixel of a row is a sum of the row's inputs through
+        about log2(m) levels of unit-modulus twiddles, so the complex64
+        cast and the fft move its modulus by about log2(m) 2^-24 ~ 1e-6 of
+        sqrt(B_j) at most, and squaring and scaling add a few 2^-24 more:
+        far inside the 1e-3 margin, so a dark row's 255 I / peak stays
+        below 0.5 and rounds to 0, as it would finished.  Every other
+        block is finished and checked as above, so the frame's bytes do
+        not change; a nan or inf in a column makes its B_j non-finite,
+        never dark.
         """
         m = self.grid.samples_per_side
         rows = m // 2 + 1
@@ -334,12 +362,20 @@ class FarField:
             raise ValueError(f"far-field zero-order peak {peak:.6e} is not "
                              "finite")
         limit = peak * 255.5 / 255
+        bound = np.zeros(rows)
+        for lo in range(0, len(self.columns), QUANTISE_BLOCK_ROWS):
+            bound += np.abs(self.columns[lo:lo + QUANTISE_BLOCK_ROWS]).sum(
+                axis=0)
+        dark = np.square(bound) / m < 0.5 / 255 * peak * (1 - 1e-3)
         gray = np.empty((m, m), dtype=np.uint8)
         block = np.empty((min(QUANTISE_BLOCK_ROWS, rows), m),
                          dtype=np.complex64)
         scratch = np.empty(block.shape, dtype=np.float32)
         for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
             hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
+            if dark[lo:hi].all():
+                gray[lo:hi] = 0
+                continue
             intensity = scratch[:hi - lo]
             np.abs(self._finish(lo, hi, block[:hi - lo]), out=intensity)
             np.square(intensity, out=intensity)

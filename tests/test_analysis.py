@@ -244,3 +244,19 @@ class TestRadialPeak:
         field = mode_field(grid, 0, 2, w_b)
         assert radial_peak_radius(field) == pytest.approx(
             petal_radius(w_b, 2), abs=1.5 * grid.pitch)
+
+    def test_cached_bins_match_direct_binning(self):
+        # the radius bins are cached per grid; fields on grids that share
+        # a size or a side, read in turn, each get their own binning
+        rng = np.random.default_rng(2502)
+        grids = [GridSpec(32, 1e-6), GridSpec(32, 2e-6), GridSpec(48, 1e-6)]
+        for grid in grids * 3:
+            n = grid.samples_per_side
+            amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            field = ComplexField(grid, 0.0, amps)
+            xg, yg = grid.meshgrid()
+            bins = np.floor(np.hypot(xg, yg) / grid.pitch).astype(int)
+            sums = np.bincount(bins.ravel(), weights=np.abs(amps).ravel() ** 2)
+            mean = sums / np.maximum(np.bincount(bins.ravel()), 1)
+            peak = int(np.argmax(mean[:n // 2 - 1])) + 0.5
+            assert radial_peak_radius(field) == max(peak, 2.0) * grid.pitch

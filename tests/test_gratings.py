@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from evfaraday import (BeamParameters, BinaryMask, ComplexField,
@@ -281,6 +281,31 @@ def record_finishes(monkeypatch):
     return calls
 
 
+def expected_finishes(far, peak):
+    """Row m/2 for the peak, then in ascending order the blocks of rows
+    0..m/2 that are not dark.  Row j is dark when (sum_x |columns[x, j]|)^2
+    / m, a bound on its intensity, is below (0.5 / 255) peak (1 - 1e-3):
+    all its pixels then quantise to zero."""
+    m = far.grid.samples_per_side
+    h = m // 2
+    bound = np.abs(far.columns).sum(axis=0) ** 2 / m
+    dark = bound < 0.5 / 255 * peak * (1 - 1e-3)
+    block = gratings.QUANTISE_BLOCK_ROWS
+    return [(h, h + 1)] + [(lo, min(lo + block, h + 1))
+                           for lo in range(0, h + 1, block)
+                           if not dark[lo:lo + block].all()]
+
+
+def assert_skipped_blocks_dark(finished, intensity, peak):
+    """Every block of rows 0..m/2 that frame() did not finish is below half
+    a level in the double-precision intensity, so its bytes are zero."""
+    h = intensity.shape[0] // 2
+    block = gratings.QUANTISE_BLOCK_ROWS
+    for lo in range(0, h + 1, block):
+        if (lo, min(lo + block, h + 1)) not in finished:
+            assert intensity[lo:lo + block].max() < 0.5 / 255 * peak
+
+
 def assert_zero_order_peak(peak, intensity, values, pad):
     """peak is the zero frequency's intensity, the centre pixel of the
     double-precision intensity of the n x n mask values, m = n * pad:
@@ -512,6 +537,26 @@ class TestFarFieldFrame:
             with pytest.raises(ValueError, match=message):
                 broken.frame()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_dark_row_refused(self, bad, monkeypatch):
+        # rows 0..63 of the disk's far field (m = 256) are dark and left
+        # unfinished; a nan or inf in one of them makes that row's bound
+        # non-finite, so its block is finished and refused
+        values = gratings._inscribed_aperture(64).astype(np.uint8)
+        far = diffract_far_field(BinaryMask(GridSpec(64, 1e-6), values), 4)
+        finished = record_finishes(monkeypatch)
+        far.frame()
+        assert (0, 64) not in finished
+        columns = far.columns.copy()
+        columns[5, 9] = bad
+        broken = FarField(far.grid, columns, far.pad_factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match=(
+                    "far-field intensity (nan|inf) in rows 0..63 is not "
+                    "within half a level of the zero-order peak")):
+                broken.frame()
+
     @staticmethod
     def degenerate_mask(case):
         """(values, pad) of masks with a nearly flat far field, where
@@ -549,12 +594,12 @@ class TestFarFieldFrame:
         assert blob.startswith(header)
         gray = np.frombuffer(blob[len(header):], np.uint8).reshape(m, m)
         assert_quantised(gray, intensity, peak)
-        # row m/2 for the peak, then one ascending pass: every row
-        # finished once more
-        block = gratings.QUANTISE_BLOCK_ROWS
-        h = m // 2
-        assert finished == [(h, h + 1)] + [(lo, min(lo + block, h + 1))
-                                           for lo in range(0, h + 1, block)]
+        # row m/2 for the peak, then one ascending pass over the blocks
+        # that are not dark; the disk's sidelobes leave rows 0..63 dark
+        assert finished == expected_finishes(far, peak)
+        assert_skipped_blocks_dark(finished, intensity, peak)
+        if case == "disk":
+            assert finished == [(128, 129), (64, 128), (128, 129)]
 
 
 class TestStreamedFarField:
@@ -634,12 +679,58 @@ class TestStreamedFarField:
         far.band(h)
         assert calls == [(h - 20, h + 1), (h - 1, h + 1), (0, h + 1)]
         calls.clear()
-        far.frame()
-        # row m/2 alone gives the peak, then the blocks come in ascending
-        # order, each row finished once more
-        block = gratings.QUANTISE_BLOCK_ROWS
-        assert calls == [(h, h + 1)] + [(lo, min(lo + block, h + 1))
-                                        for lo in range(0, h + 1, block)]
+        _, peak = far.frame()
+        # row m/2 alone gives the peak, then the blocks that are not dark
+        # come in ascending order
+        assert calls == expected_finishes(far, peak)
+
+    def test_readme_plane_op_finishes_two_blocks(self, monkeypatch):
+        # the README plane op (512^2 mask, pad 4, m = 2048): of the 17
+        # blocks of rows 0..1024 only the two nearest the zero frequency
+        # hold a non-zero byte, and only they are finished
+        grid = GridSpec(512, 1e-6)
+        finished = record_finishes(monkeypatch)
+        for l in (1, 2, 3, 4):
+            spec = HologramSpec(l, 0.0, PlaneReference(2.5e8))
+            far = diffract_far_field(synthesize_hologram(spec, grid), 4)
+            finished.clear()
+            gray, _ = far.frame()
+            assert finished == [(1024, 1025), (960, 1024), (1024, 1025)]
+            assert not gray[:960].any() and not gray[1089:].any()
+            assert gray[960:1089].any()
+
+    def test_dark_blocks_skipped_on_random_masks(self, monkeypatch):
+        # sparse and dense random masks at pads 1-8: whether or not blocks
+        # are skipped, the frame is the double-precision quantisation
+        # against the zero-frequency peak, every skipped block is below
+        # half a level, and some draws do skip blocks
+        finished = record_finishes(monkeypatch)
+        skipped = []
+
+        @seed(2501)
+        @settings(max_examples=40, deadline=None, database=None)
+        @given(n=st.sampled_from([16, 32, 64, 128]), pad=st.integers(1, 8),
+               density=st.one_of(st.floats(0.001, 0.05),
+                                 st.floats(0.9, 1.0)),
+               mask_seed=st.integers(0, 2 ** 32 - 1))
+        def check(n, pad, density, mask_seed):
+            rng = np.random.default_rng(mask_seed)
+            mask = BinaryMask(GridSpec(n, 1e-6), rng.random((n, n)) < density)
+            far = diffract_far_field(mask, pad)
+            finished.clear()
+            gray, peak = far.frame()
+            calls = list(finished)
+            assert calls == expected_finishes(far, peak)
+            intensity = np.abs(far.amplitudes) ** 2
+            assert_zero_order_peak(peak, intensity, mask.values, pad)
+            assert_quantised(gray, intensity, peak)
+            assert_skipped_blocks_dark(calls, intensity, peak)
+            h = n * pad // 2
+            blocks = -(-(h + 1) // gratings.QUANTISE_BLOCK_ROWS)
+            skipped.append(blocks + 1 - len(calls))
+
+        check()
+        assert any(skipped)
 
     def test_extract_orders_finishes_one_band(self, monkeypatch):
         # the windows and crops of all three orders read one band of rows
