@@ -129,36 +129,32 @@ def _ensure_outdir(args) -> str:
 def cmd_quantities(args) -> int:
     p = _beam(args)
     w_b = magnetic_width(p) if p.field_bz != 0 else None
+    # (table name, JSON key, value, unit); a row without a name is JSON-only
     rows = [
-        ("k0", f"{base_wavenumber(p):.6e}", "rad/m"),
-        ("omega_larmor", f"{larmor_frequency(p):.6e}", "rad/s"),
-        ("k_larmor", f"{larmor_wavenumber(p):.6e}", "rad/m"),
-        ("w_b", "∞" if w_b is None else f"{w_b:.6e}", "m"),
-        ("verdet", f"{verdet_parameter(p):.6e}", "rad/(T m)"),
+        (None, "energy_eV", _energy_ev(p), None),
+        (None, "field_T", p.field_bz, None),
+        ("k0", "k0_rad_per_m", base_wavenumber(p), "rad/m"),
+        ("omega_larmor", "omega_larmor_rad_per_s", larmor_frequency(p),
+         "rad/s"),
+        ("k_larmor", "k_larmor_rad_per_m", larmor_wavenumber(p), "rad/m"),
+        ("w_b", "w_b_m", w_b, "m"),
+        ("verdet", "verdet_rad_per_t_m", verdet_parameter(p), "rad/(T m)"),
     ]
-    report = {
-        "energy_eV": _energy_ev(p),
-        "field_T": p.field_bz,
-        "k0_rad_per_m": base_wavenumber(p),
-        "omega_larmor_rad_per_s": larmor_frequency(p),
-        "k_larmor_rad_per_m": larmor_wavenumber(p),
-        "w_b_m": w_b,
-        "verdet_rad_per_t_m": verdet_parameter(p),
-    }
     if args.thickness:
         thickness = parse_length(args.thickness)
         if not math.isfinite(thickness):
             raise CliUsageError(f"thickness must be finite, got {thickness}")
-        angle = faraday_angle(p, thickness)
-        rows.append(("faraday_angle", f"{angle:.6e}",
-                     f"rad  (thickness {thickness:.6e} m)"))
-        report["thickness_m"] = thickness
-        report["faraday_angle_rad"] = angle
-    width = max(len(name) for name, _, _ in rows)
-    for name, value, unit in rows:
-        print(f"{name:<{width}}  {value:>14}  {unit}")
+        rows += [(None, "thickness_m", thickness, None),
+                 ("faraday_angle", "faraday_angle_rad",
+                  faraday_angle(p, thickness),
+                  f"rad  (thickness {thickness:.6e} m)")]
+    table = [row for row in rows if row[0]]
+    width = max(len(name) for name, *_ in table)
+    for name, _, value, unit in table:
+        shown = "∞" if value is None else f"{value:.6e}"
+        print(f"{name:<{width}}  {shown:>14}  {unit}")
     if args.json_path:
-        _write_json(args.json_path, report)
+        _write_json(args.json_path, {key: value for _, key, value, _ in rows})
     return 0
 
 
@@ -193,22 +189,16 @@ def cmd_rotate(args) -> int:
                                 f"got {every}")
     p = _beam(args)
     k_l = larmor_wavenumber(p)
-    if k_l != 0:
-        w0 = parse_length(args.w0) if args.w0 else magnetic_width(p)
-        side = (parse_length(args.grid_side) if args.grid_side
-                else 8.0 * magnetic_width(p))
-        if args.z_max:
-            z_target = parse_length(args.z_max)
-        else:
-            z_target = parse_angle(args.phi_max) / abs(k_l)
-    else:
-        if not (args.w0 and args.grid_side and args.z_max):
-            raise CliUsageError(
-                "with -B 0T, or a field whose k_L rounds to 0, give --w0, "
-                "--grid-side and --z-max explicitly")
-        w0 = parse_length(args.w0)
-        side = parse_length(args.grid_side)
-        z_target = parse_length(args.z_max)
+    # with k_L = 0 every default below is refused before it is evaluated
+    if k_l == 0 and not (args.w0 and args.grid_side and args.z_max):
+        raise CliUsageError(
+            "with -B 0T, or a field whose k_L rounds to 0, give --w0, "
+            "--grid-side and --z-max explicitly")
+    w0 = parse_length(args.w0) if args.w0 else magnetic_width(p)
+    side = (parse_length(args.grid_side) if args.grid_side
+            else 8.0 * magnetic_width(p))
+    z_target = (parse_length(args.z_max) if args.z_max
+                else parse_angle(args.phi_max) / abs(k_l))
     pair = ModeSuperposition.opposite_pair(args.l, w0, p)
     planes = _channel_planes(args, pair, side, z_target)
     radius = petal_radius(w0, args.l)

@@ -166,15 +166,6 @@ def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
     return BinaryMask(grid, open_pixels)
 
 
-def _embed(values: np.ndarray, factor: int) -> np.ndarray:
-    n = values.shape[0]
-    m = n * factor
-    out = np.zeros((m, m), dtype=values.dtype)
-    lo = (m - n) // 2
-    out[lo:lo + n, lo:lo + n] = values
-    return out
-
-
 def _signed_columns(values: np.ndarray, pad_factor: int):
     """Yield (lo, hi, block) for mask columns lo..hi-1, QUANTISE_BLOCK_ROWS
     at a time: block row x - lo is mask column x as the length-m input of
@@ -195,9 +186,10 @@ def _signed_columns(values: np.ndarray, pad_factor: int):
 
 
 def _column_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
-    """The rfft stage of fftshift(fft2(ifftshift(_embed(values, pad_factor)),
-    norm="ortho")) of a real n x n array, m = n * pad_factor: an
-    (n, m/2 + 1) array whose row x is the transform along y of mask column x.
+    """The rfft stage of fftshift(fft2(ifftshift(padded), norm="ortho")) of
+    a real n x n array zero-padded to m x m, m = n * pad_factor, by (m - n)
+    / 2 on each side: an (n, m/2 + 1) array whose row x is the transform
+    along y of mask column x.
 
     Both shifts become a (-1)^(x+y) sign on the input, which needs m and n
     even (GridSpec makes n even).  The signed input is real, so its
@@ -250,8 +242,9 @@ def _point_mirror(full: np.ndarray) -> np.ndarray:
 
 
 def _band_power(upper: np.ndarray) -> np.ndarray:
-    """Column sums of |band(half)|^2 of an m x m far field from its rows
-    m/2 - half..m/2, the (half + 1) x m array upper: a length-m vector.
+    """Column sums of the intensity of rows m/2 - half..m/2 + half - 1 of an
+    m x m far field, from its rows m/2 - half..m/2, the (half + 1) x m array
+    upper: a length-m vector.
 
     Rows m/2 - half + 1..m/2 - 1 reappear above m/2 point-mirrored, so
     their column power is added once more, reflected to column (m - c) % m.
@@ -283,10 +276,9 @@ class FarField:
     at a time in single precision, so no array the size of the far field
     is held beside the column spectrum and the frame; extract_orders
     finishes the rows up to m/2 of one centred band at once, in double
-    precision like the column spectrum.  band(half) returns the centred band
-    of complex rows, its rows above m/2 mirrored, and amplitudes is the
-    widest band, the whole array, for library callers.  pad_factor, an
-    integer >= 1, is the zero padding of the transform.
+    precision like the column spectrum.  amplitudes is the whole complex
+    array, for library callers.  pad_factor, an integer >= 1, is the zero
+    padding of the transform.
     """
 
     grid: GridSpec
@@ -307,19 +299,6 @@ class FarField:
         """Write rows lo..hi-1 of the far field, 0 <= lo <= hi <= m/2 + 1,
         into the (hi - lo) x m complex array out; returns out."""
         return _finish_rows(self.columns[:, lo:hi], lo, out)
-
-    def band(self, half: int) -> np.ndarray:
-        """Complex rows m/2 - half..m/2 + half - 1 of the full far field,
-        for 1 <= half <= m/2, as a new array: rows up to m/2 are finished
-        in place, the rows above are their conjugate point mirror."""
-        h = self.grid.samples_per_side // 2
-        if not 1 <= half <= h:
-            raise ValueError(f"band half-width {half} outside 1..{h}")
-        out = np.empty((2 * half, 2 * h), dtype=np.complex128)
-        self._finish(h - half, h + 1, out[:half + 1])
-        mirrored = _point_mirror(out)[half + 1:]
-        np.conjugate(mirrored, out=mirrored)
-        return out
 
     def frame(self) -> tuple[np.ndarray, float]:
         """(m x m uint8 frame, peak) of the intensity I = |amplitudes|^2:
@@ -367,14 +346,13 @@ class FarField:
             bound += np.abs(self.columns[lo:lo + QUANTISE_BLOCK_ROWS]).sum(
                 axis=0)
         dark = np.square(bound) / m < 0.5 / 255 * peak * (1 - 1e-3)
-        gray = np.empty((m, m), dtype=np.uint8)
+        gray = np.zeros((m, m), dtype=np.uint8)
         block = np.empty((min(QUANTISE_BLOCK_ROWS, rows), m),
                          dtype=np.complex64)
         scratch = np.empty(block.shape, dtype=np.float32)
         for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
             hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
             if dark[lo:hi].all():
-                gray[lo:hi] = 0
                 continue
             intensity = scratch[:hi - lo]
             np.abs(self._finish(lo, hi, block[:hi - lo]), out=intensity)
@@ -391,9 +369,15 @@ class FarField:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The full m x m complex far field, the widest band, built on each
-        access."""
-        return self.band(self.grid.samples_per_side // 2)
+        """The full m x m complex far field, built on each access: rows
+        0..m/2 are finished at once, the rows above are their conjugate
+        point mirror."""
+        m = self.grid.samples_per_side
+        out = np.empty((m, m), dtype=np.complex128)
+        self._finish(0, m // 2 + 1, out[:m // 2 + 1])
+        mirrored = _point_mirror(out)[m // 2 + 1:]
+        np.conjugate(mirrored, out=mirrored)
+        return out
 
 
 def diffract_far_field(mask: BinaryMask,
@@ -420,7 +404,7 @@ def diffract_far_field(mask: BinaryMask,
 def _aperture_kernel(n: int, pad_factor: int,
                      half: int) -> tuple[np.ndarray, int]:
     """(column power, open-pixel count) of the bare inscribed-circle
-    aperture's far field: power[c] sums |band(half)|^2 over its rows m/2 -
+    aperture's far field: power[c] sums its intensity over rows m/2 -
     half..m/2 + half - 1 at column c (_band_power), the length-m vector
     whose column ranges extract_orders sums into window spreads.  Only
     bins m/2 - half..m/2 of the disk's column spectrum are kept, each
@@ -549,7 +533,9 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     grid = mask.grid
     big = GridSpec(grid.samples_per_side * CHIRPED_EMBED_FACTOR,
                    grid.physical_side_length * CHIRPED_EMBED_FACTOR)
-    values = _embed(mask.values, CHIRPED_EMBED_FACTOR).astype(np.complex128)
+    # n is even, so the mask is centred with equal padding on each side
+    lo = (big.samples_per_side - grid.samples_per_side) // 2
+    values = np.pad(mask.values, lo).astype(np.complex128)
     xg, yg = big.meshgrid()
     r_sq = xg ** 2 + yg ** 2
     c = spec.reference.curvature

@@ -65,6 +65,49 @@ class TestQuantities:
         assert "∞" in out
         assert "0.000000e+00" in out      # k_L = 0
 
+    @pytest.mark.parametrize("argv, table, report", [
+        (["-B", "1T", "--thickness", "100nm"],
+         "k0               1.254915e+12  rad/m\n"
+         "omega_larmor     8.794100e+10  rad/s\n"
+         "k_larmor         6.053270e+02  rad/m\n"
+         "w_b              5.131128e-08  m\n"
+         "verdet           6.053270e+02  rad/(T m)\n"
+         "faraday_angle    6.053270e-05  rad  (thickness 1.000000e-07 m)\n",
+         '{\n'
+         '  "energy_eV": 60000.0,\n'
+         '  "field_T": 1.0,\n'
+         '  "k0_rad_per_m": 1254914556284.586,\n'
+         '  "omega_larmor_rad_per_s": 87941000538.60815,\n'
+         '  "k_larmor_rad_per_m": 605.3270484436773,\n'
+         '  "w_b_m": 5.1311283614721915e-08,\n'
+         '  "verdet_rad_per_t_m": 605.3270484436773,\n'
+         '  "thickness_m": 1.0000000000000001e-07,\n'
+         '  "faraday_angle_rad": 6.0532704844367736e-05\n'
+         '}\n'),
+        (["-B", "0T"],
+         "k0              1.254915e+12  rad/m\n"
+         "omega_larmor    0.000000e+00  rad/s\n"
+         "k_larmor        0.000000e+00  rad/m\n"
+         "w_b                        ∞  m\n"
+         "verdet          6.053270e+02  rad/(T m)\n",
+         '{\n'
+         '  "energy_eV": 60000.0,\n'
+         '  "field_T": 0.0,\n'
+         '  "k0_rad_per_m": 1254914556284.586,\n'
+         '  "omega_larmor_rad_per_s": 0.0,\n'
+         '  "k_larmor_rad_per_m": 0.0,\n'
+         '  "w_b_m": null,\n'
+         '  "verdet_rad_per_t_m": 605.3270484436773\n'
+         '}\n'),
+    ], ids=["1T-thickness", "0T"])
+    def test_table_and_json_text(self, tmp_path, capsys, argv, table, report):
+        # the exact table and report, key order included
+        path = tmp_path / "q.json"
+        assert main(["quantities", "-E", "60keV", *argv,
+                     "--json", str(path)]) == 0
+        assert capsys.readouterr().out == table
+        assert path.read_text(encoding="utf-8") == report
+
     def test_energy_scaling_halves_k_larmor(self, capsys):
         main(["quantities", "-E", "240keV", "-B", "1T"])
         out = capsys.readouterr().out

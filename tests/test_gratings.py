@@ -24,7 +24,7 @@ from evfaraday import (BeamParameters, BinaryMask, ComplexField,
                        radial_peak_radius, spherical_focus_distance,
                        synthesize_hologram)
 from evfaraday import gratings
-from evfaraday.gratings import _aperture_kernel, _embed
+from evfaraday.gratings import _aperture_kernel
 from evfaraday.errors import (CarrierResolutionError, ContainmentError,
                               OrderSeparationError)
 from evfaraday.fileio import write_frame_pgm
@@ -35,8 +35,10 @@ BEAM = BeamParameters(E60, 0.0)
 
 def padded_transform_definition(values, pad):
     """The centred unitary transform of the zero-padded array, written out
-    literally: the reference the far field is checked against."""
-    padded = _embed(values, pad).astype(np.complex128)
+    literally: the reference the far field is checked against.  n is even,
+    so the array is centred with equal padding on each side."""
+    n = values.shape[0]
+    padded = np.pad(values, n * (pad - 1) // 2).astype(np.complex128)
     return scipy.fft.fftshift(scipy.fft.fft2(scipy.fft.ifftshift(padded),
                                              norm="ortho"))
 
@@ -361,20 +363,9 @@ class TestHalfPlaneFarField:
         far = diffract_far_field(mask, pad)
         expected = padded_transform_definition(mask.values, pad)
         m = far.grid.samples_per_side
-        h = m // 2
-        bound = 1e-13 * np.abs(expected).max()
-        # band(half) is rows h - half..h + half - 1; band(h) the whole plane
-        for half in sorted({1, 2, m // 4, h - 1, h}):
-            got = far.band(half)
-            assert got.shape == (2 * half, m)
-            assert np.abs(got - expected[h - half:h + half]).max() <= bound
-
-    def test_rows_out_of_range_rejected(self):
-        # a band is 1..m/2 rows either side of row m/2
-        far = diffract_far_field(random_mask(16, 1), 2)
-        for half in (0, 17, -1):
-            with pytest.raises(ValueError, match="band half-width"):
-                far.band(half)
+        got = far.amplitudes
+        assert got.shape == (m, m)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_half_plane_shape_checked(self):
         # the stored column spectrum is (n, m/2 + 1), n = m / pad_factor
@@ -603,8 +594,8 @@ class TestFarFieldFrame:
 
 
 class TestStreamedFarField:
-    """FarField keeps the mask's column spectrum; band(half) finishes rows
-    m/2 - half..m/2 once and mirrors the rest, frame() finishes its rows in
+    """FarField keeps the mask's column spectrum; amplitudes finishes rows
+    0..m/2 once and mirrors the rest, frame() finishes its rows in
     blocks of QUANTISE_BLOCK_ROWS into one buffer, and extract_orders
     finishes its band's rows up to m/2 in one call."""
 
@@ -618,7 +609,7 @@ class TestStreamedFarField:
         far = diffract_far_field(mask, pad)
         m = far.grid.samples_per_side
         expected = padded_transform_definition(mask.values, pad)
-        got = far.band(m // 2)
+        got = far.amplitudes
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         gray, peak = far.frame()
         intensity = np.abs(got) ** 2
@@ -650,34 +641,13 @@ class TestStreamedFarField:
         assert_zero_order_peak(peak, intensity, mask.values, pad)
         assert_quantised(gray, intensity, peak)
 
-    @pytest.mark.parametrize("n, pad", BLOCK_CASES)
-    def test_bands_across_block_edges_and_middle_row(self, n, pad):
-        mask = random_mask(n, 19 * n + pad)
-        far = diffract_far_field(mask, pad)
-        m = far.grid.samples_per_side
-        h = m // 2
-        expected = padded_transform_definition(mask.values, pad)
-        bound = 1e-13 * np.abs(expected).max()
-        edge = gratings.QUANTISE_BLOCK_ROWS
-        # bands whose lowest row h - half sits on, or either side of, a
-        # block edge, and the narrow bands around row m/2
-        lowest = {e + d for e in range(edge, h + 1, edge) for d in (-1, 0, 1)}
-        halves = {h - lo for lo in lowest if lo < h} | {1, 2, 5, h}
-        for half in sorted(halves):
-            got = far.band(half)
-            assert got.shape == (2 * half, m)
-            assert (np.abs(got - expected[h - half:h + half]).max()
-                    <= bound)
-
     def test_rows_finish_one_run_frame_finishes_blocks(self, monkeypatch):
         far = diffract_far_field(random_mask(48, 5), 8)
         m = far.grid.samples_per_side
         h = m // 2
         calls = record_finishes(monkeypatch)
-        far.band(20)
-        far.band(1)
-        far.band(h)
-        assert calls == [(h - 20, h + 1), (h - 1, h + 1), (0, h + 1)]
+        assert far.amplitudes.shape == (m, m)
+        assert calls == [(0, h + 1)]
         calls.clear()
         _, peak = far.frame()
         # row m/2 alone gives the peak, then the blocks that are not dark
