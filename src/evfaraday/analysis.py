@@ -23,14 +23,17 @@ class AngularProfile:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        n = samples.size
-        if samples.ndim != 1 or n < 64 or n & (n - 1):
-            raise ValueError("sample count must be a power of two >= 64")
+        _check_sample_count(samples.size if samples.ndim == 1 else 0)
         if np.any(samples < 0):
             raise ValueError("intensity samples must be non-negative")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "samples", samples)
+
+
+def _check_sample_count(n: int) -> None:
+    if n < 64 or n & (n - 1):
+        raise ValueError("sample count must be a power of two >= 64")
 
 
 def angular_intensity(field: ComplexField, radius: float,
@@ -40,32 +43,43 @@ def angular_intensity(field: ComplexField, radius: float,
     Only the block of the plane that holds the circle's neighbours is read;
     a field that has not built its plane builds that block from its factors.
     """
-    grid = field.grid
+    rows, cols, taps, wy, wx = _ring_taps(field.grid, radius, n_samples)
+    # t00 + t01 + t10 + t11 of (|a|^2 wy) wx, summed in that order
+    vals = np.abs(field.window(rows, cols).ravel()[taps]) ** 2
+    vals *= wy
+    vals *= wx
+    return AngularProfile(radius, vals.sum(axis=0))
+
+
+@lru_cache(maxsize=4)
+def _ring_taps(grid: GridSpec, radius: float, n_samples: int) -> tuple:
+    """(rows, columns of the block the circle's neighbours lie in; flat
+    indices into it of each sample's neighbours (dy, dx) = 00, 01, 10, 11,
+    and their y and x weights, read-only (4, n_samples) arrays) of a circle,
+    shared by the planes angular_intensity reads it on."""
     n = grid.samples_per_side
     max_radius = (n / 2 - 1) * grid.pitch
     if not 0 < radius <= max_radius:
         raise ValueError(
             f"radius {radius:.6e} m outside the usable range "
             f"(0, {max_radius:.6e}] m of this grid")
+    _check_sample_count(n_samples)
     phi = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    x = radius * np.cos(phi)
-    y = radius * np.sin(phi)
     # fractional indices of physical points; pixel centres sit at half-pixels
-    ix = x / grid.pitch + n / 2 - 0.5
-    iy = y / grid.pitch + n / 2 - 0.5
-    # bilinear gather with scipy.ndimage's order-1 weights (w1 = 1 - w0) and
-    # summation order; the radius bound keeps every neighbour on the grid
+    ix = radius * np.cos(phi) / grid.pitch + n / 2 - 0.5
+    iy = radius * np.sin(phi) / grid.pitch + n / 2 - 0.5
+    # scipy.ndimage's order-1 weights (w1 = 1 - w0) and summation order;
+    # the radius bound keeps every neighbour on the grid
     x0, y0 = np.floor(ix).astype(int), np.floor(iy).astype(int)
     wx0, wy0 = 1.0 - (ix - x0), 1.0 - (iy - y0)
-    wx, wy = (wx0, 1.0 - wx0), (wy0, 1.0 - wy0)
-    # only the block of rows and columns the neighbours lie in is read, so
-    # a field without a plane builds that block alone
     r0, c0 = y0.min(), x0.min()
-    amps = field.window(slice(r0, y0.max() + 2), slice(c0, x0.max() + 2))
-    y0, x0 = y0 - r0, x0 - c0
-    vals = sum(np.abs(amps[y0 + dy, x0 + dx]) ** 2 * wy[dy] * wx[dx]
-               for dy in (0, 1) for dx in (0, 1))
-    return AngularProfile(radius, vals)
+    width = x0.max() + 2 - c0
+    corner = (y0 - r0) * width + (x0 - c0)
+    taps = corner + np.array([[0], [1], [width], [width + 1]])
+    wy = np.stack([wy0, wy0, 1.0 - wy0, 1.0 - wy0])
+    wx = np.stack([wx0, 1.0 - wx0, wx0, 1.0 - wx0])
+    taps.flags.writeable = wy.flags.writeable = wx.flags.writeable = False
+    return (slice(r0, y0.max() + 2), slice(c0, c0 + width), taps, wy, wx)
 
 
 def circular_harmonic(profile: AngularProfile, k: int) -> complex:

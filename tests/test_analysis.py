@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, ndimage
 
-from evfaraday import (AngularProfile, GridSpec, angular_intensity,
+from evfaraday import (AngularProfile, GridSpec, analysis, angular_intensity,
                        circular_harmonic, effective_width, fidelity,
                        harmonic_fraction, mode_field, pattern_orientation,
                        petal_radius, radial_peak_radius, radial_profile,
                        unwrap_orientations)
+from evfaraday.cli import main
 from evfaraday.errors import GridMismatchError, NoPatternError
 from evfaraday.modes import ComplexField
 
@@ -33,6 +34,27 @@ class TestAngularProfile:
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             AngularProfile(1.0, -np.ones(64))
+
+
+def bilinear_gather_definition(field, radius, n_samples):
+    """The circle's bilinear gather as four fancy-indexed reads: floor
+    indices, the window of rows and columns the neighbours lie in, and the
+    sum over (dy, dx) = 00, 01, 10, 11 of |a|^2 wy wx in that order."""
+    grid = field.grid
+    n = grid.samples_per_side
+    phi = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    x = radius * np.cos(phi)
+    y = radius * np.sin(phi)
+    ix = x / grid.pitch + n / 2 - 0.5
+    iy = y / grid.pitch + n / 2 - 0.5
+    x0, y0 = np.floor(ix).astype(int), np.floor(iy).astype(int)
+    wx0, wy0 = 1.0 - (ix - x0), 1.0 - (iy - y0)
+    wx, wy = (wx0, 1.0 - wx0), (wy0, 1.0 - wy0)
+    r0, c0 = y0.min(), x0.min()
+    amps = field.window(slice(r0, y0.max() + 2), slice(c0, x0.max() + 2))
+    y0, x0 = y0 - r0, x0 - c0
+    return sum(np.abs(amps[y0 + dy, x0 + dx]) ** 2 * wy[dy] * wx[dx]
+               for dy in (0, 1) for dx in (0, 1))
 
 
 class TestAngularIntensity:
@@ -93,6 +115,65 @@ class TestAngularIntensity:
             angular_intensity(field, 5 * w_b, 64)
         with pytest.raises(ValueError):
             angular_intensity(field, 0.0, 64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(8, 128), radius_frac=st.floats(0.0, 1.0),
+           n_samples=st.sampled_from([64, 256, 512, 1024]),
+           l=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.filterwarnings(
+        "ignore::evfaraday.errors.GridAdequacyWarning")
+    def test_gather_is_bit_identical_to_definition(self, half, radius_frac,
+                                                   n_samples, l, seed):
+        # l = 0 draws a dense random plane, l >= 1 a factored +-l pair
+        n = 2 * half
+        grid = GridSpec(n, 1e-6)
+        rng = np.random.default_rng(seed)
+        if l == 0:
+            field = ComplexField(grid, 0.0, rng.normal(size=(n, n))
+                                 + 1j * rng.normal(size=(n, n)))
+        else:
+            y, x = mode_field(grid, 0, l, grid.physical_side_length / 8).factors
+            y = y + rng.normal() * 1j * y[:, ::-1]
+            field = ComplexField(grid, 0.0, factors=(y, x))
+        # from one pixel up to the (n/2 - 1) pitch limit
+        radius = (1.0 + radius_frac * (n / 2 - 2)) * grid.pitch
+        expected = bilinear_gather_definition(field, radius, n_samples)
+        first = angular_intensity(field, radius, n_samples)
+        hits = analysis._ring_taps.cache_info().hits
+        second = angular_intensity(field, radius, n_samples)
+        assert analysis._ring_taps.cache_info().hits == hits + 1
+        assert np.array_equal(first.samples, expected)
+        assert np.array_equal(second.samples, first.samples)
+        assert l == 0 or field.plane is None
+
+
+class TestRingTaps:
+    def test_rotate_builds_one_ring(self, tmp_path):
+        # the 9 planes of a run share one circle: 1 miss, then 8 hits
+        analysis._ring_taps.cache_clear()
+        assert main(["rotate", "--grid-n", "128", "--outputs", "8",
+                     "-o", str(tmp_path / "rot")]) == 0
+        info = analysis._ring_taps.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 8, 1)
+
+    def test_refusals_add_no_entry(self, w_b):
+        field = mode_field(GridSpec(64, 8 * w_b), 0, 0, w_b)
+        analysis._ring_taps.cache_clear()
+        with pytest.raises(ValueError, match="outside the usable range"):
+            angular_intensity(field, 5 * w_b, 64)
+        for n_samples in (32, 96):
+            with pytest.raises(ValueError, match="power of two"):
+                angular_intensity(field, w_b, n_samples)
+        assert analysis._ring_taps.cache_info().currsize == 0
+
+    def test_cached_arrays_read_only(self):
+        grid = GridSpec(64, 1e-6)
+        rows, cols, *arrays = analysis._ring_taps(grid, 20 * grid.pitch, 256)
+        assert (rows.stop - rows.start, cols.stop - cols.start) == (42, 42)
+        for array in arrays:
+            assert array.shape == (4, 256)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
 
 
 class TestPatternOrientation:
