@@ -72,8 +72,16 @@ class HologramSpec:
     reference: object
 
     def __post_init__(self):
+        # the design's petals repeat every 2 pi / l only for an integer l
+        if isinstance(self.l, bool) or not isinstance(self.l,
+                                                      (int, np.integer)):
+            raise ValueError(
+                f"hologram vorticity l must be an integer, got {self.l!r}")
         if self.l < 1:
             raise ValueError("hologram vorticity l must be >= 1")
+        if not math.isfinite(self.phi0):
+            raise ValueError(
+                f"hologram phi0 must be finite, got {self.phi0}")
         if not isinstance(self.reference, (PlaneReference, SphericalReference)):
             raise TypeError("reference must be PlaneReference or SphericalReference")
 
@@ -90,7 +98,8 @@ class BinaryMask:
         n = self.grid.samples_per_side
         if vals.shape != (n, n):
             raise ValueError("mask shape does not match grid")
-        if not ((vals == 0) | (vals == 1)).all():
+        # a bool array is binary by its dtype
+        if vals.dtype != bool and not ((vals == 0) | (vals == 1)).all():
             raise ValueError("mask values must be strictly binary")
         object.__setattr__(self, "values", vals.astype(np.uint8))
 
@@ -143,6 +152,13 @@ def _check_carrier_resolved(spec: HologramSpec, grid: GridSpec):
         raise CarrierResolutionError(
             f"{what} {period:.3e} m is under 4 pixels "
             f"(pitch {grid.pitch:.3e} m); refine the grid or soften the carrier")
+    # the petal period 2 pi / l spans pi N / l pixels along the aperture
+    # rim; l is compared as an integer and divides as one, so no l overflows
+    if spec.l > math.pi * grid.samples_per_side / 4.0:
+        rim = math.pi * grid.physical_side_length * (1 / spec.l)
+        raise CarrierResolutionError(
+            f"petal period {rim:.3e} m along the aperture rim is under 4 "
+            f"pixels (pitch {grid.pitch:.3e} m); refine the grid or lower l")
 
 
 def _inscribed_aperture(n: int) -> np.ndarray:
@@ -153,17 +169,92 @@ def _inscribed_aperture(n: int) -> np.ndarray:
     return sq <= ((n / 2.0) ** 2 - sq)[:, np.newaxis]
 
 
+def _plane_open_pixels(spec: HologramSpec, grid: GridSpec) -> np.ndarray:
+    """design_value(spec, x, y) > 1/2 at every pixel centre of a
+    plane-reference hologram, bit for bit, from O(N l) evaluations of the
+    design instead of N^2; an (n, n) bool array indexed [y, x].
+
+    In column x the carrier c = cos(k_x x) is fixed.  With t = 2 cos(psi),
+    psi = l (phi - phi0), the rule (t^2 + 2 t c + 1) / 3 > 1/2 holds exactly
+    when cos(psi) > a = (sqrt(c^2 + 1/2) - c) / 2 or cos(psi) < b =
+    -(sqrt(c^2 + 1/2) + c) / 2, so the rule can only change where psi =
+    +-arccos(a) or +-arccos(b) modulo 2 pi.  A root outside [-1, 1] is
+    clipped into it, which puts its two crossings on one angle.  The
+    column's half plane is phi' = phi (x > 0) or phi - pi (x < 0) in
+    (-pi/2, pi/2), on which y = x tan(phi') rises or falls monotonically;
+    as l is an integer, the crossings there are phi' = phi0' + (+-arccos +
+    2 pi k) / l, with phi0' the column's phi0 (less pi for x < 0) reduced
+    modulo 2 pi / l.  Each crossing maps to the first pixel-centre row
+    above y, clipped to 0..N before the cast, so the rows of a column fall
+    into runs that no crossing splits.
+
+    The reduced crossings agree with the design's own to far below a
+    pixel, so a pixel that is neither the first nor the last of its run
+    lies on the same side of every crossing as the run's middle pixel.
+    Each run is therefore read from design_value at its middle pixel, and
+    its first and last pixels, the only ones a crossing can have been
+    misplaced across, are read themselves.  This holds while design_value
+    resolves phi - phi0: from |phi0| of about 1e12 rad its rounding moves
+    its own crossings by more than a pixel and the masks can differ, until
+    beyond about 4e16 rad phi - phi0 rounds to -phi0 at every pixel, the
+    design is constant down each column and every run reads it exactly.
+    """
+    n, l = grid.samples_per_side, spec.l
+    x = grid.axis()
+    px = np.arange(n) - n / 2 + 0.5
+    c = np.cos(spec.reference.k_x * x)
+    root = np.sqrt(np.square(c) + 0.5)
+    alpha = np.arccos(np.clip((root - c) / 2, -1.0, 1.0))
+    beta = np.arccos(np.clip(-(root + c) / 2, -1.0, 1.0))
+    period = 2.0 * math.pi / l
+    right = math.fmod(spec.phi0, period)
+    left = math.fmod(right - math.pi, period)
+    # phi0' is within a period of 0, so |k| <= l/4 + 3/2 reaches every
+    # crossing in (-pi/2, pi/2); the others are moved past the last row
+    turns = 2.0 * math.pi * np.arange(-int(l / 4 + 1.5), int(l / 4 + 1.5) + 1)
+    roots = np.stack([alpha, -alpha, beta, -beta], axis=1)
+    angle = ((roots[:, :, np.newaxis] + turns) / l).reshape(n, -1)
+    angle += np.where(px > 0, right, left)[:, np.newaxis]
+    row = np.clip(px[:, np.newaxis] * np.tan(angle) + (n / 2 + 0.5), 0, n)
+    row = np.where(np.abs(angle) < math.pi / 2, np.floor(row), n)
+    row = row.astype(np.intp)
+    row.sort(axis=1)
+    edges = np.concatenate([np.zeros((n, 1), np.intp), row,
+                            np.full((n, 1), n, np.intp)], axis=1)
+    length = np.diff(edges, axis=1)
+    col, run = np.nonzero(length)
+    first, size = edges[col, run], length[col, run]
+    # rows of the middle, first and last pixel of each non-empty run
+    probe = np.stack([first + size // 2, first, first + size - 1])
+    is_open = design_value(spec, x[col], x[probe]) > 0.5
+    columns = np.repeat(is_open[0], size)
+    columns[col * n + probe[1:]] = is_open[1:]
+    columns = columns.reshape(n, n)
+    # transposed a block of columns at a time, so each block stays in cache
+    open_pixels = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, QUANTISE_BLOCK_ROWS):
+        open_pixels[:, lo:lo + QUANTISE_BLOCK_ROWS] = \
+            columns[lo:lo + QUANTISE_BLOCK_ROWS].T
+    return open_pixels
+
+
 def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
     """Threshold the design at pixel centres; values strictly above 1/2 are
     open.  The inscribed circular aperture is applied, so only pixels inside
-    radius side/2 can be open."""
+    radius side/2 can be open.  A plane reference's threshold is found from
+    its crossings (_plane_open_pixels); a spherical reference's design is
+    evaluated at every pixel."""
     _check_carrier_resolved(spec, grid)
-    # x along a row, y down a column: the design broadcasts to the plane,
-    # and the plane reference's cos(k_x x) is taken on the N row samples
-    x = grid.axis()
-    open_pixels = design_value(spec, x[np.newaxis, :], x[:, np.newaxis]) > 0.5
-    open_pixels &= _inscribed_aperture(grid.samples_per_side)
-    return BinaryMask(grid, open_pixels)
+    if isinstance(spec.reference, PlaneReference):
+        open_pixels = _plane_open_pixels(spec, grid)
+    else:
+        # x along a row, y down a column: the design broadcasts to the plane
+        x = grid.axis()
+        open_pixels = design_value(spec, x[np.newaxis, :],
+                                   x[:, np.newaxis]) > 0.5
+    aperture = _inscribed_aperture(grid.samples_per_side)
+    aperture &= open_pixels
+    return BinaryMask(grid, aperture)
 
 
 def _signed_columns(values: np.ndarray, pad_factor: int):
@@ -230,14 +321,15 @@ def _finish_rows(columns: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_mirror(full: np.ndarray) -> np.ndarray:
-    """Fill rows h + 1..2h - 1 of a 2h x m array of any dtype from its rows
-    h - 1..1, full[h + k, c] = full[h - k, (m - c) % m], the point mirror
-    about row h under which the intensity of a Hermitian spectrum is
-    invariant (h = m/2 for the whole frame); returns full."""
-    h = full.shape[0] // 2
-    full[h + 1:, 0] = full[h - 1:0:-1, 0]
-    full[h + 1:, 1:] = full[h - 1:0:-1, :0:-1]
+def _point_mirror(full: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Fill rows 2h - hi + 1..2h - lo of a 2h x m array of any dtype from its
+    rows hi - 1..lo, 1 <= lo, hi <= h: full[h + k, c] = full[h - k, (m - c)
+    % m], the point mirror about row h under which the intensity of a
+    Hermitian spectrum is invariant (h = m/2 for the whole frame; lo = 1,
+    hi = h mirrors every row); returns full."""
+    h2 = full.shape[0]
+    full[h2 - hi + 1:h2 - lo + 1, 0] = full[hi - 1:lo - 1:-1, 0]
+    full[h2 - hi + 1:h2 - lo + 1, 1:] = full[hi - 1:lo - 1:-1, :0:-1]
     return full
 
 
@@ -309,10 +401,10 @@ class FarField:
         before any other row is finished.  The frame keeps 8 bits, so rows
         0..m/2 are finished in single precision, QUANTISE_BLOCK_ROWS at a
         time in one ascending pass, and each block is squared and quantised
-        into the frame as soon as it is finished; the frame's other rows
-        are their point mirror, copied as bytes.  A peak that is not
-        finite, or a block whose largest intensity is not within half a
-        level of peak, peak * 255.5 / 255, and so would not fit 8 bits, is
+        into the frame as soon as it is finished, and its rows' point
+        mirror is copied as bytes into the frame's other rows.  A peak that
+        is not finite, or a block whose largest intensity is not within half
+        a level of peak, peak * 255.5 / 255, and so would not fit 8 bits, is
         refused with ValueError (a nan or inf among the columns spreads
         along its rows).
 
@@ -330,7 +422,8 @@ class FarField:
         below 0.5 and rounds to 0, as it would finished.  Every other
         block is finished and checked as above, so the frame's bytes do
         not change; a nan or inf in a column makes its B_j non-finite,
-        never dark.
+        never dark.  The frame is allocated zeroed, so a dark block and its
+        mirror rows are never written.
         """
         m = self.grid.samples_per_side
         rows = m // 2 + 1
@@ -365,7 +458,10 @@ class FarField:
                     f"peak {peak:.6e}")
             # the intensity is scaled in place, its block's only scratch
             quantise_block(intensity, peak, intensity, gray[lo:hi])
-        return _point_mirror(gray), peak
+            # the frame is allocated zeroed, so only finished rows are
+            # mirrored; row 0's mirror is off the frame, row m/2 is its own
+            _point_mirror(gray, max(lo, 1), min(hi, m // 2))
+        return gray, peak
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -375,7 +471,7 @@ class FarField:
         m = self.grid.samples_per_side
         out = np.empty((m, m), dtype=np.complex128)
         self._finish(0, m // 2 + 1, out[:m // 2 + 1])
-        mirrored = _point_mirror(out)[m // 2 + 1:]
+        mirrored = _point_mirror(out, 1, m // 2)[m // 2 + 1:]
         np.conjugate(mirrored, out=mirrored)
         return out
 

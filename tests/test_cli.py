@@ -603,6 +603,11 @@ class TestErrorBoundary:
          "--pad has no effect with --spherical"),
         (["grating", "--spherical", "--curvature", "1.5e14m-2", "--pad",
           "4", "--diffract"], "--pad has no effect with --spherical"),
+        # petals of period 2 pi / l under 4 pixels along the aperture rim:
+        # l > pi 512 / 4 = 402.1 on the default grid
+        (["grating", "-l", "100000"], "petal period"),
+        (["grating", "-l", "403"], "petal period"),
+        (["grating", "--phi0", "1e400rad"], "phi0 must be finite"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from evfaraday import (BeamParameters, BinaryMask, ComplexField,
@@ -49,6 +49,14 @@ SPECTRUM_CASES = [(16, 1), (16, 3), (32, 4), (48, 8)]
 def plane_spec(grid, fringes=32, l=1, phi0=0.0):
     k_x = 2 * math.pi * fringes / grid.physical_side_length
     return HologramSpec(l, phi0, PlaneReference(k_x))
+
+
+def threshold_oracle(spec, grid):
+    """The mask by its definition: design_value > 1/2 at every pixel centre,
+    evaluated on the N x N plane, inside the inscribed aperture."""
+    x = grid.axis()
+    return ((design_value(spec, x[np.newaxis, :], x[:, np.newaxis]) > 0.5)
+            & gratings._inscribed_aperture(grid.samples_per_side))
 
 
 class TestDesignValue:
@@ -180,6 +188,117 @@ class TestMaskGeometry:
         grid = GridSpec(128, 1e-6)
         assert default_carrier(grid) == pytest.approx(
             2 * math.pi * 10 / grid.physical_side_length, rel=1e-12)
+
+
+#: phi0 = factor * pi / l**power: angles on the petal lattice and the axes
+SPECIAL_PHI0 = [(0.0, 0), (0.25, 0), (0.5, 0), (1.0, 1), (-0.5, 1)]
+
+
+class TestPlaneRasteriser:
+    """A plane mask is built from the threshold's crossings column by
+    column; it must equal the threshold at every pixel, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(8, 512).map(lambda h: 2 * h), l=st.integers(1, 8),
+           phi0=st.floats(-4 * math.pi, 4 * math.pi),
+           special=st.one_of(st.none(), st.sampled_from(SPECIAL_PHI0)),
+           fringes=st.floats(0.0, 1.0))
+    @example(n=100, l=3, phi0=0.0, special=(1.0, 1), fringes=1.0)
+    @example(n=384, l=8, phi0=0.0, special=(-0.5, 1), fringes=0.0)
+    @example(n=16, l=1, phi0=0.0, special=(0.25, 0), fringes=1.0)
+    def test_plane_mask_equals_threshold(self, n, l, phi0, special, fringes):
+        if special is not None:
+            factor, power = special
+            phi0 = factor * math.pi / l ** power
+        # a dyadic pitch makes the 4-pixel carrier limit exact; fringes
+        # runs from one fringe across the grid (0) to that limit (1)
+        grid = GridSpec(n, n * 2.0 ** -20)
+        limit = math.pi / (2 * grid.pitch)
+        k_x = limit * (4 / n) ** (1 - fringes)
+        spec = HologramSpec(l, phi0, PlaneReference(k_x))
+        mask = synthesize_hologram(spec, grid)
+        assert np.array_equal(mask.values, threshold_oracle(spec, grid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(1, 4), fringes=st.floats(2.0, 14.0),
+           col=st.integers(0, 63), row=st.integers(0, 63),
+           root=st.sampled_from([1, -1]), sign=st.sampled_from([1, -1]))
+    def test_crossing_through_a_pixel_centre(self, l, fringes, col, row,
+                                             root, sign):
+        # phi0 is chosen so that a crossing, cos(psi) = a or b, runs through
+        # one pixel centre: its design is 1/2 to rounding, and which side
+        # the pixel takes is decided by design_value alone, not by where
+        # the crossing's row was estimated
+        grid = GridSpec(64, 1e-6)
+        k_x = 2 * math.pi * fringes / grid.physical_side_length
+        x = grid.axis()
+        c = math.cos(k_x * x[col])
+        bound = (root * math.sqrt(c * c + 0.5) - c) / 2
+        assume(abs(bound) <= 1)
+        phi0 = math.atan2(x[row], x[col]) - sign * math.acos(bound) / l
+        spec = HologramSpec(l, phi0, PlaneReference(k_x))
+        assert design_value(spec, x[col], x[row]) == pytest.approx(0.5)
+        mask = synthesize_hologram(spec, grid)
+        assert np.array_equal(mask.values, threshold_oracle(spec, grid))
+
+    def test_no_plane_sized_design_call(self, monkeypatch):
+        # the plane design is read at the runs' first, middle and last
+        # pixels, O(N l) points, never on the N x N plane
+        n = 512
+        grid = GridSpec(n, 1e-6)
+        spec = HologramSpec(3, 0.4, PlaneReference(2.5e8))
+        expected = threshold_oracle(spec, grid)
+        sizes = []
+
+        def recording(spec, x, y):
+            sizes.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+            return design_value(spec, x, y)
+        monkeypatch.setattr(gratings, "design_value", recording)
+        mask = synthesize_hologram(spec, grid)
+        assert sizes and max(sizes) < n * n // 8
+        assert np.array_equal(mask.values, expected)
+
+    @pytest.mark.parametrize("n", [16, 64, 100])
+    def test_petal_resolution_limit(self, n):
+        # the petal period 2 pi / l spans pi N / l pixels along the rim:
+        # l = floor(pi N / 4) is the last l it keeps at 4 pixels or more
+        grid = GridSpec(n, 1e-6)
+        top = math.floor(math.pi * n / 4)
+        pitch, r_max = grid.pitch, grid.physical_side_length / 2
+        for reference in (PlaneReference(2 * math.pi / (8 * pitch)),
+                          SphericalReference(-math.pi / (8 * pitch * r_max))):
+            spec = HologramSpec(top, 0.3, reference)
+            mask = synthesize_hologram(spec, grid)
+            assert np.array_equal(mask.values, threshold_oracle(spec, grid))
+            with pytest.raises(CarrierResolutionError,
+                               match="petal period .* under 4 pixels"):
+                synthesize_hologram(HologramSpec(top + 1, 0.3, reference),
+                                    grid)
+
+    def test_huge_vorticity_refused_without_overflow(self):
+        grid = GridSpec(64, 1e-6)
+        spec = HologramSpec(10 ** 400, 0.0, PlaneReference(1e8))
+        with pytest.raises(CarrierResolutionError, match="petal period"):
+            synthesize_hologram(spec, grid)
+
+    @pytest.mark.parametrize("l", [np.int64(2), np.uint8(3), 5])
+    def test_integer_vorticity_accepted(self, l):
+        spec = HologramSpec(l, np.float64(0.2), PlaneReference(1e8))
+        grid = GridSpec(64, 1e-6)
+        assert np.array_equal(synthesize_hologram(spec, grid).values,
+                              threshold_oracle(spec, grid))
+
+    @pytest.mark.parametrize("l", [True, 2.0, 1.5, np.float64(3.0), "2"])
+    def test_non_integer_vorticity_refused(self, l):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HologramSpec(l, 0.0, PlaneReference(1e8))
+
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf,
+                                      np.float64("nan")])
+    def test_non_finite_phi0_refused(self, phi0):
+        # a nan phi0 once gave an all-dark mask
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            HologramSpec(1, phi0, PlaneReference(1e8))
 
 
 class TestFarField:
@@ -411,10 +530,7 @@ class TestHalfPlaneFarField:
         n, pad = 128, 2
         grid = GridSpec(n, 1e-6)
         spec = plane_spec(grid, fringes=42.8, l=1, phi0=0.3)
-        x = grid.axis()
-        open_pixels = design_value(spec, x[np.newaxis, :], x[:, np.newaxis])
-        values = ((open_pixels > 0.5)
-                  & gratings._inscribed_aperture(n)).astype(np.uint8)
+        values = threshold_oracle(spec, grid).astype(np.uint8)
         far = diffract_far_field(BinaryMask(grid, values), pad)
         expected = padded_transform_definition(values, pad)
         m = far.grid.samples_per_side
@@ -617,6 +733,40 @@ class TestStreamedFarField:
         assert_quantised(gray, intensity, peak)
         reference = 255.0 * np.abs(expected) ** 2 / peak
         assert np.abs(gray - reference).max() <= 0.5 + HALF_LEVEL_TOLERANCE
+
+    @pytest.mark.parametrize("n, pad", BLOCK_CASES)
+    @pytest.mark.parametrize("hologram", [False, True])
+    def test_frame_equals_its_full_point_mirror(self, n, pad, hologram):
+        # only the finished rows are mirrored into the zeroed frame; the
+        # frame must equal mirroring all of rows 1..m/2 - 1.  A sparse
+        # random mask lights rows far from the zero frequency.
+        grid = GridSpec(n, 1e-6)
+        if hologram:
+            mask = synthesize_hologram(
+                plane_spec(grid, fringes=n // 8, l=2, phi0=0.3), grid)
+        else:
+            rng = np.random.default_rng(31 * n + pad)
+            mask = BinaryMask(grid, rng.random((n, n)) < 0.02)
+        gray, _ = diffract_far_field(mask, pad).frame()
+        h = gray.shape[0] // 2
+        assert np.array_equal(gray, gratings._point_mirror(gray.copy(), 1, h))
+        assert gray[h + 1:].any()
+
+    def test_frame_mirror_on_random_masks(self):
+        @seed(3001)
+        @settings(max_examples=20, deadline=None, database=None)
+        @given(n=st.sampled_from([16, 32, 64, 128]), pad=st.integers(1, 8),
+               density=st.floats(0.001, 1.0),
+               mask_seed=st.integers(0, 2 ** 32 - 1))
+        def check(n, pad, density, mask_seed):
+            rng = np.random.default_rng(mask_seed)
+            mask = BinaryMask(GridSpec(n, 1e-6), rng.random((n, n)) < density)
+            gray, _ = diffract_far_field(mask, pad).frame()
+            h = gray.shape[0] // 2
+            mirrored = gratings._point_mirror(gray.copy(), 1, h)
+            assert np.array_equal(gray, mirrored)
+
+        check()
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from(BLOCK_CASES), hologram=st.booleans(),
