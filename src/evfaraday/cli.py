@@ -29,7 +29,8 @@ from .fileio import (format_csv, save_field, write_frame_pgm,
                      write_intensity_pgm, write_mask_pgm, write_text)
 from .gratings import (CHIRPED_EMBED_FACTOR, DEFAULT_PAD_FACTOR,
                        HologramSpec, PlaneReference, SphericalReference,
-                       default_carrier, diffract_far_field, extract_orders,
+                       _far_grid, _order_windows, default_carrier,
+                       diffract_far_field, extract_orders,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
 from .modes import (GridSpec, ModeSuperposition, petal_radius,
@@ -344,6 +345,10 @@ def cmd_grating(args) -> int:
         else:
             _check_plane_side("far field", args.grid_n * pad)
     mask = synthesize_hologram(spec, grid)
+    if args.diffract and not args.spherical:
+        # the order windows depend on k_x and the far field's grid alone,
+        # so a carrier that cannot separate them is refused before output
+        _order_windows(spec, _far_grid(grid, pad))
     outdir = _ensure_outdir(args)
     write_mask_pgm(os.path.join(outdir, "mask.pgm"), mask.values)
     print(f"grating: mask with {int(mask.values.sum())} open pixels "

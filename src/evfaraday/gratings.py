@@ -117,24 +117,12 @@ def design_value(spec: HologramSpec, x, y):
     """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
-    # the value is built in place in one broadcast array, in the operation
-    # order of (t^2 + 2 t cos(ref) + 1) / 3, t = 2 cos(l (phi - phi0))
-    val = np.arctan2(ys, xs,
-                     out=np.empty(np.broadcast_shapes(xs.shape, ys.shape)))
-    val -= spec.phi0
-    val *= spec.l
-    np.cos(val, out=val)
-    val *= 2.0
-    square = np.square(val)
+    t = 2.0 * np.cos(spec.l * (np.arctan2(ys, xs) - spec.phi0))
     if isinstance(spec.reference, PlaneReference):
         ref_phase = spec.reference.k_x * xs
     else:
         ref_phase = spec.reference.curvature * (xs ** 2 + ys ** 2)
-    val *= 2.0
-    val *= np.cos(ref_phase)
-    val += square
-    val += 1.0
-    val /= 3.0
+    val = (np.square(t) + 2.0 * t * np.cos(ref_phase) + 1.0) / 3.0
     return float(val) if val.ndim == 0 else val
 
 
@@ -257,46 +245,42 @@ def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
     return BinaryMask(grid, aperture)
 
 
-def _signed_columns(values: np.ndarray, pad_factor: int):
-    """Yield (lo, hi, block) for mask columns lo..hi-1, QUANTISE_BLOCK_ROWS
-    at a time: block row x - lo is mask column x as the length-m input of
-    the transform along y, signed and ifftshifted (_column_spectrum), in
-    one reused (B, m) real buffer whose padding columns stay zero."""
-    n = values.shape[0]
-    m = n * pad_factor
-    h = n // 2
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    buffer = np.zeros((min(n, QUANTISE_BLOCK_ROWS), m))
-    for lo in range(0, n, QUANTISE_BLOCK_ROWS):
-        hi = min(lo + QUANTISE_BLOCK_ROWS, n)
-        signed = values[:, lo:hi].T * np.multiply.outer(sign[lo:hi], sign)
-        block = buffer[:hi - lo]
-        block[:, :h] = signed[:, h:]
-        block[:, m - h:] = signed[:, :h]
-        yield lo, hi, block
-
-
-def _column_spectrum(values: np.ndarray, pad_factor: int) -> np.ndarray:
-    """The rfft stage of fftshift(fft2(ifftshift(padded), norm="ortho")) of
-    a real n x n array zero-padded to m x m, m = n * pad_factor, by (m - n)
-    / 2 on each side: an (n, m/2 + 1) array whose row x is the transform
-    along y of mask column x.
+def _column_spectrum(values: np.ndarray, pad_factor: int,
+                     first: int = 0) -> np.ndarray:
+    """Bins first..m/2 of the rfft stage of fftshift(fft2(ifftshift(padded),
+    norm="ortho")) of a real n x n array zero-padded to m x m, m = n *
+    pad_factor, by (m - n) / 2 on each side: an (n, m/2 + 1 - first) array
+    whose row x is the transform along y of mask column x.
 
     Both shifts become a (-1)^(x+y) sign on the input, which needs m and n
     even (GridSpec makes n even).  The signed input is real, so its
     spectrum is Hermitian and rows 0..m/2 hold all of it.  An rfft along y
     of the n mask columns alone gives those rows on the mask columns; the
     zero columns of the padding would transform to zero and are skipped.
-    The columns are transformed QUANTISE_BLOCK_ROWS at a time through one
-    zero-padded buffer (_signed_columns) straight into the result; each
-    row's rfft is independent, so the blocks do not change a bit of it.
-    Row j is then one length-m fft along x of column j placed at the
-    ifftshifted positions of the mask columns (_finish_rows).
+    The columns are signed, ifftshifted and transformed QUANTISE_BLOCK_ROWS
+    at a time through one reused zero-padded (B, m) buffer; each row's rfft
+    is independent, so the blocks do not change a bit of it.  All bins are
+    transformed straight into the result; a later first cuts each block's
+    rfft to bins first..m/2.  Row j is then one length-m fft along x of
+    column j placed at the ifftshifted positions of the mask columns
+    (_finish_rows).
     """
     n = values.shape[0]
-    out = np.empty((n, n * pad_factor // 2 + 1), dtype=np.complex128)
-    for lo, hi, block in _signed_columns(values, pad_factor):
-        np.fft.rfft(block, axis=1, norm="ortho", out=out[lo:hi])
+    m = n * pad_factor
+    h = n // 2
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    buffer = np.zeros((min(n, QUANTISE_BLOCK_ROWS), m))
+    out = np.empty((n, m // 2 + 1 - first), dtype=np.complex128)
+    for lo in range(0, n, QUANTISE_BLOCK_ROWS):
+        hi = min(lo + QUANTISE_BLOCK_ROWS, n)
+        signed = values[:, lo:hi].T * np.multiply.outer(sign[lo:hi], sign)
+        block = buffer[:hi - lo]
+        block[:, :h] = signed[:, h:]
+        block[:, m - h:] = signed[:, :h]
+        if first:
+            out[lo:hi] = np.fft.rfft(block, axis=1, norm="ortho")[:, first:]
+        else:
+            np.fft.rfft(block, axis=1, norm="ortho", out=out[lo:hi])
     return out
 
 
@@ -369,23 +353,24 @@ class FarField:
     is held beside the column spectrum and the frame; extract_orders
     finishes the rows up to m/2 of one centred band at once, in double
     precision like the column spectrum.  amplitudes is the whole complex
-    array, for library callers.  pad_factor, an integer >= 1, is the zero
-    padding of the transform.
+    array, for library callers.  The zero padding of the transform,
+    pad_factor = m / n, is read from the spectrum's shape.
     """
 
     grid: GridSpec
     columns: np.ndarray
-    pad_factor: int
 
     def __post_init__(self):
-        m, pad = self.grid.samples_per_side, self.pad_factor
-        if not isinstance(pad, (int, np.integer)) or pad < 1:
-            raise ValueError(f"pad_factor must be an integer >= 1, got {pad}")
-        n = m // pad
-        if n * pad != m or self.columns.shape != (n, m // 2 + 1):
+        m, n = self.grid.samples_per_side, len(self.columns)
+        if n == 0 or m % n or self.columns.shape != (n, m // 2 + 1):
             raise ValueError(
-                f"column spectrum shape {self.columns.shape} does not match "
-                f"grid and padding ({n} x {m // 2 + 1})")
+                f"column spectrum shape {self.columns.shape} is not (n, "
+                f"{m // 2 + 1}) with n > 0 dividing {m}, the far field's side")
+
+    @property
+    def pad_factor(self) -> int:
+        """The zero padding m / n of the transform."""
+        return self.grid.samples_per_side // len(self.columns)
 
     def _finish(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Write rows lo..hi-1 of the far field, 0 <= lo <= hi <= m/2 + 1,
@@ -476,6 +461,12 @@ class FarField:
         return out
 
 
+def _far_grid(grid: GridSpec, pad_factor: int) -> GridSpec:
+    """The spatial-frequency grid, in cycles per metre, of the far field of
+    a mask on grid zero-padded by pad_factor."""
+    return GridSpec(grid.samples_per_side * pad_factor, 1.0 / grid.pitch)
+
+
 def diffract_far_field(mask: BinaryMask,
                        pad_factor: int = DEFAULT_PAD_FACTOR) -> FarField:
     """Centred unitary Fourier transform of the mask as a unit-amplitude
@@ -490,10 +481,8 @@ def diffract_far_field(mask: BinaryMask,
     """
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
-    freq_side = 1.0 / mask.grid.pitch
-    out_grid = GridSpec(mask.grid.samples_per_side * pad_factor, freq_side)
-    return FarField(out_grid, _column_spectrum(mask.values, pad_factor),
-                    pad_factor)
+    return FarField(_far_grid(mask.grid, pad_factor),
+                    _column_spectrum(mask.values, pad_factor))
 
 
 @lru_cache(maxsize=4)
@@ -503,17 +492,14 @@ def _aperture_kernel(n: int, pad_factor: int,
     aperture's far field: power[c] sums its intensity over rows m/2 -
     half..m/2 + half - 1 at column c (_band_power), the length-m vector
     whose column ranges extract_orders sums into window spreads.  Only
-    bins m/2 - half..m/2 of the disk's column spectrum are kept, each
-    block's rfft cut to them, and rows m/2 - half..m/2 are finished from
-    them at once, as extract_orders finishes the far field's.  By Parseval
+    bins m/2 - half..m/2 of the disk's column spectrum are kept
+    (_column_spectrum), and rows m/2 - half..m/2 are finished from them at
+    once, as extract_orders finishes the far field's.  By Parseval
     power sums to the count at half = m/2."""
     disk = _inscribed_aperture(n)
     m = n * pad_factor
     base = m // 2 - half
-    bins = np.empty((n, half + 1), dtype=np.complex128)
-    for lo, hi, block in _signed_columns(disk, pad_factor):
-        bins[lo:hi] = np.fft.rfft(block, axis=1, norm="ortho")[:, base:]
-    upper = _finish_rows(bins, base,
+    upper = _finish_rows(_column_spectrum(disk, pad_factor, base), base,
                          np.empty((half + 1, m), dtype=np.complex128))
     return _band_power(upper), int(np.count_nonzero(disk))
 
@@ -525,6 +511,31 @@ def _window_sum(power: np.ndarray, centre_col: int, half: int) -> float:
     if c0 < 0 or c1 > len(power):
         return math.nan
     return float(power[c0:c1].sum())
+
+
+def _order_windows(spec: HologramSpec,
+                   far_grid: GridSpec) -> tuple[int, dict[int, int]]:
+    """(half, cols) of a plane hologram's far field on far_grid: the
+    window half-width int(carrier / 2), carrier the k_x in far-field
+    pixels, and the centre column m/2 + round(o carrier) of order o,
+    -4 <= o <= 4.  They depend on k_x and the grid alone, so they are
+    refused before any far field is built: OrderSeparationError if a
+    window is under 16 pixels wide, or order -1's window leaves the far
+    field."""
+    carrier_px = spec.reference.k_x / (2.0 * math.pi) / far_grid.pitch
+    half = int(carrier_px / 2.0)
+    if 2 * half < 16:
+        raise OrderSeparationError(
+            f"carrier spans only {carrier_px:.1f} far-field pixels; windows "
+            "would be smaller than a usable grid")
+    centre = far_grid.samples_per_side // 2
+    cols = {o: centre + round(o * carrier_px) for o in range(-4, 5)}
+    # the +-1 windows are mirror images about the centre and order 0's lies
+    # between them, so order -1's lower edge bounds all three
+    if cols[-1] - half < 0:
+        raise OrderSeparationError(
+            "order -1 window falls outside the sampled far field")
+    return half, cols
 
 
 def extract_orders(far_field: FarField,
@@ -550,34 +561,21 @@ def extract_orders(far_field: FarField,
             "spherical-reference orders separate longitudinally, not "
             "transversely; analyse them by Fresnel propagation")
     m = far_field.grid.samples_per_side
-    pad_factor = far_field.pad_factor
-    n_mask = m // pad_factor
     freq_pitch = far_field.grid.pitch   # cycles/m per far-field pixel
-    carrier_px = spec.reference.k_x / (2.0 * math.pi) / freq_pitch
-    half = int(carrier_px / 2.0)
-    if 2 * half < 16:
-        raise OrderSeparationError(
-            f"carrier spans only {carrier_px:.1f} far-field pixels; windows "
-            "would be smaller than a usable grid")
-    centre = m // 2
-    cols = {o: centre + round(o * carrier_px) for o in range(-3, 4)}
-    # the +-1 windows are mirror images about the centre and order 0's lies
-    # between them, so order -1's lower edge bounds all three
-    if cols[-1] - half < 0:
-        raise OrderSeparationError(
-            "order -1 window falls outside the sampled far field")
-
+    half, cols = _order_windows(spec, far_field.grid)
     # the kernel is built before the band is held, so their rows are never
-    # held together; the bounds check above implies half <= m/2
-    kernel_power, kernel_total = _aperture_kernel(n_mask, pad_factor, half)
-    upper = far_field._finish(centre - half, centre + 1,
+    # held together; the bounds check of the windows implies half <= m/2
+    kernel_power, kernel_total = _aperture_kernel(
+        len(far_field.columns), far_field.pad_factor, half)
+    upper = far_field._finish(m // 2 - half, m // 2 + 1,
                               np.empty((half + 1, m), dtype=np.complex128))
     power = _band_power(upper)
-    # a window that leaves the far field sums to nan and adds no leakage
-    powers = {o: _window_sum(power, col, half) for o, col in cols.items()}
-    # an order's neighbours lie 1..4 carriers away
-    spreads = {d: _window_sum(kernel_power, centre + round(d * carrier_px),
-                              half) for d in range(1, 5)}
+    # the powers of orders -3..3; a window that leaves the far field sums
+    # to nan and adds no leakage
+    powers = {o: _window_sum(power, cols[o], half) for o in range(-3, 4)}
+    # an order's neighbours lie d = 1..4 carriers away, where the aperture
+    # kernel's spread is its power in the window of order d
+    spreads = {d: _window_sum(kernel_power, cols[d], half) for d in range(1, 5)}
     out_grid = GridSpec(2 * half, 2 * half * freq_pitch)
     fields = {}
     for order in (-1, 0, +1):

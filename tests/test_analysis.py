@@ -35,6 +35,11 @@ class TestAngularProfile:
         with pytest.raises(ValueError):
             AngularProfile(1.0, -np.ones(64))
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_non_positive_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            AngularProfile(radius, np.ones(64))
+
 
 def bilinear_gather_definition(field, radius, n_samples):
     """The circle's bilinear gather as four fancy-indexed reads: floor
@@ -190,6 +195,12 @@ class TestPatternOrientation:
         with pytest.raises(NoPatternError):
             pattern_orientation(prof, 1)
 
+    def test_zero_l_rejected(self):
+        # an l = 0 pattern has no petals to orient
+        prof = synthetic_profile(lambda phi: np.cos(phi - 0.3) ** 2)
+        with pytest.raises(ValueError, match="needs \\|l\\| >= 1"):
+            pattern_orientation(prof, 0)
+
     def test_negative_l_equivalent(self):
         prof = synthetic_profile(lambda phi: np.cos(phi - 0.4) ** 2)
         assert pattern_orientation(prof, -1) == pytest.approx(
@@ -238,6 +249,8 @@ class TestHarmonics:
         prof = synthetic_profile(lambda phi: np.cos(3 * (phi - 0.2)) ** 2)
         assert harmonic_fraction(prof, 6) == pytest.approx(1.0, abs=1e-9)
         assert harmonic_fraction(prof, 2) == pytest.approx(0.0, abs=1e-9)
+        # a dark profile has no modulation, and no mean to divide by
+        assert harmonic_fraction(AngularProfile(1.0, np.zeros(64)), 6) == 0.0
 
     def test_harmonic_resolution_limit(self):
         prof = synthetic_profile(lambda phi: np.ones_like(phi), n=64)

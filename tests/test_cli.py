@@ -179,6 +179,23 @@ class TestRotate:
         assert rel.max() < 0.02
         assert rows[-1, 2] == pytest.approx(0.2, rel=0.05)
 
+    def test_self_check_fails_against_a_wrong_law(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a Larmor wavenumber 5% off the stepped one sets analytic angles
+        # that the measured rotation misses by more than the 2% bound: the
+        # table is still written, and the run exits 1
+        monkeypatch.setattr(cli, "larmor_wavenumber",
+                            lambda p: 1.05 * larmor_wavenumber(p))
+        outdir = tmp_path / "rot"
+        assert main(["rotate", "-E", "60keV", "-B", "1T",
+                     "--grid-n", "128", "--grid-side", "600nm",
+                     "--phi-max", "0.2rad",
+                     "--outputs", "6", "-o", str(outdir)]) == 1
+        assert (outdir / "rotation.csv").exists()
+        captured = capsys.readouterr()
+        assert "max relative deviation 4.851e-02" in captured.out
+        assert "rotate: self-check FAILED (> 2%)" in captured.err
+
     def test_field_reversal_negates_measurement(self, tmp_path):
         results = {}
         for tag, field in (("p", "1T"), ("m", "-1T")):
@@ -608,6 +625,13 @@ class TestErrorBoundary:
         (["grating", "-l", "100000"], "petal period"),
         (["grating", "-l", "403"], "petal period"),
         (["grating", "--phi0", "1e400rad"], "phi0 must be finite"),
+        # the order windows depend on k_x, the grid and the padding alone,
+        # so a carrier too weak to separate them leaves no mask behind
+        (["grating", "-l", "1", "--plane", "--kx", "2e7m-1", "--diffract"],
+         "carrier spans only 12.7 far-field pixels"),
+        (["verdet-curve", "--e-min", "1keV", "--e-max", "300keV", "-n", "1"],
+         "need at least 2 points"),
+        (["breathe", "--w0=-5nm"], "waist must be positive"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evfaraday import ComplexField, GridSpec
-from evfaraday.fileio import (format_csv, load_field, save_field,
+from evfaraday.fileio import (_atomic_write_bytes, format_csv, load_field,
+                              quantise_intensity, save_field,
                               write_frame_pgm, write_intensity_pgm,
                               write_mask_pgm, write_pgm, write_text)
 
@@ -45,8 +46,13 @@ class TestFieldFile:
         field = random_field(n=16)
         path = tmp_path / "c.field"
         save_field(str(path), field, 1.0, 0.0)
-        path.write_bytes(path.read_bytes()[:-8])
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="payload"):
+            load_field(str(path))
+        # cut inside the header, the file has no header line at all
+        path.write_bytes(blob[:blob.find(b"\n")])
+        with pytest.raises(ValueError, match="missing header terminator"):
             load_field(str(path))
 
     def test_file_bytes(self, tmp_path):
@@ -211,6 +217,8 @@ class TestPgm:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(str(tmp_path / "x.pgm"), np.zeros(16, dtype=np.uint8))
+        with pytest.raises(ValueError, match="needs a 2-D array"):
+            quantise_intensity(np.ones(16), 1.0)
 
 
 class TestCsvAndText:
@@ -238,3 +246,16 @@ class TestCsvAndText:
         assert path.read_text() == "second\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".evf-tmp")]
         assert not leftovers
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a part that cannot be written fails the write part-way: the temp
+        # file is removed, and a target that exists keeps its bytes
+        path = tmp_path / "t.csv"
+        with pytest.raises(TypeError):
+            _atomic_write_bytes(str(path), b"head\n", object())
+        assert not list(tmp_path.iterdir())
+        write_text(str(path), "first\n")
+        with pytest.raises(TypeError):
+            _atomic_write_bytes(str(path), b"head\n", object())
+        assert path.read_bytes() == b"first\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -24,6 +24,7 @@ from evfaraday import (BeamParameters, BinaryMask, ComplexField,
                        radial_peak_radius, spherical_focus_distance,
                        synthesize_hologram)
 from evfaraday import gratings
+from evfaraday.core import ELECTRON_MASS, HBAR
 from evfaraday.gratings import _aperture_kernel
 from evfaraday.errors import (CarrierResolutionError, ContainmentError,
                               OrderSeparationError)
@@ -167,6 +168,8 @@ class TestMaskGeometry:
         grid = GridSpec(16, 1e-6)
         with pytest.raises(ValueError):
             BinaryMask(grid, 2 * np.ones((16, 16)))
+        with pytest.raises(ValueError, match="shape does not match grid"):
+            BinaryMask(grid, np.ones((16, 8)))
 
     @pytest.mark.parametrize("value, accepted", [
         (0.0, True), (1.0, True), (-0.0, True), (True, True), (False, True),
@@ -299,6 +302,11 @@ class TestPlaneRasteriser:
         # a nan phi0 once gave an all-dark mask
         with pytest.raises(ValueError, match="phi0 must be finite"):
             HologramSpec(1, phi0, PlaneReference(1e8))
+
+    @pytest.mark.parametrize("reference", [None, 1e8, "plane"])
+    def test_unknown_reference_refused(self, reference):
+        with pytest.raises(TypeError, match="reference must be"):
+            HologramSpec(1, 0.0, reference)
 
 
 class TestFarField:
@@ -486,19 +494,23 @@ class TestHalfPlaneFarField:
         assert got.shape == (m, m)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("pad", [0, -2])
+    def test_padding_below_one_refused(self, pad):
+        mask = random_mask(16, 3)
+        with pytest.raises(ValueError, match="pad_factor must be >= 1"):
+            diffract_far_field(mask, pad)
+
     def test_half_plane_shape_checked(self):
-        # the stored column spectrum is (n, m/2 + 1), n = m / pad_factor
+        # the stored column spectrum is (n, m/2 + 1) with n dividing m, and
+        # the padding is derived from it: pad_factor = m / n
         grid = GridSpec(16, 1.0)
-        for pad, shape in ((1, (16, 9)), (2, (8, 9)), (4, (4, 9))):
-            FarField(grid, np.zeros(shape, np.complex128), pad)
-        for pad, shape in ((1, (16, 16)), (1, (9, 16)), (2, (16, 9)),
-                           (2, (8, 16)), (3, (5, 9)), (4, (9, 4))):
-            with pytest.raises(ValueError):
-                FarField(grid, np.zeros(shape, np.complex128), pad)
-        # the padding is an integer >= 1, refused before it divides
-        for pad in (0, -2, 1.0):
-            with pytest.raises(ValueError, match="pad_factor must be an int"):
-                FarField(grid, np.zeros((16, 9), np.complex128), pad)
+        for n in (16, 8, 4, 2, 1):
+            far = FarField(grid, np.zeros((n, 9), np.complex128))
+            assert far.pad_factor == 16 // n
+        for shape in ((16, 16), (9, 16), (8, 16), (5, 9), (3, 9), (32, 9),
+                      (0, 9), (9, 4), (16,), (16, 9, 1)):
+            with pytest.raises(ValueError, match="column spectrum shape"):
+                FarField(grid, np.zeros(shape, np.complex128))
 
     @pytest.mark.parametrize("n, fringes, pad", [(256, 40, 4), (192, 40, 4)])
     def test_extract_order_matches_definition_crops(self, n, fringes, pad):
@@ -632,7 +644,7 @@ class TestFarFieldFrame:
             columns[...] = bad
         else:
             columns[5, 9 if where == "first block" else -1] = bad
-        broken = FarField(far.grid, columns, far.pad_factor)
+        broken = FarField(far.grid, columns)
         if where == "first block":
             message = ("far-field intensity (nan|inf) in rows 0..63 is not "
                        "within half a level of the zero-order peak")
@@ -656,7 +668,7 @@ class TestFarFieldFrame:
         assert (0, 64) not in finished
         columns = far.columns.copy()
         columns[5, 9] = bad
-        broken = FarField(far.grid, columns, far.pad_factor)
+        broken = FarField(far.grid, columns)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValueError, match=(
@@ -944,6 +956,14 @@ class TestExtractOrder:
         far = diffract_far_field(mask, 4)
         with pytest.raises(OrderSeparationError):
             extract_orders(far, spec)
+        # the window geometry alone: a carrier of 3 fringes spans 12
+        # far-field pixels, one of 90 puts order -1's window off the far
+        # field; both are refused whatever the far field holds
+        for fringes, message in ((3, "carrier spans only 12.0 far-field "
+                                     "pixels"),
+                                 (90, "order -1 window falls outside")):
+            with pytest.raises(OrderSeparationError, match=message):
+                extract_orders(far, plane_spec(grid, fringes=fringes))
 
     def test_leakage_uses_the_far_fields_own_padding(self):
         # at pad 4 a 20-fringe carrier leaks more than 1% into the +1
@@ -981,8 +1001,7 @@ class TestExtractOrder:
         # they are refused as powers, not as leakage, rather than returned
         # as all-nan crops
         far, spec = far_and_spec
-        nan_far = FarField(far.grid, np.full_like(far.columns, np.nan),
-                           far.pad_factor)
+        nan_far = FarField(far.grid, np.full_like(far.columns, np.nan))
         with pytest.raises(OrderSeparationError,
                            match="order -1 window power nan is not positive "
                                  "and finite"):
@@ -1067,6 +1086,27 @@ class TestSphericalReference:
         plan = make_plan(field.grid, BEAM, z / steps, scheme="exact")
         stepped = propagate_definite_l(field, 0, plan, steps)
         assert law == pytest.approx(effective_width(stepped), rel=1e-6)
+
+    @pytest.mark.parametrize("curvature", [1.5e14, -1.5e14, 3e12, -3e12])
+    @pytest.mark.parametrize("kev", [1, 60, 300])
+    def test_focus_distance_is_k0_over_2c(self, kev, curvature):
+        # the reference every focus is compared with: k0 / (2 |C|), with
+        # k0 = sqrt(2 m_e E) / hbar from the package's own constants
+        p = BeamParameters(kev * 1e3 * ELEMENTARY_CHARGE, 0.0)
+        spec = HologramSpec(1, 0.0, SphericalReference(curvature))
+        k0 = math.sqrt(2.0 * ELECTRON_MASS * p.kinetic_energy) / HBAR
+        assert spherical_focus_distance(spec, p) == pytest.approx(
+            k0 / (2.0 * abs(curvature)), rel=1e-12)
+
+    def test_plane_spec_refused(self, sph):
+        mask, spec = sph
+        plane = HologramSpec(1, 0.0, PlaneReference(1e8))
+        with pytest.raises(ValueError, match="spherical references"):
+            spherical_focus_distance(plane, BEAM)
+        with pytest.raises(ValueError, match="needs a spherical reference"):
+            isolate_chirped_order(mask, plane, -1)
+        with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+            isolate_chirped_order(mask, spec, 0)
 
     def test_width_cross_check_raises(self, sph, monkeypatch):
         mask, spec = sph

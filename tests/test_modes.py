@@ -104,6 +104,10 @@ class TestRadialProfile:
             profile = radial_profile(0, l, r, w)
             measured = r[np.argmax(profile ** 2)]
             assert measured == pytest.approx(w * math.sqrt(l / 2), rel=1e-4)
+            assert petal_radius(w, -l) == w * math.sqrt(l / 2)
+        # an l = 0 mode has no petals: its intensity peaks on axis
+        with pytest.raises(ValueError, match="no petal radius"):
+            petal_radius(w, 0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -126,11 +130,23 @@ class TestModeField:
         with pytest.warns(GridAdequacyWarning):
             mode_field(GridSpec(64, 4 * w_b), 0, 0, w_b)
 
-    def test_zero_sampled_mode_rejected(self, w_b):
+    def test_zero_sampled_mode_rejected(self, beam, w_b):
         # a waist far below the pitch underflows at every pixel centre
         with pytest.warns(GridAdequacyWarning):
             with pytest.raises(ValueError, match="identically zero field"):
                 mode_field(GridSpec(64, 8 * w_b), 0, 0, 1e-3 * w_b)
+        # so does a superposition sampled at z = 0 without a field
+        from evfaraday import BeamParameters
+        p0 = BeamParameters(beam.kinetic_energy, 0.0)
+        s = ModeSuperposition(((ModeIndex(0, 1), 1.0, 1e-3 * w_b),), p0)
+        with pytest.warns(GridAdequacyWarning):
+            with pytest.raises(ValueError, match="identically zero field"):
+                sample_superposition(s, GridSpec(64, 8 * w_b), 0.0)
+
+    @pytest.mark.parametrize("waist", [0.0, -1e-9, math.nan])
+    def test_non_positive_waist_rejected(self, w_b, waist):
+        with pytest.raises(ValueError, match="waist must be positive"):
+            mode_field(GridSpec(64, 8 * w_b), 0, 1, waist)
 
 
 def radial_sampling(grid, n, l, w):
@@ -187,6 +203,12 @@ class TestSuperpositionValidation:
     def test_positive_waists(self, beam):
         with pytest.raises(ValueError, match="waist"):
             ModeSuperposition(((ModeIndex(0, 1), 1.0, -1e-9),), beam)
+
+    def test_terms_checked(self, beam, w_b):
+        with pytest.raises(ValueError, match="at least one term"):
+            ModeSuperposition((), beam)
+        with pytest.raises(TypeError, match="start with a ModeIndex"):
+            ModeSuperposition((((0, 1), 1.0, w_b),), beam)
 
     def test_opposite_pair_helper(self, beam, w_b):
         s = ModeSuperposition.opposite_pair(2, w_b, beam)
@@ -342,6 +364,13 @@ class TestWidthFunction:
         with pytest.raises(ZeroFieldError):
             width_function_exact(w_b, p0, 0.0)
 
+    @pytest.mark.parametrize("w0", [0.0, -1e-9, math.nan])
+    def test_non_positive_waist_raises(self, beam, w0):
+        with pytest.raises(ValueError, match="w0 must be positive"):
+            width_function(w0, beam, 0.0)
+        with pytest.raises(ValueError, match="w0 must be positive"):
+            width_function_exact(w0, beam, 0.0)
+
 
 class TestGridSpec:
     def test_validation(self):
@@ -369,3 +398,9 @@ class TestGridSpec:
         grid = GridSpec(16, 1e-6)
         with pytest.raises(ValueError):
             ComplexField(grid, 0.0, np.zeros((16, 8), dtype=complex))
+        # factors are (R, N) pairs of one shape
+        for y, x in ((np.ones((2, 16)), np.ones((3, 16))),
+                     (np.ones((2, 8)), np.ones((2, 8))),
+                     (np.ones(16), np.ones(16))):
+            with pytest.raises(ValueError, match="factor shapes"):
+                ComplexField(grid, 0.0, factors=(y, x))

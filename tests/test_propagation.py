@@ -161,6 +161,9 @@ class TestDefiniteL:
         field = mode_field(grid_b, 0, 0, w_b)
         with pytest.raises(GridMismatchError):
             propagate_definite_l(field, 0, plan, 1)
+        s = ModeSuperposition.opposite_pair(1, w_b, beam)
+        with pytest.raises(GridMismatchError):
+            next(superposition_evolution(s, grid_b, plan, 1))
 
     def test_containment_guard(self, beam, w_b):
         grid = GridSpec(64, 3 * w_b)
@@ -176,6 +179,8 @@ class TestDefiniteL:
         field = mode_field(grid, 0, 1, w_b)
         out = propagate_definite_l(field, 1, plan, 0)
         assert np.array_equal(out.amplitudes, field.amplitudes)
+        with pytest.raises(ValueError, match="n_steps must be >= 0"):
+            propagate_definite_l(field, 1, plan, -1)
 
 
 class TestSuperpositionRotation:
@@ -229,6 +234,13 @@ class TestSuperpositionRotation:
         s = ModeSuperposition.opposite_pair(1, w_b, beam)
         with pytest.raises(ValueError, match="plan's beam"):
             next(superposition_evolution(s, grid, plan, 1))
+
+    def test_no_output_plane_refused(self, beam, w_b):
+        grid = GridSpec(64, 8 * w_b)
+        plan = make_plan(grid, beam, 1e-8, scheme="exact")
+        s = ModeSuperposition.opposite_pair(1, w_b, beam)
+        with pytest.raises(ValueError, match="n_outputs must be >= 1"):
+            next(superposition_evolution(s, grid, plan, 0))
 
 
 class TestNormAndConvergence:
@@ -712,6 +724,11 @@ class TestFactorForm:
         with pytest.raises(ContainmentError, match="not finite"):
             _check_contained(self.guarded_field(64, 32, 0.0).amplitudes,
                              plane, context="test")
+
+    def test_dark_plane_accepted(self):
+        # an all-zero plane has no peak to compare its border with, and
+        # nothing in it to wrap around
+        _check_contained(np.zeros((64, 64), complex), context="test")
 
     def test_nan_factors_refused(self):
         field = self.guarded_field(64, 32, 0.0)
