@@ -18,7 +18,6 @@ from .modes import ComplexField, GridSpec
 class AngularProfile:
     """Intensity samples on a circle, uniformly spaced over [0, 2 pi)."""
 
-    radius: float
     samples: np.ndarray
 
     def __post_init__(self):
@@ -26,8 +25,6 @@ class AngularProfile:
         _check_sample_count(samples.size if samples.ndim == 1 else 0)
         if np.any(samples < 0):
             raise ValueError("intensity samples must be non-negative")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
         object.__setattr__(self, "samples", samples)
 
 
@@ -48,7 +45,7 @@ def angular_intensity(field: ComplexField, radius: float,
     vals = np.abs(field.window(rows, cols).ravel()[taps]) ** 2
     vals *= wy
     vals *= wx
-    return AngularProfile(radius, vals.sum(axis=0))
+    return AngularProfile(vals.sum(axis=0))
 
 
 @lru_cache(maxsize=4)

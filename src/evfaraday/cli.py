@@ -4,7 +4,9 @@ breathing runs, and hologram synthesis with diffraction analysis.
 All physical inputs are unit-suffixed strings (60keV, 1T, 100nm); outputs
 are CSV tables with a '#' unit header, binary PGM images, raw field files,
 and JSON reports.  Commands exit non-zero when an internal invariant
-(containment, aliasing, order separation, self-check) fails.
+(containment, aliasing, order separation, self-check) fails.  Every output
+is computed and checked before the output directory is made, so a refused
+run changes no file; a failed self-check still writes its table.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from .fileio import (format_csv, save_field, write_frame_pgm,
                      write_intensity_pgm, write_mask_pgm, write_text)
 from .gratings import (CHIRPED_EMBED_FACTOR, DEFAULT_PAD_FACTOR,
                        HologramSpec, PlaneReference, SphericalReference,
-                       _far_grid, _order_windows, default_carrier,
-                       diffract_far_field, extract_orders,
+                       default_carrier, diffract_far_field, extract_orders,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
-from .modes import (GridSpec, ModeSuperposition, petal_radius,
+from .modes import (ComplexField, GridSpec, ModeSuperposition, petal_radius,
                     width_function_exact)
 from .propagation import (exact_steps_per_plane, make_plan,
                           superposition_evolution)
@@ -109,8 +110,8 @@ def _self_check(command: str, summary: str, pairs, rtol: float) -> int:
     return 0
 
 
-def _write_json(path: str, report: dict):
-    write_text(path, json.dumps(report, indent=2, allow_nan=False) + "\n")
+def _json_text(report: dict) -> str:
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _check_plane_side(what: str, side: int):
@@ -122,9 +123,12 @@ def _check_plane_side(what: str, side: int):
             f"{MAX_PLANE_SIDE} allowed; coarsen the grid")
 
 
-def _ensure_outdir(args) -> str:
+def _write_outputs(args, writes):
+    """Make the output directory, then each write(path, *data) of writes,
+    (write, file name, *data), into it."""
     os.makedirs(args.outdir, exist_ok=True)
-    return args.outdir
+    for write, name, *data in writes:
+        write(os.path.join(args.outdir, name), *data)
 
 
 def cmd_quantities(args) -> int:
@@ -155,7 +159,8 @@ def cmd_quantities(args) -> int:
         shown = "∞" if value is None else f"{value:.6e}"
         print(f"{name:<{width}}  {shown:>14}  {unit}")
     if args.json_path:
-        _write_json(args.json_path, {key: value for _, key, value, _ in rows})
+        write_text(args.json_path,
+                   _json_text({key: value for _, key, value, _ in rows}))
     return 0
 
 
@@ -164,6 +169,9 @@ def cmd_verdet_curve(args) -> int:
     e_max = parse_energy(args.e_max)
     if not 0 < e_min < e_max:
         raise CliUsageError("need 0 < E_min < E_max")
+    # the table is in eV, so an energy whose eV value overflows is refused
+    if not e_max / ELEMENTARY_CHARGE < math.inf:
+        raise CliUsageError(f"E_max must be finite in eV, got {args.e_max}")
     if args.points < 2:
         raise CliUsageError("need at least 2 points")
     if args.points > MAX_CURVE_POINTS:
@@ -203,31 +211,37 @@ def cmd_rotate(args) -> int:
     pair = ModeSuperposition.opposite_pair(args.l, w0, p)
     planes = _channel_planes(args, pair, side, z_target)
     radius = petal_radius(w0, args.l)
+    snapshots, frames = (range(0, args.outputs + 1, every) if every else ()
+                         for every in (args.snapshot_every, args.pgm_every))
 
-    zs, raw = [], []
+    # every plane is measured before any is written; a plane to be written
+    # is kept as its factors alone and built only when it is written
+    zs, raw, kept = [], [], []
     for i, (z, field) in enumerate(planes):
-        if i == 0:
-            # the modes are sampled with the first plane: a waist the grid
-            # samples to zero is rejected before any output exists
-            outdir = _ensure_outdir(args)
         profile = angular_intensity(field, radius, n_samples=512)
         zs.append(z)
         raw.append(pattern_orientation(profile, args.l))
-        if args.snapshot_every and i % args.snapshot_every == 0:
-            save_field(os.path.join(outdir, f"field_{i:04d}.field"), field,
-                       _energy_ev(p), p.field_bz,
-                       note=f"rotation output {i}")
-        if args.pgm_every and i % args.pgm_every == 0:
-            write_intensity_pgm(os.path.join(outdir, f"frame_{i:04d}.pgm"),
-                                field.intensity())
-
+        if i in snapshots or i in frames:
+            kept.append((i, field.grid, z, field.factors))
     measured = unwrap_orientations(raw, args.l)
     analytic = k_l * np.asarray(zs)
     rows = list(zip(zs, measured, analytic))
-    write_text(os.path.join(outdir, "rotation.csv"),
-               format_csv("pattern orientation vs propagation distance",
-                          ("z_m", "angle_rad_measured", "angle_rad_analytic"),
-                          rows))
+    table = format_csv("pattern orientation vs propagation distance",
+                       ("z_m", "angle_rad_measured", "angle_rad_analytic"),
+                       rows)
+
+    os.makedirs(args.outdir, exist_ok=True)
+    for i, grid, z, factors in kept:
+        field = ComplexField(grid, z, factors=factors)
+        if i in snapshots:
+            save_field(os.path.join(args.outdir, f"field_{i:04d}.field"),
+                       field, _energy_ev(p), p.field_bz,
+                       note=f"rotation output {i}")
+        if i in frames:
+            write_intensity_pgm(
+                os.path.join(args.outdir, f"frame_{i:04d}.pgm"),
+                field.intensity())
+    write_text(os.path.join(args.outdir, "rotation.csv"), table)
 
     scale = float(np.max(np.abs(analytic)))
     summary = f"rotate: {len(rows)} samples to z = {zs[-1]:.6e} m, "
@@ -259,13 +273,10 @@ def cmd_breathe(args) -> int:
     rows = [(z, effective_width(field, args.l),
              width_function_exact(w0, p, z))
             for z, field in _channel_planes(args, mode, side, z_target)]
-    outdir = _ensure_outdir(args)
-    write_text(os.path.join(outdir, "breathing.csv"),
-               format_csv("beam width vs propagation distance; exact column "
-                          "is the unapproximated channel law "
-                          "width_function_exact",
-                          ("z_m", "width_measured_m", "width_exact_m"),
-                          rows))
+    _write_outputs(args, [(write_text, "breathing.csv", format_csv(
+        "beam width vs propagation distance; exact column is the "
+        "unapproximated channel law width_function_exact",
+        ("z_m", "width_measured_m", "width_exact_m"), rows))])
     widths = [r[1] for r in rows]
     return _self_check("breathe",
                        f"breathe: {len(rows)} samples over {args.periods} "
@@ -274,15 +285,19 @@ def cmd_breathe(args) -> int:
                        [r[1:] for r in rows], BREATHING_SELF_CHECK_RTOL)
 
 
-def _plane_diffraction_report(pad, mask, spec, p, outdir) -> dict:
+def _plane_diffraction_outputs(pad, mask, spec, p) -> tuple[dict, list]:
+    """(purity report, writes) of a plane --diffract: the far-field frame,
+    the order files and purity.json, as _write_outputs takes them.  The
+    orders are extracted, and so checked, before the frame is built, which
+    then holds their crops."""
     far = diffract_far_field(mask, pad)
-    write_frame_pgm(os.path.join(outdir, "farfield.pgm"), *far.frame())
     fields = extract_orders(far, spec)
+    writes = [(write_frame_pgm, "farfield.pgm", *far.frame())]
     report = {}
     for order, label in ((-1, "order_m1"), (0, "order_0"), (1, "order_p1")):
         field = fields[order]
-        save_field(os.path.join(outdir, label + ".field"), field, _energy_ev(p),
-                   p.field_bz, note=f"diffraction order {order:+d}")
+        writes.append((save_field, label + ".field", field, _energy_ev(p),
+                       p.field_bz, f"diffraction order {order:+d}"))
         # each order is probed where its own azimuthal average peaks
         radius = radial_peak_radius(field)
         profile = angular_intensity(field, radius, n_samples=256)
@@ -293,7 +308,8 @@ def _plane_diffraction_report(pad, mask, spec, p, outdir) -> dict:
         except NoPatternError:
             entry["orientation_rad"] = None
         report[label] = entry
-    return report
+    writes.append((write_text, "purity.json", _json_text(report)))
+    return report, writes
 
 
 def _spherical_focus_report(mask, spec, p) -> dict:
@@ -345,29 +361,24 @@ def cmd_grating(args) -> int:
         else:
             _check_plane_side("far field", args.grid_n * pad)
     mask = synthesize_hologram(spec, grid)
-    if args.diffract and not args.spherical:
-        # the order windows depend on k_x and the far field's grid alone,
-        # so a carrier that cannot separate them is refused before output
-        _order_windows(spec, _far_grid(grid, pad))
-    outdir = _ensure_outdir(args)
-    write_mask_pgm(os.path.join(outdir, "mask.pgm"), mask.values)
-    print(f"grating: mask with {int(mask.values.sum())} open pixels "
-          f"of {mask.values.size}")
-    if not args.diffract:
-        return 0
-    if args.spherical:
+    writes = [(write_mask_pgm, "mask.pgm", mask.values)]
+    lines = [f"grating: mask with {int(mask.values.sum())} open pixels "
+             f"of {mask.values.size}"]
+    if args.diffract and args.spherical:
         report = _spherical_focus_report(mask, spec, p)
-        _write_json(os.path.join(outdir, "focus.json"), report)
-        print(f"grating: real focus at {report['real_focus_m']:.6e} m, "
-              f"virtual at {report['virtual_focus_m']:.6e} m "
-              f"(expected ±{report['expected_abs_focus_m']:.6e} m)")
-    else:
-        report = _plane_diffraction_report(pad, mask, spec, p, outdir)
-        _write_json(os.path.join(outdir, "purity.json"), report)
+        writes.append((write_text, "focus.json", _json_text(report)))
+        lines.append(f"grating: real focus at {report['real_focus_m']:.6e} m, "
+                     f"virtual at {report['virtual_focus_m']:.6e} m "
+                     f"(expected ±{report['expected_abs_focus_m']:.6e} m)")
+    elif args.diffract:
+        report, orders = _plane_diffraction_outputs(pad, mask, spec, p)
+        writes += orders
         plus = report["order_p1"]["harmonic_fraction_2l"]
         zero = report["order_0"]["harmonic_fraction_2l"]
-        print(f"grating: 2l-harmonic fraction {plus:.3f} in order +1, "
-              f"{zero:.3f} in order 0")
+        lines.append(f"grating: 2l-harmonic fraction {plus:.3f} in order +1, "
+                     f"{zero:.3f} in order 0")
+    _write_outputs(args, writes)
+    print("\n".join(lines))
     return 0
 
 

@@ -461,12 +461,6 @@ class FarField:
         return out
 
 
-def _far_grid(grid: GridSpec, pad_factor: int) -> GridSpec:
-    """The spatial-frequency grid, in cycles per metre, of the far field of
-    a mask on grid zero-padded by pad_factor."""
-    return GridSpec(grid.samples_per_side * pad_factor, 1.0 / grid.pitch)
-
-
 def diffract_far_field(mask: BinaryMask,
                        pad_factor: int = DEFAULT_PAD_FACTOR) -> FarField:
     """Centred unitary Fourier transform of the mask as a unit-amplitude
@@ -481,7 +475,8 @@ def diffract_far_field(mask: BinaryMask,
     """
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
-    return FarField(_far_grid(mask.grid, pad_factor),
+    n = mask.grid.samples_per_side
+    return FarField(GridSpec(n * pad_factor, 1.0 / mask.grid.pitch),
                     _column_spectrum(mask.values, pad_factor))
 
 
@@ -518,10 +513,10 @@ def _order_windows(spec: HologramSpec,
     """(half, cols) of a plane hologram's far field on far_grid: the
     window half-width int(carrier / 2), carrier the k_x in far-field
     pixels, and the centre column m/2 + round(o carrier) of order o,
-    -4 <= o <= 4.  They depend on k_x and the grid alone, so they are
-    refused before any far field is built: OrderSeparationError if a
-    window is under 16 pixels wide, or order -1's window leaves the far
-    field."""
+    -4 <= o <= 4.  They depend on k_x and the grid alone, so
+    extract_orders refuses them before the aperture kernel or the band is
+    built: OrderSeparationError if a window is under 16 pixels wide, or
+    order -1's window leaves the far field."""
     carrier_px = spec.reference.k_x / (2.0 * math.pi) / far_grid.pitch
     half = int(carrier_px / 2.0)
     if 2 * half < 16:

@@ -18,27 +18,22 @@ from evfaraday.errors import GridMismatchError, NoPatternError
 from evfaraday.modes import ComplexField
 
 
-def synthetic_profile(fn, n=256, radius=1.0):
+def synthetic_profile(fn, n=256):
     phi = 2 * np.pi * np.arange(n) / n
-    return AngularProfile(radius, fn(phi))
+    return AngularProfile(fn(phi))
 
 
 class TestAngularProfile:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
-            AngularProfile(1.0, np.ones(63))
+            AngularProfile(np.ones(63))
         with pytest.raises(ValueError):
-            AngularProfile(1.0, np.ones(96))   # not a power of two
-        AngularProfile(1.0, np.ones(64))
+            AngularProfile(np.ones(96))   # not a power of two
+        AngularProfile(np.ones(64))
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
-            AngularProfile(1.0, -np.ones(64))
-
-    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
-    def test_non_positive_radius_rejected(self, radius):
-        with pytest.raises(ValueError, match="radius must be positive"):
-            AngularProfile(radius, np.ones(64))
+            AngularProfile(-np.ones(64))
 
 
 def bilinear_gather_definition(field, radius, n_samples):
@@ -250,7 +245,7 @@ class TestHarmonics:
         assert harmonic_fraction(prof, 6) == pytest.approx(1.0, abs=1e-9)
         assert harmonic_fraction(prof, 2) == pytest.approx(0.0, abs=1e-9)
         # a dark profile has no modulation, and no mean to divide by
-        assert harmonic_fraction(AngularProfile(1.0, np.zeros(64)), 6) == 0.0
+        assert harmonic_fraction(AngularProfile(np.zeros(64)), 6) == 0.0
 
     def test_harmonic_resolution_limit(self):
         prof = synthetic_profile(lambda phi: np.ones_like(phi), n=64)

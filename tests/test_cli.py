@@ -473,14 +473,14 @@ class TestGrating:
     # the focus, and only the guard plane at 1.4 k0/2C catches it
     @pytest.mark.parametrize("curvature", ["1e12m-2", "2e13m-2"])
     def test_spherical_focus_guard_bites(self, tmp_path, capsys, curvature):
-        # a physics-guard failure, so mask.pgm may already exist
         assert main(["grating", "--spherical", "--curvature", curvature,
                      "--grid-n", "128", "--diffract",
                      "-o", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "border intensity" in err
-        assert not (tmp_path / "focus.json").exists()
+        # the focus is checked before any file is written, mask.pgm included
+        assert not list(tmp_path.iterdir())
 
     def test_non_finite_focus_refused(self, tmp_path, capsys):
         # scales that leave floating point make the focus moments nan; the
@@ -490,7 +490,7 @@ class TestGrating:
                      "--spherical", "--diffract", "-o", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert re.sub(r"^(warning: .*\n)*", "", err).startswith("error:")
-        assert not (tmp_path / "focus.json").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_spherical_focus_guard_spans_planes(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -505,7 +505,7 @@ class TestGrating:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "border intensity" in err
-        assert not (tmp_path / "focus.json").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_spherical_needs_curvature(self):
         assert main(["grating", "--spherical", "--grid-n", "64"]) == 2
@@ -632,6 +632,12 @@ class TestErrorBoundary:
         (["verdet-curve", "--e-min", "1keV", "--e-max", "300keV", "-n", "1"],
          "need at least 2 points"),
         (["breathe", "--w0=-5nm"], "waist must be positive"),
+        # an energy that is not finite, or whose eV value overflows, is
+        # refused before the curve is sampled
+        (["verdet-curve", "--e-min", "1keV", "--e-max", "1e400keV"],
+         "E_max must be finite in eV, got 1e400keV"),
+        (["verdet-curve", "--e-min", "1keV", "--e-max", "1e308keV"],
+         "E_max must be finite in eV, got 1e308keV"),
     ])
     def test_invalid_values(self, tmp_path, capsys, monkeypatch, argv,
                             message):
@@ -642,10 +648,44 @@ class TestErrorBoundary:
         # library warnings, one line each, may precede the error
         assert re.sub(r"^(warning: .*\n)*", "", err).startswith("error:")
         assert message in err
+        if argv[0] == "verdet-curve":
+            # no energy reaches arithmetic that overflows
+            assert "warning:" not in err
         # rejected before any output, the grating mask.pgm and the
         # quantities table included
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("written, refused, message", [
+        # the 1% leakage bound, read from the far field itself
+        (["grating", "-l", "1", "--plane", "--kx", "2.5e8m-1", "--diffract"],
+         ["grating", "-l", "3", "--plane", "--kx", "2.01e8m-1",
+          "--diffract"], "estimated neighbour leakage"),
+        # the spherical focus guard
+        (["grating", "--spherical", "--curvature", "1.5e14m-2",
+          "--grid-n", "128", "--diffract"],
+         ["grating", "--spherical", "--curvature", "1e12m-2",
+          "--grid-n", "128", "--diffract"], "border intensity"),
+        # the containment guard of a later plane than the first snapshot's
+        (["rotate", "--grid-n", "64", "--outputs", "8",
+          "--snapshot-every", "1"],
+         ["rotate", "--grid-n", "64", "--w0", "8nm", "--grid-side", "200nm",
+          "--outputs", "8", "--snapshot-every", "1"], "border intensity"),
+    ], ids=["plane-leakage", "spherical-focus", "rotate-containment"])
+    def test_refused_run_changes_no_file(self, tmp_path, capsys, written,
+                                         refused, message):
+        # every output is computed and checked before any is written, so a
+        # run refused over an earlier run's outputs leaves them as found,
+        # with no temp file beside them
+        assert main(written + ["-o", str(tmp_path)]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(refused + ["-o", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert {path.name: path.read_bytes()
+                for path in tmp_path.iterdir()} == before
 
     @settings(max_examples=100, deadline=None)
     @given(argv=extreme_argv())

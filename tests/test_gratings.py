@@ -900,6 +900,25 @@ class TestStreamedFarField:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
 
+    def test_cli_order_memory(self):
+        # evf grating's order: the orders are extracted, and so checked,
+        # first; the frame is then built while their three crops (1.2 MiB
+        # at this carrier) are held
+        grid = GridSpec(512, 1e-6)
+        spec = HologramSpec(3, 0.4, PlaneReference(2.5e8))
+        mask = synthesize_hologram(spec, grid)
+        _aperture_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            far = diffract_far_field(mask, 4)
+            fields = extract_orders(far, spec)
+            far.frame()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fields) == 3
+        assert peak < 20 * 2 ** 20
+
 
 @pytest.fixture(scope="module")
 def far_and_spec():
