@@ -1,5 +1,6 @@
-"""On-disk formats: raw complex field files, binary PGM images, and CSV
-tables.  Every write is atomic (temp file then rename)."""
+"""On-disk formats: raw complex field files with a strict-JSON header,
+binary PGM images and the 8-bit rule of intensity frames, and CSV tables.
+Every write is atomic (temp file then rename)."""
 
 from __future__ import annotations
 
@@ -57,20 +58,27 @@ def save_field(path: str, field: ComplexField, energy_ev: float,
         "note": note,
     }
     payload = np.ascontiguousarray(field.amplitudes, dtype="<c16")
-    _atomic_write_bytes(path, json.dumps(header).encode() + b"\n",
+    # a nan or inf is not JSON: refused before anything is written
+    _atomic_write_bytes(path,
+                        json.dumps(header, allow_nan=False).encode() + b"\n",
                         memoryview(payload))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"header holds {name}, which is not JSON")
 
 
 def load_field(path: str):
     """Read a field file; returns (ComplexField, header dict).  A malformed
-    header or payload raises ValueError naming the path."""
+    header or payload, a header that is not strict JSON (NaN, Infinity) or a
+    z_m that is not finite raises ValueError naming the path."""
     with open(path, "rb") as handle:
         blob = handle.read()
     newline = blob.find(b"\n")
     try:
         if newline < 0:
             raise ValueError("missing header terminator")
-        header = json.loads(blob[:newline])
+        header = json.loads(blob[:newline], parse_constant=_refuse_constant)
         if not isinstance(header, dict):
             raise ValueError("header is not a JSON object")
         version = header.get("format_version")
@@ -83,6 +91,8 @@ def load_field(path: str):
         for name, value in (("grid side_m", side), ("z_m", z)):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"header {name} is {value!r}, not a number")
+        if not -math.inf < z < math.inf:
+            raise ValueError(f"header z_m is {z!r}, not finite")
         grid = GridSpec(grid.get("n"), side)
         n = grid.samples_per_side
         payload = blob[newline + 1:]
@@ -109,49 +119,21 @@ def write_mask_pgm(path: str, values: np.ndarray):
     write_pgm(path, values.astype(np.uint8) * 255)
 
 
-#: Rows quantise_intensity scales at a time, bounding its float scratch;
-#: also the block height of a plane op's column spectrum, frame and band
-#: power.
-QUANTISE_BLOCK_ROWS = 64
-
-
-def quantise_block(intensity: np.ndarray, peak: float, scratch: np.ndarray,
+def quantise_block(intensity: np.ndarray, peak: float,
                    out: np.ndarray) -> np.ndarray:
-    """Write rint(255 * intensity / peak) of a block of rows into the uint8
-    array out, all zeros unless peak > 0; returns out.
+    """Write rint(255 * intensity / peak) of a float intensity into the
+    uint8 array out of its shape, all zeros unless peak > 0; returns out.
 
-    The block is scaled in the float array scratch of its shape, in that
-    operation order; scratch may be intensity itself, which is then
+    The intensity is scaled in place, in that operation order, and so is
     overwritten.
     """
     if not peak > 0:
         out.fill(0)
         return out
-    np.multiply(intensity, 255.0, out=scratch)
-    scratch /= peak
-    np.rint(scratch, out=scratch)
-    out[...] = scratch
-    return out
-
-
-def quantise_intensity(intensity: np.ndarray, peak: float) -> np.ndarray:
-    """8-bit frame rint(255 * intensity / peak) of a 2-D intensity, all
-    zeros unless peak > 0.
-
-    The rows are scaled a block at a time (quantise_block) through one
-    scratch, so the bytes do not depend on the block size and the input is
-    not modified.
-    """
-    if intensity.ndim != 2:
-        raise ValueError("PGM output needs a 2-D array")
-    out = np.empty(intensity.shape, dtype=np.uint8)
-    rows = intensity.shape[0]
-    scratch = np.empty((min(rows, QUANTISE_BLOCK_ROWS), intensity.shape[1]),
-                       dtype=np.result_type(intensity, 255.0))
-    for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
-        hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
-        quantise_block(intensity[lo:hi], peak, scratch[:hi - lo],
-                       out[lo:hi])
+    intensity *= 255.0
+    intensity /= peak
+    np.rint(intensity, out=intensity)
+    out[...] = intensity
     return out
 
 
@@ -166,10 +148,12 @@ def write_frame_pgm(path: str, gray: np.ndarray, peak: float) -> float:
 
 
 def write_intensity_pgm(path: str, intensity: np.ndarray) -> float:
-    """Intensity frame with per-frame max normalisation (quantise_intensity)
-    and its peak sidecar; returns the peak."""
+    """Intensity frame with per-frame max normalisation (quantise_block) and
+    its peak sidecar; returns the peak.  The 2-D float intensity is scaled
+    in place and so is overwritten."""
     peak = float(intensity.max())
-    return write_frame_pgm(path, quantise_intensity(intensity, peak), peak)
+    gray = np.empty(intensity.shape, dtype=np.uint8)
+    return write_frame_pgm(path, quantise_block(intensity, peak, gray), peak)
 
 
 def format_csv(comment: str, columns, rows) -> str:

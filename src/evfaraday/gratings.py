@@ -20,12 +20,17 @@ from .analysis import effective_width
 from .core import BeamParameters, base_wavenumber
 from .errors import (CarrierResolutionError, ContainmentError,
                      OrderSeparationError)
-from .fileio import QUANTISE_BLOCK_ROWS, quantise_block
+from .fileio import quantise_block
 from .modes import ComplexField, GridSpec
 from .propagation import _check_contained
 
 #: Far-field oversampling used to resolve the internal structure of orders.
 DEFAULT_PAD_FACTOR = 4
+
+#: Rows, or mask columns, a plane op takes at a time where it transposes a
+#: mask, transforms its column spectrum, bounds, finishes and quantises the
+#: frame's rows, or sums a band's power; each block bounds a scratch array.
+QUANTISE_BLOCK_ROWS = 64
 
 #: Acceptable neighbour leakage into an extraction window.
 LEAKAGE_LIMIT = 0.01
@@ -441,8 +446,7 @@ class FarField:
                     f"far-field intensity {largest:.6e} in rows {lo}.."
                     f"{hi - 1} is not within half a level of the zero-order "
                     f"peak {peak:.6e}")
-            # the intensity is scaled in place, its block's only scratch
-            quantise_block(intensity, peak, intensity, gray[lo:hi])
+            quantise_block(intensity, peak, gray[lo:hi])
             # the frame is allocated zeroed, so only finished rows are
             # mirrored; row 0's mirror is off the frame, row m/2 is its own
             _point_mirror(gray, max(lo, 1), min(hi, m // 2))

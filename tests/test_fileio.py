@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from evfaraday import ComplexField, GridSpec
 from evfaraday.fileio import (_atomic_write_bytes, format_csv, load_field,
-                              quantise_intensity, save_field,
-                              write_frame_pgm, write_intensity_pgm,
-                              write_mask_pgm, write_pgm, write_text)
+                              save_field, write_frame_pgm,
+                              write_intensity_pgm, write_mask_pgm, write_pgm,
+                              write_text)
 
 
 def random_field(n=32, side=1e-6, seed=5):
@@ -67,6 +67,20 @@ class TestFieldFile:
         assert path.read_bytes() == (
             json.dumps(header).encode() + b"\n"
             + field.amplitudes.astype("<c16").tobytes())
+
+    @pytest.mark.parametrize("z, energy, field_t", [
+        pytest.param(np.nan, 60e3, 1.0, id="z-nan"),
+        pytest.param(-np.inf, 60e3, 1.0, id="z-minus-inf"),
+        pytest.param(0.0, np.inf, 1.0, id="energy-inf"),
+        pytest.param(0.0, 60e3, np.nan, id="field-nan"),
+    ])
+    def test_non_finite_header_refused(self, tmp_path, z, energy, field_t):
+        # NaN and Infinity are not JSON; no file, not even a temp file, is
+        # left behind
+        field = ComplexField(GridSpec(16, 1e-6), z, np.zeros((16, 16)))
+        with pytest.raises(ValueError):
+            save_field(str(tmp_path / "f.field"), field, energy, field_t)
+        assert not list(tmp_path.iterdir())
 
     def test_resave_identical_bytes(self, tmp_path):
         field = random_field()
@@ -156,6 +170,21 @@ class TestFieldFileProperties:
         with pytest.raises(ValueError, match="x.field"):
             load_field(path)
 
+    @pytest.mark.parametrize("key, literal", [
+        ("z_m", "NaN"), ("z_m", "-Infinity"), ("energy_eV", "Infinity"),
+        ("field_T", "NaN"), ("note", "NaN"), ("z_m", "1e999"),
+        ("z_m", "-1e999"),
+    ])
+    def test_non_json_or_infinite_header_rejected(self, tmp_path, key,
+                                                  literal):
+        # the constants NaN and Infinity are not JSON, wherever they sit,
+        # and 1e999 parses to an infinite z_m
+        header = json.dumps({**VALID_HEADER, key: "@"}).replace('"@"', literal)
+        path = self.write_blob(tmp_path,
+                               header.encode() + b"\n" + bytes(16 * 16 * 16))
+        with pytest.raises(ValueError, match="x.field: header"):
+            load_field(path)
+
     @settings(max_examples=40, deadline=None)
     @given(key=st.sampled_from(["format_version", "grid", "n", "side_m",
                                 "z_m"]),
@@ -217,8 +246,6 @@ class TestPgm:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(str(tmp_path / "x.pgm"), np.zeros(16, dtype=np.uint8))
-        with pytest.raises(ValueError, match="needs a 2-D array"):
-            quantise_intensity(np.ones(16), 1.0)
 
 
 class TestCsvAndText:

@@ -693,10 +693,17 @@ class TestFarFieldFrame:
             values = np.zeros((32, 32), dtype=np.uint8)
             values[::4, ::4] = 1
             return values, 1
+        if case == "one column":
+            # every far-field row has constant modulus, so its bound B_j is
+            # each of its pixels: whole blocks lie between the dark
+            # threshold and a few times it while holding bytes of 1-2
+            values = np.zeros((64, 64), dtype=np.uint8)
+            values[10:26, 23] = 1
+            return values, 4
         return gratings._inscribed_aperture(64).astype(np.uint8), 4
 
     @pytest.mark.parametrize("case", ["one pixel", "two pixels", "lattice",
-                                      "disk"])
+                                      "one column", "disk"])
     def test_degenerate_masks(self, tmp_path, monkeypatch, case):
         values, pad = self.degenerate_mask(case)
         n = values.shape[0]
