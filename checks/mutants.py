@@ -59,6 +59,9 @@ MUTANTS = [
      "y[rows] += (coeff * cmath.exp(-1j * l * k_l_z)) * part",
      "y[rows] += (coeff * cmath.exp(-1.03j * l * k_l_z)) * part",
      "Zeeman rate +3 % where a superposition's outputs are summed"),
+    ("propagation.py", "zeeman = cmath.exp(-1j * l * k_l_z)",
+     "zeeman = cmath.exp(-1.005j * l * k_l_z)",
+     "Zeeman rate +0.5 % in propagate_definite_l"),
     ("propagation.py", "half_length = math.tan(0.5 * omega * dz) / omega",
      "half_length = math.sin(0.5 * omega * dz) / omega",
      "exact-scheme half-potential length sin for tan"),

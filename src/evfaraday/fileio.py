@@ -70,8 +70,9 @@ def _refuse_constant(name: str):
 
 def load_field(path: str):
     """Read a field file; returns (ComplexField, header dict).  A malformed
-    header or payload, a header that is not strict JSON (NaN, Infinity) or a
-    z_m that is not finite raises ValueError naming the path."""
+    header or payload, or a header that save_field would refuse to write
+    (the constants NaN and Infinity, or a number such as 1e999 that parses
+    to inf), raises ValueError naming the path."""
     with open(path, "rb") as handle:
         blob = handle.read()
     newline = blob.find(b"\n")
@@ -94,6 +95,9 @@ def load_field(path: str):
         if not -math.inf < z < math.inf:
             raise ValueError(f"header z_m is {z!r}, not finite")
         grid = GridSpec(grid.get("n"), side)
+        # what save_field would refuse to write back, such as an
+        # "energy_eV": 1e999 that parsed to inf
+        json.dumps(header, allow_nan=False)
         n = grid.samples_per_side
         payload = blob[newline + 1:]
         if len(payload) != 16 * n * n:

@@ -24,18 +24,20 @@ then along its rows.  Both are the same discrete operator; only rounding
 differs.
 
 The angular-momentum part of the Zeeman interaction reduces to the exact
-scalar phase exp(-i l k_L z) on a definite-l component, so general beams
-are propagated as mode lists and each component is advanced independently.
-The -l mode of a given (n, |l|, waist) is the +l mode mirrored, y -> -y,
-which on the pixel-centred grid reverses its y-factors; x^2 and k^2 are
-both even under it, so the sweep commutes with it and only one of the two
-is stepped.
+scalar phase exp(-i l k_L z) on a definite-l component.  The sweep does
+not depend on l, so a general beam is propagated as a list of definite-l
+terms: the terms of one (n, |l|, waist) group share one stepped field, and
+each term's phase is applied once, where the output field is summed.
+The -l mode of a group is its +l mode mirrored, y -> -y, which on the
+pixel-centred grid reverses its y-factors; x^2 and k^2 are both even under
+it, so the sweep commutes with it and only one of the two is stepped.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +50,6 @@ from .modes import (ComplexField, GridSpec, ModeSuperposition, _factor_norm,
 
 #: Border-to-peak intensity ratio above which propagation refuses to continue.
 BORDER_INTENSITY_LIMIT = 1e-6
-
-#: Step schemes accepted by make_plan.
-SCHEMES = ("strang", "exact")
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,15 @@ def _step_limit(name: str, limit: float) -> float:
             f"{name} is {limit:.3e} m: this grid and beam give no positive, "
             "finite step; their length scales are beyond floating point")
     return limit
+
+
+def _check_count(name: str, count, least: int):
+    """Refuse, with ValueError, a count that is not an integer (a bool is
+    not one; a numpy integer is) or is below least."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def aliasing_limit(grid: GridSpec, p: BeamParameters) -> float:
@@ -119,10 +127,17 @@ def exact_step_limit(grid: GridSpec, p: BeamParameters) -> float:
     return _step_limit("exact_step_limit", limit)
 
 
+#: Step schemes accepted by make_plan, each with the bound on its step.
+SCHEMES = {"strang": aliasing_limit, "exact": exact_step_limit}
+
+
 def exact_steps_per_plane(grid: GridSpec, p: BeamParameters,
                           spacing: float) -> int:
     """Fewest equal exact-scheme steps across spacing, each below
-    exact_step_limit: one unless the spacing reaches the limit."""
+    exact_step_limit: one unless the spacing reaches the limit.  A spacing
+    that is not positive is refused with ValueError."""
+    if not spacing > 0:
+        raise ValueError(f"a plane spacing of {spacing:.3e} m is not positive")
     ratio = spacing / exact_step_limit(grid, p)
     if not ratio < math.inf:
         raise InvalidGridError(
@@ -151,26 +166,20 @@ def make_plan(grid: GridSpec, p: BeamParameters, dz: float,
     """Build the phase factors for step dz, enforcing the scheme's bound:
     aliasing_limit for "strang", exact_step_limit for "exact"."""
     if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        raise ValueError(
+            f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     if not dz > 0:
         raise ValueError("dz must be positive")
-    if steps_per_output < 1:
-        raise ValueError("steps_per_output must be a positive integer")
+    _check_count("steps_per_output", steps_per_output, 1)
     k0 = base_wavenumber(p)
     k_l = larmor_wavenumber(p)
     omega = abs(k_l)
-    if scheme == "strang":
-        limit = aliasing_limit(grid, p)
-        if dz >= limit:
-            raise StepTooLargeError(
-                f"dz = {dz:.6e} m violates the anti-aliasing bound; maximum "
-                f"admissible dz on this grid is {limit:.6e} m")
-    else:
-        limit = exact_step_limit(grid, p)
-        if dz >= limit:
-            raise StepTooLargeError(
-                f"dz = {dz:.6e} m violates the exact-scheme sampling bound; "
-                f"exact_step_limit on this grid is {limit:.6e} m")
+    bound = SCHEMES[scheme]
+    limit = bound(grid, p)
+    if dz >= limit:
+        raise StepTooLargeError(
+            f"dz = {dz:.6e} m violates the {scheme} scheme's step bound; "
+            f"{bound.__name__} on this grid is {limit:.6e} m")
     if scheme == "exact" and omega != 0.0:
         half_length = math.tan(0.5 * omega * dz) / omega
         kinetic_length = math.sin(omega * dz) / omega
@@ -299,21 +308,21 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
     """
     if field.grid != plan.grid:
         raise GridMismatchError("field and plan grids differ")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    _check_count("n_steps", n_steps, 0)
     if n_steps == 0:
         plane = None if field.plane is None else field.plane.copy()
         return ComplexField(field.grid, field.z_position, plane,
                             field.factors)
     advance = n_steps * plan.dz
     k_l_z = larmor_wavenumber(plan.params) * advance
+    zeeman = cmath.exp(-1j * l * k_l_z)
     if field.factors is None:
         # columns, then rows, each swept as contiguous lines
         columns = np.ascontiguousarray(field.amplitudes.T)
         _sweep(columns, plan, n_steps)
         out = np.ascontiguousarray(columns.T)
         _sweep(out, plan, n_steps)
-        out *= cmath.exp(-1j * l * k_l_z)
+        out *= zeeman
         result = ComplexField(field.grid, field.z_position + advance, out)
     else:
         rank = len(field.factors[0])
@@ -321,8 +330,7 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
         _sweep(lines, plan, n_steps)
         result = ComplexField(
             field.grid, field.z_position + advance,
-            factors=(lines[:rank] * cmath.exp(-1j * l * k_l_z),
-                     lines[rank:]))
+            factors=(lines[:rank] * zeeman, lines[rank:]))
     _check_field_contained(result, context=f"field at z = {advance:.6e} m")
     return result
 
@@ -346,22 +354,18 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     if s.params != plan.params:
         raise ValueError("the superposition's beam and the plan's beam "
                          "differ")
-    if n_outputs < 1:
-        raise ValueError("n_outputs must be >= 1")
-    groups, terms = {}, []
+    _check_count("n_outputs", n_outputs, 1)
+    rows, ys, xs, terms, rank = {}, [], [], [], 0
     for idx, coeff, w in s.terms:
         key = (idx.n, abs(idx.l), w)
-        if key not in groups:
-            groups[key] = mode_field(grid, *key).factors
-        terms.append((key, idx.l, coeff, idx.l < 0))
-    rows, rank = {}, 0
-    for key, (y, _) in groups.items():
-        rows[key] = slice(rank, rank + len(y))
-        rank += len(y)
-    terms = [(rows[key], l, coeff, mirrored)
-             for key, l, coeff, mirrored in terms]
-    lines = np.concatenate([y for y, _ in groups.values()]
-                           + [x for _, x in groups.values()])
+        if key not in rows:
+            y, x = mode_field(grid, *key).factors
+            rows[key] = slice(rank, rank + len(y))
+            rank += len(y)
+            ys.append(y)
+            xs.append(x)
+        terms.append((rows[key], idx.l, coeff, idx.l < 0))
+    lines = np.concatenate(ys + xs)
     # residual grid correction so the sum (every Zeeman phase is 1 at
     # z = 0) starts at unit norm
     lines[:rank] /= math.sqrt(grid_norm(

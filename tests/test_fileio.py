@@ -185,6 +185,18 @@ class TestFieldFileProperties:
         with pytest.raises(ValueError, match="x.field: header"):
             load_field(path)
 
+    @pytest.mark.parametrize("key, literal", [
+        ("energy_eV", "1e999"), ("field_T", "-1e999"), ("note", "[1e999]"),
+    ])
+    def test_header_save_field_would_refuse_rejected(self, tmp_path, key,
+                                                     literal):
+        # json reads 1e999 as inf, which save_field would not write back
+        header = json.dumps({**VALID_HEADER, key: "@"}).replace('"@"', literal)
+        path = self.write_blob(tmp_path,
+                               header.encode() + b"\n" + bytes(16 * 16 * 16))
+        with pytest.raises(ValueError, match="x.field"):
+            load_field(path)
+
     @settings(max_examples=40, deadline=None)
     @given(key=st.sampled_from(["format_version", "grid", "n", "side_m",
                                 "z_m"]),

@@ -70,6 +70,32 @@ class TestPlan:
         with pytest.raises(ValueError):
             make_plan(grid, beam, 1e-9, steps_per_output=0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_step_counts_must_be_integers(self, beam, w_b, count):
+        # a float count would fail later in range(), and a bool is no count
+        grid = GridSpec(64, 8 * w_b)
+        plan = make_plan(grid, beam, 1e-8)
+        field = mode_field(grid, 0, 1, w_b)
+        s = ModeSuperposition.opposite_pair(1, w_b, beam)
+        with pytest.raises(ValueError, match="steps_per_output must be an "
+                                             "integer"):
+            make_plan(grid, beam, 1e-8, steps_per_output=count)
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            propagate_definite_l(field, 1, plan, count)
+        with pytest.raises(ValueError, match="n_outputs must be an integer"):
+            next(superposition_evolution(s, grid, plan, count))
+
+    def test_numpy_integer_step_counts_accepted(self, beam, w_b):
+        grid = GridSpec(64, 8 * w_b)
+        plan = make_plan(grid, beam, 1e-8, steps_per_output=np.int64(2))
+        field = mode_field(grid, 0, 1, w_b)
+        out = propagate_definite_l(field, 1, plan, np.int64(3))
+        assert out.z_position == 3 * plan.dz
+        s = ModeSuperposition.opposite_pair(1, w_b, beam)
+        zs = [z for z, _ in superposition_evolution(s, grid, plan,
+                                                    np.int32(2))]
+        assert zs == [0.0, 2 * plan.dz, 4 * plan.dz]
+
 
 class TestDefiniteL:
     def test_eigenmode_is_stationary(self, beam, w_b):
@@ -430,6 +456,12 @@ class TestExactScheme:
         assert exact_step_limit(grid, beam) < 1e-280
         with pytest.raises(InvalidGridError, match="more exact steps"):
             exact_steps_per_plane(grid, beam, 1e300)
+
+    @pytest.mark.parametrize("spacing", [-1.0, 0.0, -0.0, math.nan])
+    def test_non_positive_spacing_refused(self, beam, w_b, spacing):
+        # no count of steps crosses it: -1 m once gave -1868 steps, 0 m one
+        with pytest.raises(ValueError, match="spacing of .* not positive"):
+            exact_steps_per_plane(GridSpec(64, 8 * w_b), beam, spacing)
 
     def test_unrepresentable_phases_refused(self):
         # k_L^2 overflows, though both step limits are finite
