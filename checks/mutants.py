@@ -68,6 +68,10 @@ MUTANTS = [
     ("gratings.py", "0.5 / 255 * peak * (1 - 1e-3)",
      "0.5 / 255 * peak * 4",
      "frame dark-row margin so wide that lit rows are skipped"),
+    ("gratings.py", "if not dark[lo:lo + QUANTISE_BLOCK_ROWS].all()]",
+     "if not dark[lo:lo + QUANTISE_BLOCK_ROWS].all()\n"
+     "               and lo + QUANTISE_BLOCK_ROWS > self.first]",
+     "frame leaves lit blocks below the kept order band unfinished"),
     ("gratings.py",
      "c = np.arange(cols[order] - half, cols[order] + half)",
      "c = np.arange(cols[order] - half + 1, cols[order] + half + 1)",

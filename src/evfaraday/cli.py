@@ -289,8 +289,9 @@ def _plane_diffraction_outputs(pad, mask, spec, p) -> tuple[dict, list]:
     """(purity report, writes) of a plane --diffract: the far-field frame,
     the order files and purity.json, as _write_outputs takes them.  The
     orders are extracted, and so checked, before the frame is built, which
-    then holds their crops."""
-    far = diffract_far_field(mask, pad)
+    then holds their crops.  The far field keeps only the spectrum bins of
+    the order band."""
+    far = diffract_far_field(mask, pad, spec)
     fields = extract_orders(far, spec)
     writes = [(write_frame_pgm, "farfield.pgm", *far.frame())]
     report = {}

@@ -11,7 +11,7 @@ circular aperture so square-edge streaks do not contaminate the orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (CarrierResolutionError, ContainmentError,
                      OrderSeparationError)
 from .fileio import quantise_block
 from .modes import ComplexField, GridSpec
-from .propagation import _check_contained
+from .propagation import _check_extremes, _plane_extremes
 
 #: Far-field oversampling used to resolve the internal structure of orders.
 DEFAULT_PAD_FACTOR = 4
@@ -250,8 +250,8 @@ def synthesize_hologram(spec: HologramSpec, grid: GridSpec) -> BinaryMask:
     return BinaryMask(grid, aperture)
 
 
-def _column_spectrum(values: np.ndarray, pad_factor: int,
-                     first: int = 0) -> np.ndarray:
+def _column_spectrum(values: np.ndarray, pad_factor: int, first: int = 0,
+                     bound: np.ndarray | None = None) -> np.ndarray:
     """Bins first..m/2 of the rfft stage of fftshift(fft2(ifftshift(padded),
     norm="ortho")) of a real n x n array zero-padded to m x m, m = n *
     pad_factor, by (m - n) / 2 on each side: an (n, m/2 + 1 - first) array
@@ -264,17 +264,22 @@ def _column_spectrum(values: np.ndarray, pad_factor: int,
     zero columns of the padding would transform to zero and are skipped.
     The columns are signed, ifftshifted and transformed QUANTISE_BLOCK_ROWS
     at a time through one reused zero-padded (B, m) buffer; each row's rfft
-    is independent, so the blocks do not change a bit of it.  All bins are
-    transformed straight into the result; a later first cuts each block's
-    rfft to bins first..m/2.  Row j is then one length-m fft along x of
-    column j placed at the ifftshifted positions of the mask columns
-    (_finish_rows).
+    is independent, so the blocks do not change a bit of it.  At first = 0
+    the bins are transformed straight into the result; a later first
+    transforms each block into one reused (B, m/2 + 1) scratch block and
+    keeps its bins first..m/2.  A given bound, a length m/2 + 1 float
+    array, has each block's sum_x |C[x, j]| over all bins j added to it
+    while the block is in cache (FarField.frame's dark-row bound).  Row j
+    is then one length-m fft along x of column j placed at the ifftshifted
+    positions of the mask columns (_finish_rows).
     """
     n = values.shape[0]
     m = n * pad_factor
     h = n // 2
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     buffer = np.zeros((min(n, QUANTISE_BLOCK_ROWS), m))
+    scratch = (np.empty((len(buffer), m // 2 + 1), dtype=np.complex128)
+               if first else None)
     out = np.empty((n, m // 2 + 1 - first), dtype=np.complex128)
     for lo in range(0, n, QUANTISE_BLOCK_ROWS):
         hi = min(lo + QUANTISE_BLOCK_ROWS, n)
@@ -282,10 +287,12 @@ def _column_spectrum(values: np.ndarray, pad_factor: int,
         block = buffer[:hi - lo]
         block[:, :h] = signed[:, h:]
         block[:, m - h:] = signed[:, :h]
+        spectrum = np.fft.rfft(block, axis=1, norm="ortho",
+                               out=scratch[:hi - lo] if first else out[lo:hi])
+        if bound is not None:
+            bound += np.abs(spectrum).sum(axis=0)
         if first:
-            out[lo:hi] = np.fft.rfft(block, axis=1, norm="ortho")[:, first:]
-        else:
-            np.fft.rfft(block, axis=1, norm="ortho", out=out[lo:hi])
+            out[lo:hi] = spectrum[:, first:]
     return out
 
 
@@ -346,41 +353,75 @@ def _band_power(upper: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FarField:
-    """Centred far field of a real mask, stored as its column spectrum.
+    """Centred far field of a real mask, held as a band of its column
+    spectrum, the band's dark-row bound and the mask itself.
 
-    columns is the (n, m/2 + 1) rfft stage of the transform, with n = m /
-    pad_factor the mask's samples per side (_column_spectrum).  Row j <= m/2
-    of the m x m field is finished from column j by one zero-padded
+    The far field lives on grid, an m x m grid in spatial frequency whose
+    pitch is in cycles per metre (diffract_far_field); m = n pad_factor,
+    n the mask's samples per side, so the zero padding of the transform is
+    read from the mask and the grid.  columns holds bins first..m/2 of the
+    mask's (n, m/2 + 1) column spectrum, the rfft stage of the transform
+    (_column_spectrum): first = 0 keeps all of it, and a plane op keeps
+    only its order band, bins m/2 - half..m/2 (diffract_far_field).  Row j
+    <= m/2 of the far field is finished from bin j by one zero-padded
     length-m fft along x.  The spectrum of a real mask is Hermitian, so row
-    j > m/2 is conj(row m - j) at columns (m - c) % m, and only rows 0..m/2
-    are ever finished.  frame() finishes them a QUANTISE_BLOCK_ROWS block
-    at a time in single precision, so no array the size of the far field
-    is held beside the column spectrum and the frame; extract_orders
-    finishes the rows up to m/2 of one centred band at once, in double
-    precision like the column spectrum.  amplitudes is the whole complex
-    array, for library callers.  The zero padding of the transform,
-    pad_factor = m / n, is read from the spectrum's shape.
+    j > m/2 is conj(row m - j) at columns (m - c) % m, and only rows
+    0..m/2 are ever finished.  bound is the length m/2 + 1 vector sum_x
+    |C[x, j]| over every bin j, kept or not, summed while the spectrum was
+    transformed; frame() reads it to leave dark rows unfinished.
+
+    A row below the kept bins is finished from the spectrum transformed
+    again from the mask, bins from that row up to m/2 in one pass: for
+    the lit rows frame() finds below the band, once per frame, and for the
+    rows of amplitudes or of a wider band.  frame() finishes its rows a
+    QUANTISE_BLOCK_ROWS block at a time in single precision, so no array
+    the size of the far field is held beside the spectrum and the frame;
+    extract_orders finishes the rows up to m/2 of one centred band at
+    once, in double precision like the column spectrum.  amplitudes is
+    the whole complex array, for library callers.
     """
 
     grid: GridSpec
+    mask: BinaryMask
     columns: np.ndarray
+    bound: np.ndarray
 
     def __post_init__(self):
-        m, n = self.grid.samples_per_side, len(self.columns)
-        if n == 0 or m % n or self.columns.shape != (n, m // 2 + 1):
+        m, n = self.grid.samples_per_side, self.mask.grid.samples_per_side
+        if m % n or not (self.columns.ndim == 2
+                         and self.columns.shape[0] == n
+                         and 1 <= self.columns.shape[1] <= m // 2 + 1):
             raise ValueError(
-                f"column spectrum shape {self.columns.shape} is not (n, "
-                f"{m // 2 + 1}) with n > 0 dividing {m}, the far field's side")
+                f"column spectrum shape {self.columns.shape} is not (n, k) "
+                f"with n = {n}, the mask's side, dividing {m}, the far "
+                f"field's side, and 1 <= k <= {m // 2 + 1}")
+        if self.bound.shape != (m // 2 + 1,):
+            raise ValueError(f"dark-row bound shape {self.bound.shape} is "
+                             f"not ({m // 2 + 1},)")
 
     @property
     def pad_factor(self) -> int:
         """The zero padding m / n of the transform."""
-        return self.grid.samples_per_side // len(self.columns)
+        return self.grid.samples_per_side // self.mask.grid.samples_per_side
+
+    @property
+    def first(self) -> int:
+        """The lowest kept bin: columns holds bins first..m/2."""
+        return self.grid.samples_per_side // 2 + 1 - self.columns.shape[1]
+
+    def _widened(self, first: int) -> FarField:
+        """This far field keeping bins first..m/2, all transformed again
+        from the mask in one pass."""
+        return replace(self, columns=_column_spectrum(
+            self.mask.values, self.pad_factor, first))
 
     def _finish(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Write rows lo..hi-1 of the far field, 0 <= lo <= hi <= m/2 + 1,
-        into the (hi - lo) x m complex array out; returns out."""
-        return _finish_rows(self.columns[:, lo:hi], lo, out)
+        into the (hi - lo) x m complex array out; returns out.  Rows below
+        the kept bins are finished from the spectrum transformed again."""
+        far = self if lo >= self.first else self._widened(lo)
+        return _finish_rows(far.columns[:, lo - far.first:hi - far.first],
+                            lo, out)
 
     def frame(self) -> tuple[np.ndarray, float]:
         """(m x m uint8 frame, peak) of the intensity I = |amplitudes|^2:
@@ -395,25 +436,27 @@ class FarField:
         mirror is copied as bytes into the frame's other rows.  A peak that
         is not finite, or a block whose largest intensity is not within half
         a level of peak, peak * 255.5 / 255, and so would not fit 8 bits, is
-        refused with ValueError (a nan or inf among the columns spreads
-        along its rows).
+        refused with ValueError (a nan or inf in a bin spreads along its
+        row).
 
         A block whose rows all provably quantise to zero is left zero
         without being finished.  Row j is the ortho length-m transform of
-        column j of the spectrum, so by the triangle inequality none of
-        its pixels exceeds B_j = (sum_x |columns[x, j]|)^2 / m, summed in
-        double precision a block of mask columns at a time.  A row is dark
-        when B_j < (0.5 / 255) peak (1 - 1e-3).  Finished in single
-        precision, each pixel of a row is a sum of the row's inputs through
-        about log2(m) levels of unit-modulus twiddles, so the complex64
-        cast and the fft move its modulus by about log2(m) 2^-24 ~ 1e-6 of
-        sqrt(B_j) at most, and squaring and scaling add a few 2^-24 more:
-        far inside the 1e-3 margin, so a dark row's 255 I / peak stays
-        below 0.5 and rounds to 0, as it would finished.  Every other
-        block is finished and checked as above, so the frame's bytes do
-        not change; a nan or inf in a column makes its B_j non-finite,
-        never dark.  The frame is allocated zeroed, so a dark block and its
-        mirror rows are never written.
+        bin j of the column spectrum, so by the triangle inequality none of
+        its pixels exceeds B_j = bound[j]^2 / m, bound[j] = sum_x |C[x, j]|
+        summed in double precision a block of mask columns at a time while
+        the spectrum was transformed.  A row is dark when B_j < (0.5 / 255)
+        peak (1 - 1e-3).  Finished in single precision, each pixel of a row
+        is a sum of the row's inputs through about log2(m) levels of
+        unit-modulus twiddles, so the complex64 cast and the fft move its
+        modulus by about log2(m) 2^-24 ~ 1e-6 of sqrt(B_j) at most, and
+        squaring and scaling add a few 2^-24 more: far inside the 1e-3
+        margin, so a dark row's 255 I / peak stays below 0.5 and rounds to
+        0, as it would finished.  Every other block is lit, and finished
+        and checked as above, so the frame's bytes do not change; a nan or
+        inf in a bin makes its B_j non-finite, never dark.  Lit rows below
+        the kept bins are finished from one spectrum, transformed again
+        from the mask from the lowest lit block up.  The frame is allocated
+        zeroed, so a dark block and its mirror rows are never written.
         """
         m = self.grid.samples_per_side
         rows = m // 2 + 1
@@ -424,21 +467,20 @@ class FarField:
             raise ValueError(f"far-field zero-order peak {peak:.6e} is not "
                              "finite")
         limit = peak * 255.5 / 255
-        bound = np.zeros(rows)
-        for lo in range(0, len(self.columns), QUANTISE_BLOCK_ROWS):
-            bound += np.abs(self.columns[lo:lo + QUANTISE_BLOCK_ROWS]).sum(
-                axis=0)
-        dark = np.square(bound) / m < 0.5 / 255 * peak * (1 - 1e-3)
+        dark = np.square(self.bound) / m < 0.5 / 255 * peak * (1 - 1e-3)
+        lit = [lo for lo in range(0, rows, QUANTISE_BLOCK_ROWS)
+               if not dark[lo:lo + QUANTISE_BLOCK_ROWS].all()]
+        # lit rows below the kept bins come from one spectrum, transformed
+        # again from the lowest lit block up
+        far = self._widened(lit[0]) if lit and lit[0] < self.first else self
         gray = np.zeros((m, m), dtype=np.uint8)
         block = np.empty((min(QUANTISE_BLOCK_ROWS, rows), m),
                          dtype=np.complex64)
         scratch = np.empty(block.shape, dtype=np.float32)
-        for lo in range(0, rows, QUANTISE_BLOCK_ROWS):
+        for lo in lit:
             hi = min(lo + QUANTISE_BLOCK_ROWS, rows)
-            if dark[lo:hi].all():
-                continue
             intensity = scratch[:hi - lo]
-            np.abs(self._finish(lo, hi, block[:hi - lo]), out=intensity)
+            np.abs(far._finish(lo, hi, block[:hi - lo]), out=intensity)
             np.square(intensity, out=intensity)
             largest = float(intensity.max())
             if not largest <= limit:
@@ -466,22 +508,34 @@ class FarField:
 
 
 def diffract_far_field(mask: BinaryMask,
-                       pad_factor: int = DEFAULT_PAD_FACTOR) -> FarField:
+                       pad_factor: int = DEFAULT_PAD_FACTOR,
+                       spec: HologramSpec | None = None) -> FarField:
     """Centred unitary Fourier transform of the mask as a unit-amplitude
-    transmission function, held as the column spectrum from which FarField
-    finishes only the rows it is asked for.
+    transmission function, held as bins of its column spectrum from which
+    FarField finishes only the rows it is asked for.
 
     The output grid is in spatial-frequency coordinates (cycles per metre);
     zero padding by pad_factor refines the far-field sampling without
     changing the spanned frequency range.  The beam energy sets only the
     angular scale of the pattern (deflection angle = de Broglie wavelength
     times spatial frequency), not its content, so it is not an input.
+    Without spec every bin 0..m/2 is kept.  Given the mask's plane-reference
+    spec, only the bins of its order band, m/2 - half..m/2 with half the
+    window half-width of extract_orders, are kept; the windows are checked
+    here as there (OrderSeparationError).  The dark-row bound of every bin
+    is kept either way.
     """
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
     n = mask.grid.samples_per_side
-    return FarField(GridSpec(n * pad_factor, 1.0 / mask.grid.pitch),
-                    _column_spectrum(mask.values, pad_factor))
+    grid = GridSpec(n * pad_factor, 1.0 / mask.grid.pitch)
+    first = 0
+    if spec is not None:
+        first = grid.samples_per_side // 2 - _order_windows(spec, grid)[0]
+    bound = np.zeros(grid.samples_per_side // 2 + 1)
+    return FarField(grid, mask,
+                    _column_spectrum(mask.values, pad_factor, first, bound),
+                    bound)
 
 
 @lru_cache(maxsize=4)
@@ -518,9 +572,14 @@ def _order_windows(spec: HologramSpec,
     window half-width int(carrier / 2), carrier the k_x in far-field
     pixels, and the centre column m/2 + round(o carrier) of order o,
     -4 <= o <= 4.  They depend on k_x and the grid alone, so
-    extract_orders refuses them before the aperture kernel or the band is
-    built: OrderSeparationError if a window is under 16 pixels wide, or
-    order -1's window leaves the far field."""
+    diffract_far_field and extract_orders refuse them before any far-field
+    bin is held: OrderSeparationError for a spherical reference, whose
+    orders do not separate transversely, a window under 16 pixels wide, or
+    an order -1 window that leaves the far field."""
+    if isinstance(spec.reference, SphericalReference):
+        raise OrderSeparationError(
+            "spherical-reference orders separate longitudinally, not "
+            "transversely; analyse them by Fresnel propagation")
     carrier_px = spec.reference.k_x / (2.0 * math.pi) / far_grid.pitch
     half = int(carrier_px / 2.0)
     if 2 * half < 16:
@@ -555,17 +614,13 @@ def extract_orders(far_field: FarField,
     OrderSeparationError is raised; orders are checked in the order -1, 0,
     +1.
     """
-    if isinstance(spec.reference, SphericalReference):
-        raise OrderSeparationError(
-            "spherical-reference orders separate longitudinally, not "
-            "transversely; analyse them by Fresnel propagation")
     m = far_field.grid.samples_per_side
     freq_pitch = far_field.grid.pitch   # cycles/m per far-field pixel
     half, cols = _order_windows(spec, far_field.grid)
     # the kernel is built before the band is held, so their rows are never
     # held together; the bounds check of the windows implies half <= m/2
     kernel_power, kernel_total = _aperture_kernel(
-        len(far_field.columns), far_field.pad_factor, half)
+        far_field.mask.grid.samples_per_side, far_field.pad_factor, half)
     upper = far_field._finish(m // 2 - half, m // 2 + 1,
                               np.empty((half + 1, m), dtype=np.complex128))
     power = _band_power(upper)
@@ -618,28 +673,39 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     into weakly, restores the chirp, and re-embeds on a grid
     CHIRPED_EMBED_FACTOR times wider so the field can be Fresnel-propagated
     without touching the border.  Returns a unit-norm field at the mask plane.
+    exp(-i sign C r^2) is the outer product of one vector exp(-i sign C
+    x^2) along the embed's axis, so no chirp is evaluated on the plane; the
+    mask is demodulated in its own central block of the zeroed embed, which
+    is transformed, low-passed, restored and tapered in place.
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be -1 or +1")
     if not isinstance(spec.reference, SphericalReference):
         raise ValueError("isolate_chirped_order needs a spherical reference")
     grid = mask.grid
-    big = GridSpec(grid.samples_per_side * CHIRPED_EMBED_FACTOR,
+    n = grid.samples_per_side
+    big = GridSpec(n * CHIRPED_EMBED_FACTOR,
                    grid.physical_side_length * CHIRPED_EMBED_FACTOR)
     # n is even, so the mask is centred with equal padding on each side
-    lo = (big.samples_per_side - grid.samples_per_side) // 2
-    values = np.pad(mask.values, lo).astype(np.complex128)
-    xg, yg = big.meshgrid()
-    r_sq = xg ** 2 + yg ** 2
+    lo = (big.samples_per_side - n) // 2
+    x = big.axis()
     c = spec.reference.curvature
-    demod = values * np.exp(-1j * sign * c * r_sq)
+    chirp = np.exp(-1j * sign * c * np.square(x))
+    component = np.zeros((big.samples_per_side,) * 2, dtype=np.complex128)
+    inner = chirp[lo:lo + n]
+    component[lo:lo + n, lo:lo + n] = mask.values * np.multiply.outer(
+        inner, inner)
 
     k = 2.0 * np.pi * np.fft.fftfreq(big.samples_per_side, d=big.pitch)
     chirp_band = 2.0 * abs(c) * (grid.physical_side_length / 2.0)
     cutoff = CHIRPED_CUTOFF_FRACTION * chirp_band
-    keep = k[:, np.newaxis] ** 2 + k ** 2 <= cutoff ** 2
-    low = np.fft.ifft2(np.fft.fft2(demod) * keep)
-    component = low * np.exp(1j * sign * c * r_sq)
+    np.fft.fft2(component, out=component)
+    component *= np.add.outer(k ** 2, k ** 2) <= cutoff ** 2
+    np.fft.ifftn(component, out=component)
+    # exp(i sign C r^2) is the conjugate outer product
+    np.conjugate(chirp, out=chirp)
+    component *= chirp[:, np.newaxis]
+    component *= chirp
     # the low-pass ringing decays too slowly for the propagator's border
     # check; taper it away well outside the mask circle, where the order
     # itself carries no energy
@@ -647,13 +713,27 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     r_border = big.physical_side_length / 2.0
     taper_from = 1.2 * r_mask
     taper_to = 0.95 * r_border
-    rr = np.sqrt(r_sq)
+    rr = np.sqrt(np.add.outer(np.square(x), np.square(x)))
     ramp = np.clip((rr - taper_from) / (taper_to - taper_from), 0.0, 1.0)
     component *= np.cos(0.5 * np.pi * ramp) ** 2
-    norm = math.sqrt(float(np.sum(np.abs(component) ** 2)) * big.pitch ** 2)
+    norm = math.sqrt(np.vdot(component, component).real * big.pitch ** 2)
     if norm == 0.0:
         raise OrderSeparationError("isolated component vanished; check C")
-    return ComplexField(big, 0.0, component / norm)
+    component /= norm
+    return ComplexField(big, 0.0, component)
+
+
+def _fresnel_plane(spectrum: np.ndarray, k: np.ndarray, z: float, k0: float,
+                   out: np.ndarray) -> np.ndarray:
+    """ifft2(spectrum exp(-0.5j (k_y^2 + k_x^2) z / k0)) written into out,
+    which may be spectrum itself: the free-space plane at z of the field
+    whose fft2 is spectrum, k the angular wavenumbers along either axis.
+    The Fresnel phase is the outer product of one length-N vector; returns
+    out."""
+    phase = np.exp(-0.5j * k ** 2 * z / k0)
+    np.multiply(spectrum, phase[:, np.newaxis], out=out)
+    out *= phase
+    return np.fft.ifftn(out, out=out)
 
 
 def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
@@ -666,18 +746,23 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
     are straight, so the planes 0, z and copysign(z_max, z) bound the
     border intensity between them; as the peak changes along z, the largest
     border intensity of the three is checked against their smallest peak.
-    The width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.  Non-finite
-    moments, from a field whose scales leave floating point, are refused.
+    The two propagated planes are built one at a time in one buffer
+    (_fresnel_plane), each reduced to its (border, peak) pair before the
+    next.  The width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.
+    Non-finite moments, from a field whose scales leave floating point,
+    are refused.
     """
     grid, amps, k0 = field.grid, field.amplitudes, base_wavenumber(p)
     k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
     k_sq = k[:, np.newaxis] ** 2 + k ** 2
     spectrum = np.fft.fft2(amps)
-    xg, yg = grid.meshgrid()
-    r_sq = xg ** 2 + yg ** 2
+    x_sq = np.square(grid.axis())
+    r_sq = np.add.outer(x_sq, x_sq)
     intensity, power = np.abs(amps) ** 2, np.abs(spectrum) ** 2
-    # <rp + pr> = sum r^2 Im(psi* L psi), L psi = -laplacian(psi) spectrally
-    l_psi = np.fft.ifft2(spectrum * k_sq)
+    # <rp + pr> = sum r^2 Im(psi* L psi), L psi = -laplacian(psi)
+    # spectrally; its buffer then holds each propagated plane in turn
+    plane = spectrum * k_sq
+    l_psi = np.fft.ifftn(plane, out=plane)
     rp = float((r_sq * (np.conj(amps) * l_psi).imag).sum() / intensity.sum())
     r2 = float((intensity * r_sq).sum() / intensity.sum())
     p2 = float((power * k_sq).sum() / power.sum())
@@ -688,10 +773,12 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
             f"focus moments are not finite (z = {z_focus:.6e} m, width "
             f"{width:.6e} m): the field's scales leave floating point")
     z_guard = math.copysign(z_max, z_focus)
-    guard, plane = (np.fft.ifft2(spectrum * np.exp(-0.5j * k_sq * z / k0))
-                    for z in (z_guard, z_focus))
-    _check_contained(amps, guard, plane, context=(
-        f"fields at z = 0, {z_guard:.6e} and {z_focus:.6e} m"))
+    context = f"fields at z = 0, {z_guard:.6e} and {z_focus:.6e} m"
+    extremes = [_plane_extremes(amps, context)]
+    for z in (z_guard, z_focus):
+        extremes.append(_plane_extremes(
+            _fresnel_plane(spectrum, k, z, k0, plane), context))
+    _check_extremes(extremes, context)
     measured = effective_width(ComplexField(grid, z_focus, plane))
     if not abs(measured - width) <= FOCUS_WIDTH_CROSSCHECK_RTOL * width:
         raise ContainmentError(

@@ -213,29 +213,41 @@ def grid_norm(field: ComplexField) -> float:
     return total * field.grid.pitch ** 2
 
 
-def _check_contained(*planes: np.ndarray, context: str):
-    """Refuse planes whose largest border intensity exceeds
-    BORDER_INTENSITY_LIMIT times their smallest peak; for one plane, its
-    own border-to-peak ratio.  A plane whose peak or border intensity is
-    not finite is refused."""
-    border, peak = 0.0, math.inf
-    for amps in planes:
-        intensity = np.abs(amps) ** 2
-        # numpy's max propagates nan, so a plane's peak is finite only if
-        # every pixel is, its border pixels included
-        plane_peak = intensity.max()
-        if not math.isfinite(plane_peak):
-            raise ContainmentError(
-                f"{context}: intensity is not finite (peak {plane_peak:.3e})")
-        peak = min(peak, plane_peak)
-        border = max(border, intensity[0].max(), intensity[-1].max(),
-                     intensity[:, 0].max(), intensity[:, -1].max())
+def _plane_extremes(amps: np.ndarray, context: str) -> tuple[float, float]:
+    """(largest border intensity, peak intensity) of one plane; a plane
+    whose peak is not finite is refused."""
+    intensity = np.abs(amps) ** 2
+    # numpy's max propagates nan, so a plane's peak is finite only if
+    # every pixel is, its border pixels included
+    peak = intensity.max()
+    if not math.isfinite(peak):
+        raise ContainmentError(
+            f"{context}: intensity is not finite (peak {peak:.3e})")
+    return max(intensity[0].max(), intensity[-1].max(),
+               intensity[:, 0].max(), intensity[:, -1].max()), peak
+
+
+def _check_extremes(extremes, context: str):
+    """Refuse planes, given as their (border, peak) pairs, whose largest
+    border intensity exceeds BORDER_INTENSITY_LIMIT times their smallest
+    peak."""
+    border = max(0.0, *(b for b, _ in extremes))
+    peak = min(math.inf, *(p for _, p in extremes))
     if peak == 0.0:
         return
     if not border <= BORDER_INTENSITY_LIMIT * peak:
         raise ContainmentError(
             f"{context}: border intensity is {border / peak:.3e} of the peak "
             f"(limit {BORDER_INTENSITY_LIMIT:.0e}); enlarge the grid")
+
+
+def _check_contained(*planes: np.ndarray, context: str):
+    """Refuse planes whose largest border intensity exceeds
+    BORDER_INTENSITY_LIMIT times their smallest peak; for one plane, its
+    own border-to-peak ratio.  A plane whose peak or border intensity is
+    not finite is refused."""
+    _check_extremes([_plane_extremes(amps, context) for amps in planes],
+                    context)
 
 
 def _check_field_contained(field: ComplexField, context: str):

@@ -440,6 +440,46 @@ class TestGrating:
                      "order_0.field", "order_p1.field", "purity.json"):
             assert (tmp_path / name).exists()
 
+    def test_plane_example_keeps_only_band_bins(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the README plane op's far field holds the mask, the dark-row bound
+        # of bins 0..m/2 and the order band's bins m/2 - 79..m/2 of the
+        # column spectrum, never the (n, m/2 + 1) spectrum (8 MiB here)
+        built = []
+        diffract = cli.diffract_far_field
+
+        def recording(*args):
+            built.append(diffract(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "diffract_far_field", recording)
+        assert main(["grating", "-l", "1", "--plane", "--kx", "2.5e8m-1",
+                     "--diffract", "-o", str(tmp_path)]) == 0
+        [far] = built
+        held = [a.shape for a in (*vars(far).values(), *vars(far.mask).values())
+                if isinstance(a, np.ndarray)]
+        assert sorted(held) == [(512, 80), (512, 512), (1025,)]
+
+    @pytest.mark.parametrize("pad", [4, 8])
+    def test_rows_below_band_equal_full_spectrum(self, tmp_path, capsys,
+                                                 monkeypatch, pad):
+        # at -l 12 the frame finishes rows below the order band its far
+        # field keeps, transformed again from the mask; every file equals
+        # that of a far field keeping every bin, byte for byte
+        argv = ["grating", "-l", "12", "--plane", "--kx", "2.5e8m-1",
+                "--diffract", "--pad", str(pad), "-o"]
+        assert main(argv + [str(tmp_path / "band")]) == 0
+        diffract = cli.diffract_far_field
+        monkeypatch.setattr(cli, "diffract_far_field",
+                            lambda mask, pad, spec: diffract(mask, pad))
+        assert main(argv + [str(tmp_path / "full")]) == 0
+        names = sorted(p.name for p in (tmp_path / "full").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "band").iterdir())
+        assert "farfield.pgm" in names and "order_p1.field" in names
+        for name in names:
+            assert ((tmp_path / "band" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
+
     def test_default_carrier_cannot_be_extracted(self, tmp_path, capsys):
         # the ten-fringe default is synthesisable but refuses windowed
         # extraction on leakage grounds

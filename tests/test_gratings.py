@@ -397,6 +397,23 @@ def random_mask(n, seed):
                       (rng.random((n, n)) < 0.5).astype(np.uint8))
 
 
+def poison_rfft(monkeypatch, bad, j):
+    """From now on every rfft writes bad at bin j of mask column 5 of its
+    block, or at every bin of every column for j None: a non-finite value
+    in the column spectrum, which no binary mask can produce."""
+    rfft = np.fft.rfft
+
+    def poisoned(*args, **kwargs):
+        out = rfft(*args, **kwargs)
+        if j is None:
+            out[...] = bad
+        else:
+            out[5, j] = bad
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft", poisoned)
+
+
 def record_finishes(monkeypatch):
     """The (lo, hi) of every FarField._finish call from now on."""
     calls = []
@@ -501,16 +518,32 @@ class TestHalfPlaneFarField:
             diffract_far_field(mask, pad)
 
     def test_half_plane_shape_checked(self):
-        # the stored column spectrum is (n, m/2 + 1) with n dividing m, and
-        # the padding is derived from it: pad_factor = m / n
-        grid = GridSpec(16, 1.0)
-        for n in (16, 8, 4, 2, 1):
-            far = FarField(grid, np.zeros((n, 9), np.complex128))
-            assert far.pad_factor == 16 // n
-        for shape in ((16, 16), (9, 16), (8, 16), (5, 9), (3, 9), (32, 9),
-                      (0, 9), (9, 4), (16,), (16, 9, 1)):
+        # the stored bins are (n, k) with n the mask's side dividing m and
+        # 1 <= k <= m/2 + 1, the bound has one entry per bin 0..m/2, and
+        # the padding is derived from the mask: pad_factor = m / n
+        n = 16
+        mask = BinaryMask(GridSpec(n, 1e-6), np.zeros((n, n)))
+        bound = np.zeros(17)
+        for m in (16, 32, 64):
+            grid = GridSpec(m, 1.0)
+            for k in (1, m // 4, m // 2 + 1):
+                far = FarField(grid, mask,
+                               np.zeros((n, k), np.complex128),
+                               np.zeros(m // 2 + 1))
+                assert far.pad_factor == m // n
+                assert far.first == m // 2 + 1 - k
+        grid = GridSpec(32, 1.0)
+        for shape in ((16, 18), (16, 0), (8, 17), (32, 17), (17,),
+                      (16, 17, 1)):
             with pytest.raises(ValueError, match="column spectrum shape"):
-                FarField(grid, np.zeros(shape, np.complex128))
+                FarField(grid, mask, np.zeros(shape, np.complex128), bound)
+        with pytest.raises(ValueError, match="column spectrum shape"):
+            FarField(GridSpec(40, 1.0), mask,
+                     np.zeros((16, 21), np.complex128), np.zeros(21))
+        for shape in ((16,), (18,), (17, 1)):
+            with pytest.raises(ValueError, match="dark-row bound shape"):
+                FarField(grid, mask, np.zeros((16, 17), np.complex128),
+                         np.zeros(shape))
 
     @pytest.mark.parametrize("n, fringes, pad", [(256, 40, 4), (192, 40, 4)])
     def test_extract_order_matches_definition_crops(self, n, fringes, pad):
@@ -633,26 +666,25 @@ class TestFarFieldFrame:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["first block", "row m/2", "all"])
-    def test_non_finite_columns_refused(self, bad, where):
-        # a nan or inf in the column spectrum spreads along its far-field
-        # row; the frame is refused rather than quantised into garbage
-        # bytes and a peak that hides it (the transform of an inf may warn
-        # of the invalid value first)
-        far = diffract_far_field(random_mask(32, 7), 4)
-        columns = far.columns.copy()
-        if where == "all":
-            columns[...] = bad
-        else:
-            columns[5, 9 if where == "first block" else -1] = bad
-        broken = FarField(far.grid, columns)
-        if where == "first block":
-            message = ("far-field intensity (nan|inf) in rows 0..63 is not "
-                       "within half a level of the zero-order peak")
-        else:
-            # row m/2 holds the zero frequency, so the peak itself is lost
-            message = "far-field zero-order peak (nan|inf) is not finite"
+    def test_non_finite_columns_refused(self, bad, where, monkeypatch):
+        # a nan or inf in the column spectrum makes its bin's dark-row
+        # bound non-finite and spreads along its far-field row; the frame
+        # is refused rather than quantised into garbage bytes and a peak
+        # that hides it (the transform of an inf may warn of the invalid
+        # value first)
+        j = {"first block": 9, "row m/2": 64, "all": None}[where]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            with monkeypatch.context() as patch:
+                poison_rfft(patch, bad, j)
+                broken = diffract_far_field(random_mask(32, 7), 4)
+            assert not np.isfinite(broken.bound[j or 0])
+            if where == "first block":
+                message = ("far-field intensity (nan|inf) in rows 0..63 is "
+                           "not within half a level of the zero-order peak")
+            else:
+                # row m/2 holds the zero frequency, so the peak is lost
+                message = "far-field zero-order peak (nan|inf) is not finite"
             with pytest.raises(ValueError, match=message):
                 broken.frame()
 
@@ -662,19 +694,41 @@ class TestFarFieldFrame:
         # unfinished; a nan or inf in one of them makes that row's bound
         # non-finite, so its block is finished and refused
         values = gratings._inscribed_aperture(64).astype(np.uint8)
-        far = diffract_far_field(BinaryMask(GridSpec(64, 1e-6), values), 4)
+        mask = BinaryMask(GridSpec(64, 1e-6), values)
+        far = diffract_far_field(mask, 4)
         finished = record_finishes(monkeypatch)
         far.frame()
         assert (0, 64) not in finished
-        columns = far.columns.copy()
-        columns[5, 9] = bad
-        broken = FarField(far.grid, columns)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            poison_rfft(monkeypatch, bad, 9)
+            broken = diffract_far_field(mask, 4)
+            assert np.isfinite(far.bound).all()
+            assert not np.isfinite(broken.bound[9])
             with pytest.raises(ValueError, match=(
                     "far-field intensity (nan|inf) in rows 0..63 is not "
                     "within half a level of the zero-order peak")):
                 broken.frame()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_below_band_refused(self, bad, monkeypatch):
+        # the disk's far field keeping only a band of bins 112..128: a nan
+        # or inf in dark row 9, below the band, makes its bound non-finite,
+        # so its block is lit, transformed again and refused
+        values = gratings._inscribed_aperture(64).astype(np.uint8)
+        grid = GridSpec(64, 1e-6)
+        spec = plane_spec(grid, fringes=8)
+        finished = record_finishes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            poison_rfft(monkeypatch, bad, 9)
+            broken = diffract_far_field(BinaryMask(grid, values), 4, spec)
+            assert broken.first == 112
+            with pytest.raises(ValueError, match=(
+                    "far-field intensity (nan|inf) in rows 0..63 is not "
+                    "within half a level of the zero-order peak")):
+                broken.frame()
+        assert finished == [(128, 129), (0, 64)]
 
     @staticmethod
     def degenerate_mask(case):
@@ -888,24 +942,24 @@ class TestStreamedFarField:
         assert calls == [(h - half, h + 1)]
 
     def test_plane_op_memory(self):
-        # one README-sized plane op with a cold aperture kernel holds the
-        # column spectrum (8 MiB) and, while it is built, the frame (4 MiB)
-        # plus one block of rows (2 MiB complex, 1 MiB intensity); the
-        # complex half plane alone would be 32 MiB, its float intensity
-        # 16 MiB
+        # one README-sized plane op with a cold aperture kernel holds its
+        # order band's spectrum bins (0.6 MiB) and, while it is built, the
+        # frame (4 MiB) plus one block of rows (1 MiB complex64, 0.5 MiB
+        # intensity); the whole column spectrum alone would be 8 MiB, the
+        # complex half plane 32 MiB
         grid = GridSpec(512, 1e-6)
         spec = HologramSpec(3, 0.4, PlaneReference(2.5e8))
         mask = synthesize_hologram(spec, grid)
         _aperture_kernel.cache_clear()
         tracemalloc.start()
         try:
-            far = diffract_far_field(mask, 4)
+            far = diffract_far_field(mask, 4, spec)
             far.frame()
             extract_orders(far, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2 ** 20
+        assert peak < 8 * 2 ** 20
 
     def test_cli_order_memory(self):
         # evf grating's order: the orders are extracted, and so checked,
@@ -917,14 +971,111 @@ class TestStreamedFarField:
         _aperture_kernel.cache_clear()
         tracemalloc.start()
         try:
-            far = diffract_far_field(mask, 4)
+            far = diffract_far_field(mask, 4, spec)
             fields = extract_orders(far, spec)
             far.frame()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(fields) == 3
-        assert peak < 20 * 2 ** 20
+        assert peak < 9 * 2 ** 20
+
+
+class TestBandFarField:
+    """A plane op's far field keeps only its order band's bins, m/2 -
+    half..m/2, with the dark-row bound of every bin; rows below the band
+    are transformed again from the mask, in one pass."""
+
+    @pytest.mark.parametrize("n, fringes, l, pad", [
+        (256, 40, 3, 4), (192, 32, 12, 2), (256, 64, 6, 2)])
+    def test_band_equals_full_spectrum(self, n, fringes, l, pad):
+        grid = GridSpec(n, 1e-6)
+        spec = plane_spec(grid, fringes=fringes, l=l, phi0=0.3)
+        mask = synthesize_hologram(spec, grid)
+        full = diffract_far_field(mask, pad)
+        band = diffract_far_field(mask, pad, spec)
+        m = full.grid.samples_per_side
+        half = int(fringes * pad / 2)
+        assert band.grid == full.grid and band.first == m // 2 - half
+        assert np.array_equal(band.columns, full.columns[:, m // 2 - half:])
+        # the dark-row bound of every bin, summed a block of mask columns
+        # at a time from the full spectrum, bit for bit
+        bound = np.zeros(m // 2 + 1)
+        for lo in range(0, n, gratings.QUANTISE_BLOCK_ROWS):
+            bound += np.abs(
+                full.columns[lo:lo + gratings.QUANTISE_BLOCK_ROWS]).sum(axis=0)
+        assert np.array_equal(band.bound, bound)
+        assert np.array_equal(full.bound, bound)
+        gray, peak = band.frame()
+        assert peak == full.frame()[1]
+        assert np.array_equal(gray, full.frame()[0])
+        assert np.array_equal(band.amplitudes, full.amplitudes)
+        expected = extract_orders(full, spec)
+        for order, field in extract_orders(band, spec).items():
+            assert np.array_equal(field.amplitudes,
+                                  expected[order].amplitudes)
+
+    @pytest.mark.parametrize("pad, half, lowest", [(4, 79, 928),
+                                                   (8, 159, 1855)])
+    def test_lit_rows_below_band_transformed_once(self, monkeypatch, pad,
+                                                  half, lowest):
+        # at l = 12 with the README carrier (512^2 mask) the dark-row bound
+        # lights rows down to `lowest`, 96 and 193 rows below m/2, outside
+        # the band of bins m/2 - half..m/2: one spectrum is transformed
+        # again from the lowest lit block, and every lit block is finished
+        # from it, including, at pad 8, one wholly below the band
+        grid = GridSpec(512, 1e-6)
+        spec = HologramSpec(12, 0.0, PlaneReference(2.5e8))
+        mask = synthesize_hologram(spec, grid)
+        full = diffract_far_field(mask, pad)
+        far = diffract_far_field(mask, pad, spec)
+        m = far.grid.samples_per_side
+        assert far.first == m // 2 - half
+        transforms = []
+        column_spectrum = gratings._column_spectrum
+
+        def recording(values, pad_factor, first=0, bound=None):
+            transforms.append(first)
+            return column_spectrum(values, pad_factor, first, bound)
+
+        monkeypatch.setattr(gratings, "_column_spectrum", recording)
+        finished = record_finishes(monkeypatch)
+        gray, peak = far.frame()
+        lit = np.square(far.bound) / m >= 0.5 / 255 * peak * (1 - 1e-3)
+        assert np.flatnonzero(lit)[0] == lowest
+        block = gratings.QUANTISE_BLOCK_ROWS
+        assert transforms == [lowest // block * block]
+        assert finished == expected_finishes(full, peak)
+        assert finished[1][0] == lowest // block * block
+        expected = full.frame()
+        assert peak == expected[1] and np.array_equal(gray, expected[0])
+
+    def test_wider_band_transformed_again(self, monkeypatch):
+        # a far field kept for a weak carrier, read for a strong one: the
+        # rows of the wider band below the kept bins are transformed again
+        # from the mask, in the one call that finishes the band
+        grid = GridSpec(192, 1e-6)
+        weak = plane_spec(grid, fringes=24, l=2, phi0=0.3)
+        strong = plane_spec(grid, fringes=32, l=2, phi0=0.3)
+        mask = synthesize_hologram(strong, grid)
+        far = diffract_far_field(mask, 4, weak)
+        expected = extract_orders(diffract_far_field(mask, 4), strong)
+        calls = record_finishes(monkeypatch)
+        fields = extract_orders(far, strong)
+        h = far.grid.samples_per_side // 2
+        # 24 and 32 fringes span 95.99.. and 128.0.. far-field pixels
+        assert far.first == h - 47
+        assert calls == [(h - 64, h + 1)]
+        for order, field in fields.items():
+            assert np.array_equal(field.amplitudes,
+                                  expected[order].amplitudes)
+
+    def test_spherical_spec_refused(self):
+        grid = GridSpec(64, 1e-6)
+        mask = synthesize_hologram(plane_spec(grid, fringes=16), grid)
+        sph = HologramSpec(1, 0.0, SphericalReference(1e13))
+        with pytest.raises(OrderSeparationError, match="longitudinally"):
+            diffract_far_field(mask, 2, sph)
 
 
 @pytest.fixture(scope="module")
@@ -1027,7 +1178,8 @@ class TestExtractOrder:
         # they are refused as powers, not as leakage, rather than returned
         # as all-nan crops
         far, spec = far_and_spec
-        nan_far = FarField(far.grid, np.full_like(far.columns, np.nan))
+        nan_far = FarField(far.grid, far.mask,
+                           np.full_like(far.columns, np.nan), far.bound)
         with pytest.raises(OrderSeparationError,
                            match="order -1 window power nan is not positive "
                                  "and finite"):
@@ -1133,6 +1285,73 @@ class TestSphericalReference:
             isolate_chirped_order(mask, plane, -1)
         with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
             isolate_chirped_order(mask, spec, 0)
+
+    @staticmethod
+    def plane_chirp_oracle(mask, spec, sign):
+        """isolate_chirped_order by its formula on the whole embed: each
+        chirp exp(-+i sign C r^2) evaluated at every pixel from r^2, the
+        padded mask demodulated, low-passed, restored, tapered and
+        normalised."""
+        grid = mask.grid
+        big = GridSpec(2 * grid.samples_per_side,
+                       2 * grid.physical_side_length)
+        lo = grid.samples_per_side // 2
+        values = np.pad(mask.values, lo).astype(np.complex128)
+        xg, yg = big.meshgrid()
+        r_sq = xg ** 2 + yg ** 2
+        c = spec.reference.curvature
+        demod = values * np.exp(-1j * sign * c * r_sq)
+        k = 2.0 * np.pi * np.fft.fftfreq(big.samples_per_side, d=big.pitch)
+        cutoff = 0.25 * 2.0 * abs(c) * (grid.physical_side_length / 2.0)
+        keep = k[:, np.newaxis] ** 2 + k ** 2 <= cutoff ** 2
+        low = np.fft.ifft2(np.fft.fft2(demod) * keep)
+        component = low * np.exp(1j * sign * c * r_sq)
+        r_mask = grid.physical_side_length / 2.0
+        r_border = big.physical_side_length / 2.0
+        ramp = np.clip((np.sqrt(r_sq) - 1.2 * r_mask)
+                       / (0.95 * r_border - 1.2 * r_mask), 0.0, 1.0)
+        component *= np.cos(0.5 * np.pi * ramp) ** 2
+        norm = math.sqrt(float(np.sum(np.abs(component) ** 2))
+                         * big.pitch ** 2)
+        return big, component / norm
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("curvature", ["fixture", 1.5e14])
+    def test_isolation_matches_plane_chirp_oracle(self, sph, sign,
+                                                  curvature):
+        # the chirps are built from 1-D factors and the mask demodulated in
+        # its own block of the embed; the field equals the formula on the
+        # plane to rounding, at the fixture's curvature and the README's
+        mask, spec = sph
+        if curvature != "fixture":
+            spec = HologramSpec(1, 0.0, SphericalReference(curvature))
+            mask = synthesize_hologram(spec, mask.grid)
+        big, expected = self.plane_chirp_oracle(mask, spec, sign)
+        got = isolate_chirped_order(mask, spec, sign)
+        assert got.grid == big
+        assert (np.abs(got.amplitudes - expected).max()
+                <= 1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("fraction", [-1.4, 0.5, 1.0, 1.4])
+    def test_separable_fresnel_plane_matches_2d_phase(self, sph, fraction):
+        # the Fresnel phase as an outer product of one length-N vector,
+        # applied and transformed in place, against the phase on the plane
+        mask, spec = sph
+        field = isolate_chirped_order(mask, spec, -1)
+        grid, k0 = field.grid, base_wavenumber(BEAM)
+        z = fraction * spherical_focus_distance(spec, BEAM)
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
+        spectrum = np.fft.fft2(field.amplitudes)
+        k_sq = k[:, np.newaxis] ** 2 + k ** 2
+        expected = np.fft.ifft2(spectrum * np.exp(-0.5j * k_sq * z / k0))
+        got = gratings._fresnel_plane(spectrum, k, z, k0,
+                                      np.empty_like(spectrum))
+        assert (np.abs(got - expected).max()
+                <= 1e-13 * np.abs(expected).max())
+        in_place = spectrum.copy()
+        assert gratings._fresnel_plane(in_place, k, z, k0,
+                                       in_place) is in_place
+        assert np.array_equal(in_place, got)
 
     def test_width_cross_check_raises(self, sph, monkeypatch):
         mask, spec = sph
