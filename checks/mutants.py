@@ -107,6 +107,10 @@ MUTANTS = [
      "is_open = design_value(spec, x[col], x[probe]) > 0.5",
      "is_open = design_value(spec, x[col], x[probe]) > 0.51",
      "plane rasteriser threshold 0.5 -> 0.51"),
+    ("modes.py", "            return y.T @ x",
+     "            object.__setattr__(self, \"plane\", y.T @ x)\n"
+     "            return self.plane",
+     "a field built from factors keeps the first plane read from it"),
 ]
 
 TIER1_TIMEOUT_S = 900

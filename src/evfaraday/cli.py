@@ -34,7 +34,7 @@ from .gratings import (CHIRPED_EMBED_FACTOR, DEFAULT_PAD_FACTOR,
                        default_carrier, diffract_far_field, extract_orders,
                        isolate_chirped_order, locate_minimum_width_plane,
                        spherical_focus_distance, synthesize_hologram)
-from .modes import (ComplexField, GridSpec, ModeSuperposition, petal_radius,
+from .modes import (GridSpec, ModeSuperposition, petal_radius,
                     width_function_exact)
 from .propagation import (exact_steps_per_plane, make_plan,
                           superposition_evolution)
@@ -214,34 +214,24 @@ def cmd_rotate(args) -> int:
     snapshots, frames = (range(0, args.outputs + 1, every) if every else ()
                          for every in (args.snapshot_every, args.pgm_every))
 
-    # every plane is measured before any is written; a plane to be written
-    # is kept as its factors alone and built only when it is written
-    zs, raw, kept = [], [], []
+    # every plane is measured before any is written; a field to be written
+    # is kept as the factors it holds, its plane built as it is written
+    zs, raw, writes = [], [], []
     for i, (z, field) in enumerate(planes):
         profile = angular_intensity(field, radius, n_samples=512)
         zs.append(z)
         raw.append(pattern_orientation(profile, args.l))
-        if i in snapshots or i in frames:
-            kept.append((i, field.grid, z, field.factors))
+        if i in snapshots:
+            writes.append((save_field, f"field_{i:04d}.field", field,
+                           _energy_ev(p), p.field_bz, f"rotation output {i}"))
+        if i in frames:
+            writes.append((write_intensity_pgm, f"frame_{i:04d}.pgm", field))
     measured = unwrap_orientations(raw, args.l)
     analytic = k_l * np.asarray(zs)
     rows = list(zip(zs, measured, analytic))
-    table = format_csv("pattern orientation vs propagation distance",
-                       ("z_m", "angle_rad_measured", "angle_rad_analytic"),
-                       rows)
-
-    os.makedirs(args.outdir, exist_ok=True)
-    for i, grid, z, factors in kept:
-        field = ComplexField(grid, z, factors=factors)
-        if i in snapshots:
-            save_field(os.path.join(args.outdir, f"field_{i:04d}.field"),
-                       field, _energy_ev(p), p.field_bz,
-                       note=f"rotation output {i}")
-        if i in frames:
-            write_intensity_pgm(
-                os.path.join(args.outdir, f"frame_{i:04d}.pgm"),
-                field.intensity())
-    write_text(os.path.join(args.outdir, "rotation.csv"), table)
+    _write_outputs(args, writes + [(write_text, "rotation.csv", format_csv(
+        "pattern orientation vs propagation distance",
+        ("z_m", "angle_rad_measured", "angle_rad_analytic"), rows))])
 
     scale = float(np.max(np.abs(analytic)))
     summary = f"rotate: {len(rows)} samples to z = {zs[-1]:.6e} m, "

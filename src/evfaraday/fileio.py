@@ -18,22 +18,22 @@ FIELD_FORMAT_VERSION = 1
 
 def _atomic_write_bytes(path: str, *parts):
     """Write the bytes-like parts, in order, to path through a temp file in
-    its directory and a rename."""
-    directory = os.path.dirname(os.path.abspath(path))
+    its directory and a rename.  An OSError on the way names path, not the
+    temp file, which is removed."""
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".evf-tmp-")
-    except OSError as exc:
-        # name the file asked for, not the temp name
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".evf-tmp-")
         with os.fdopen(fd, "wb") as handle:
             for part in parts:
                 handle.write(part)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -151,10 +151,10 @@ def write_frame_pgm(path: str, gray: np.ndarray, peak: float) -> float:
     return peak
 
 
-def write_intensity_pgm(path: str, intensity: np.ndarray) -> float:
-    """Intensity frame with per-frame max normalisation (quantise_block) and
-    its peak sidecar; returns the peak.  The 2-D float intensity is scaled
-    in place and so is overwritten."""
+def write_intensity_pgm(path: str, field: ComplexField) -> float:
+    """The field's intensity frame with per-frame max normalisation
+    (quantise_block) and its peak sidecar; returns the peak."""
+    intensity = field.intensity()
     peak = float(intensity.max())
     gray = np.empty(intensity.shape, dtype=np.uint8)
     return write_frame_pgm(path, quantise_block(intensity, peak, gray), peak)

@@ -76,9 +76,9 @@ class ComplexField:
     factors, when present, is a separable form (Y, X) of the amplitudes:
     two (R, N) arrays of y- and x-factors with amplitudes = Y.T @ X to
     rounding.  The propagator steps these 2R lines instead of the N x N
-    plane; a field built from a plane alone is stepped whole.  A field may
-    be built from its factors alone: plane is then None until amplitudes
-    is first read, which builds Y.T @ X and keeps it.
+    plane; a field built from a plane alone is stepped whole.  A field
+    keeps only what it was given: one built from its factors alone has no
+    plane, and each read of amplitudes builds Y.T @ X anew.
     """
 
     grid: GridSpec
@@ -107,10 +107,11 @@ class ComplexField:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The N x N plane, built from the factors on first read."""
+        """The N x N plane: the one given, or Y.T @ X, built anew on each
+        read and not kept."""
         if self.plane is None:
             y, x = self.factors
-            object.__setattr__(self, "plane", y.T @ x)
+            return y.T @ x
         return self.plane
 
     def window(self, rows: slice, cols: slice) -> np.ndarray:
@@ -257,10 +258,10 @@ def _hermite_gauss_weights(n: int, al: int) -> list:
         poly = [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
     order = n + m
     denominator = 2 ** order * math.factorial(n) * math.factorial(m)
+    # c's sign is applied as a float factor: c itself may exceed a float
     return [(-1) ** n * (1, 1j, -1, -1j)[k % 4]
-            * math.copysign(math.sqrt(
-                c * c * math.factorial(order - k) * math.factorial(k)
-                / denominator), c)
+            * (math.sqrt(c * c * math.factorial(order - k) * math.factorial(k)
+                         / denominator) * (-1.0 if c < 0 else 1.0))
             for k, c in enumerate(poly)]
 
 
@@ -271,23 +272,36 @@ def mode_field(grid: GridSpec, n: int, l: int, waist: float) -> ComplexField:
     is a valid initial condition for the numerical propagator whether or not
     it is an eigenstate.  The field is its rank-(2n+|l|+1) factors,
     sampled in closed form as Hermite-Gauss products and normalised from
-    their Gram matrices; its plane is built when first read.  A -l mode is
+    their Gram matrices; its plane is built on each read.  A -l mode is
     the +l mode mirrored, y -> -y, a reversal of its y-factors.
+
+    InvalidModeError refuses, before any weight is built, a mode whose
+    factor r^|l| exp(-r^2/w^2) peaks at or beyond the grid's corners, and
+    then one whose sampled Gram norm is zero or, by rounding, negative.
     """
     _check_degree(n)
     if not waist > 0:
         raise ValueError("waist must be positive")
     _warn_if_inadequate(grid, waist)
+    mode = f"mode (n={n}, l={l}) of waist {waist:.3e} m"
+    corner = math.sqrt(2.0) * (grid.samples_per_side / 2 - 0.5) * grid.pitch
+    # w sqrt(|l|/2) >= corner, compared without converting l to a float
+    if l and abs(l) >= 2.0 * (corner / waist) * (corner / waist):
+        raise InvalidModeError(
+            f"{mode} peaks at radius w sqrt(|l|/2), at or beyond the corners "
+            f"({corner:.3e} m) of the {grid.samples_per_side} x "
+            f"{grid.samples_per_side} grid")
     weights = _hermite_gauss_weights(n, abs(l))
     h = _hermite_functions(len(weights) - 1,
                            math.sqrt(2.0) * grid.axis() / waist)
     y = np.asarray(weights)[:, np.newaxis] * h
     x = h[::-1]
-    norm = math.sqrt(_factor_norm(y, x) * grid.pitch ** 2)
-    if norm == 0.0:
-        raise ValueError(f"mode (n={n}, l={l}) of waist {waist:.3e} m "
-                         "sampled to an identically zero field")
-    y /= norm
+    norm2 = _factor_norm(y, x) * grid.pitch ** 2
+    if not norm2 > 0.0:
+        raise InvalidModeError(f"{mode} sampled to " + (
+            "an identically zero field" if norm2 == 0.0 else
+            f"a squared norm of {norm2:.3e}: the grid does not resolve it"))
+    y /= math.sqrt(norm2)
     if l < 0:
         y = y[:, ::-1].copy()
     return ComplexField(grid, 0.0, factors=(y, x))

@@ -241,18 +241,11 @@ def _check_extremes(extremes, context: str):
             f"(limit {BORDER_INTENSITY_LIMIT:.0e}); enlarge the grid")
 
 
-def _check_contained(*planes: np.ndarray, context: str):
-    """Refuse planes whose largest border intensity exceeds
-    BORDER_INTENSITY_LIMIT times their smallest peak; for one plane, its
-    own border-to-peak ratio.  A plane whose peak or border intensity is
-    not finite is refused."""
-    _check_extremes([_plane_extremes(amps, context) for amps in planes],
-                    context)
-
-
 def _check_field_contained(field: ComplexField, context: str):
-    """_check_contained on one field, deciding from its factors when it
-    has no plane yet.
+    """Refuse a field whose largest border intensity exceeds
+    BORDER_INTENSITY_LIMIT times its peak, or whose peak or border
+    intensity is not finite, deciding from its factors when it has no
+    plane.
 
     The four border lines and the two central lines of Y.T @ X are read
     from the factors in O(RN).  The mean intensity, from the Gram
@@ -273,7 +266,7 @@ def _check_field_contained(field: ComplexField, context: str):
                     cols[:, 2].max())
         if border <= BORDER_INTENSITY_LIMIT * bound:
             return
-    _check_contained(field.amplitudes, context=context)
+    _check_extremes([_plane_extremes(field.amplitudes, context)], context)
 
 
 def _sweep(lines: np.ndarray, plan: PropagationPlan, n_steps: int):
@@ -315,8 +308,8 @@ def propagate_definite_l(field: ComplexField, l: int, plan: PropagationPlan,
     The caller asserts the field has azimuthal dependence exp(i l phi); the
     Zeeman interaction is then the exact scalar phase exp(-i l k_L dz) per
     step.  A field with factors is stepped as its factor lines and returns
-    factors alone, its plane built when first read; one without is stepped
-    as the whole plane.
+    factors alone, its plane built only if read; one without is stepped as
+    the whole plane.
     """
     if field.grid != plan.grid:
         raise GridMismatchError("field and plan grids differ")
@@ -359,7 +352,7 @@ def superposition_evolution(s: ModeSuperposition, grid: GridSpec,
     Zeeman phase exp(-i l k_L z) is applied exactly, once, where a field's
     y-factors are summed.  Every yielded field passes the containment check
     and is its own copy of the summed factors (Y, X), rank R; its plane is
-    built only if read.
+    built only if read, and anew on each read.
     """
     if grid != plan.grid:
         raise GridMismatchError("grid and plan grids differ")

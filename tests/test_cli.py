@@ -18,10 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, FarField,
-                       larmor_wavenumber, magnetic_width, verdet_parameter,
-                       width_function_exact)
-from evfaraday import cli, propagation
+from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, ComplexField,
+                       FarField, larmor_wavenumber, magnetic_width,
+                       verdet_parameter, width_function_exact)
+from evfaraday import cli, modes, propagation
 from evfaraday.cli import build_parser, main
 from evfaraday.fileio import load_field, write_intensity_pgm
 
@@ -259,7 +259,7 @@ class TestRotate:
         return seen
 
     def test_default_run_builds_no_plane(self, tmp_path, capsys,
-                                         monkeypatch):
+                                         monkeypatch, plane_builds):
         # the README rotate shape at 128^2: the fields stay (Y, X) from
         # sampling to orientation, and no allocation reaches one N x N
         # complex plane
@@ -267,9 +267,10 @@ class TestRotate:
         argv = ["rotate", "--grid-n", str(n), "--outputs", "8",
                 "-o", str(tmp_path / "rot")]
         seen = self.record_fields(monkeypatch)
-        assert main(argv) == 0
+        with plane_builds() as built:
+            assert main(argv) == 0
         assert len(seen) == 9
-        assert all(field.plane is None for field, _ in seen)
+        assert not built
         monkeypatch.undo()
         tracemalloc.start()
         try:
@@ -278,6 +279,23 @@ class TestRotate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n * n
+
+    def test_every_plane_written_holds_no_plane(self, tmp_path, capsys):
+        # each written field keeps its factors until its files are written;
+        # a field that kept the plane it built would hold all nine planes
+        # at once
+        n = 128
+        argv = ["rotate", "--grid-n", str(n), "--outputs", "8",
+                "--snapshot-every", "1", "--pgm-every", "1",
+                "-o", str(tmp_path / "rot")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "rot").glob("field_*.field"))) == 9
+        assert peak < 4 * 16 * n * n
 
     def test_written_planes_are_the_factor_product(self, tmp_path,
                                                    monkeypatch):
@@ -289,14 +307,15 @@ class TestRotate:
                      "--outputs", "4", "--snapshot-every", "2",
                      "--pgm-every", "3", "-o", str(outdir)]) == 0
         assert len(seen) == 5
-        for i, (_, (y, x)) in enumerate(seen):
+        for i, (seen_field, (y, x)) in enumerate(seen):
             plane = y.T @ x
             if i % 2 == 0:
                 field, _ = load_field(str(outdir / f"field_{i:04d}.field"))
                 assert np.array_equal(field.amplitudes, plane)
             if i % 3 == 0:
                 expected = tmp_path / f"expected_{i}.pgm"
-                write_intensity_pgm(str(expected), np.abs(plane) ** 2)
+                write_intensity_pgm(str(expected), ComplexField(
+                    seen_field.grid, seen_field.z_position, plane))
                 frame = outdir / f"frame_{i:04d}.pgm"
                 assert frame.read_bytes() == expected.read_bytes()
 
@@ -840,6 +859,58 @@ class TestErrorBoundary:
         assert message in err and target in err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob(".evf-tmp-*"))
+
+    def test_rename_error_names_the_file_asked_for(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the final rename fails on a directory in the table's place; the
+        # message names the table, not the temp file, which is removed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out" / "rotation.csv").mkdir(parents=True)
+        assert main(["rotate", "--grid-n", "64", "--outputs", "2",
+                     "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Is a directory" in err
+        assert "'out/rotation.csv'" in err and ".evf-tmp-" not in err
+        assert not list(tmp_path.rglob(".evf-tmp-*"))
+
+    @pytest.mark.parametrize("command", ["rotate", "breathe"])
+    @pytest.mark.parametrize("l", ["150", "2000", "1000000000"])
+    def test_mode_beyond_grid_refused_at_once(self, tmp_path, capsys,
+                                              monkeypatch, command, l):
+        # a mode whose brightest ring lies beyond the grid's corners is
+        # refused before its Hermite-Gauss weights, which cost O(l^2), are
+        # built; breathe's wider grid holds the l = 150 ring, which the
+        # containment guard then refuses
+        built = []
+        weights = modes._hermite_gauss_weights
+
+        def recording(n, al):
+            built.append(n + al)
+            return weights(n, al)
+        monkeypatch.setattr(modes, "_hermite_gauss_weights", recording)
+        assert main([command, "-l", l, "--grid-n", "64",
+                     "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:")
+        assert built == ([150] if (command, l) == ("breathe", "150") else [])
+        if built:
+            assert "border intensity" in err
+        else:
+            assert f"l={l})" in err and "64 x 64 grid" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_l_sweep_keeps_exit_codes(self, tmp_path, capsys):
+        # at --grid-n 64 rotate runs l = 1..6 and breathe l = 1; every
+        # larger l up to 200 exits 2 with error: (containment, or a mode
+        # beyond the grid), never with a traceback
+        for command, last_run in (("rotate", 6), ("breathe", 1)):
+            for l in range(1, 201):
+                code = main([command, "-l", str(l), "--grid-n", "64",
+                             "-o", str(tmp_path / f"{command}{l}")])
+                assert code == (0 if l <= last_run else 2), (command, l)
+        lines = capsys.readouterr().err.splitlines()
+        assert not [line for line in lines
+                    if not line.startswith(("warning:", "error:"))]
 
     def test_rotate_l_zero(self, tmp_path, capsys):
         assert main(self.SMALL_ROTATE + ["-l", "0",

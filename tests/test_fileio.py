@@ -227,19 +227,24 @@ class TestPgm:
         assert sum(payload) == 255
 
     def test_intensity_pgm_sidecar(self, tmp_path):
-        intensity = np.zeros((16, 16))
-        intensity[5, 5] = 4.25
+        amps = np.zeros((16, 16), complex)
+        amps[5, 5] = 1.5j
+        field = ComplexField(GridSpec(16, 1e-6), 0.0, amps.copy())
         path = tmp_path / "i.pgm"
-        peak = write_intensity_pgm(str(path), intensity)
-        assert peak == 4.25
+        peak = write_intensity_pgm(str(path), field)
+        assert peak == 2.25
         sidecar = json.loads((tmp_path / "i.pgm.json").read_text())
-        assert sidecar["max_intensity"] == 4.25
+        assert sidecar["max_intensity"] == 2.25
         blob = path.read_bytes()
         assert blob[-256:][5 * 16 + 5] == 255
+        # the field's own plane is not scaled by the quantiser
+        assert np.array_equal(field.amplitudes, amps)
 
     def test_zero_frame(self, tmp_path):
         path = tmp_path / "z.pgm"
-        peak = write_intensity_pgm(str(path), np.zeros((16, 16)))
+        peak = write_intensity_pgm(
+            str(path), ComplexField(GridSpec(16, 1e-6), 0.0,
+                                    np.zeros((16, 16))))
         assert peak == 0.0
         blob = path.read_bytes()
         assert blob == b"P5\n16 16\n255\n" + bytes(256)

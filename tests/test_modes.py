@@ -16,9 +16,10 @@ from evfaraday import (ComplexField, GridSpec, ModeIndex, ModeSuperposition,
                        mode_field, pattern_orientation, petal_radius,
                        radial_profile, sample_superposition, width_function,
                        width_function_exact)
+from evfaraday import modes
 from evfaraday.errors import (GridAdequacyWarning, InvalidGridError,
-                              NotAnEigenstateError, UnsupportedOrderError,
-                              ZeroFieldError)
+                              InvalidModeError, NotAnEigenstateError,
+                              UnsupportedOrderError, ZeroFieldError)
 
 
 def laguerre_series(n, alpha, x):
@@ -148,6 +149,30 @@ class TestModeField:
         with pytest.raises(ValueError, match="waist must be positive"):
             mode_field(GridSpec(64, 8 * w_b), 0, 1, waist)
 
+    def test_mode_beyond_corners_refused(self, w_b, monkeypatch):
+        # a 64^2 grid of side 8 w: the corner pixels lie 5.568 w out, so
+        # r^|l| exp(-r^2/w^2) peaks inside them up to |l| = 62 and at or
+        # beyond them from 63; the refusal builds no weight, so it cannot
+        # overflow or take O(l^2) at any |l|
+        grid = GridSpec(64, 8 * w_b)
+        assert len(mode_field(grid, 0, 62, w_b).factors[0]) == 63
+        monkeypatch.setattr(modes, "_hermite_gauss_weights", None)
+        for n, l in ((0, 63), (0, -63), (3, 63), (0, 10 ** 400)):
+            with pytest.raises(InvalidModeError) as exc:
+                mode_field(grid, n, l, w_b)
+            assert f"(n={n}, l={l})" in str(exc.value)
+            assert "corners (2.857e-07 m) of the 64 x 64 grid" in str(
+                exc.value)
+
+    @pytest.mark.parametrize("norm2", [-2.9e-16, math.nan])
+    def test_non_positive_gram_norm_refused(self, w_b, monkeypatch, norm2):
+        # rounding that cancels in a grid too coarse for the mode can leave
+        # its Gram norm negative, where a square root would fail
+        monkeypatch.setattr(modes, "_factor_norm", lambda y, x: norm2)
+        with pytest.raises(InvalidModeError, match=r"\(n=0, l=3\) .* "
+                           "squared norm of .* does not resolve it"):
+            mode_field(GridSpec(64, 8 * w_b), 0, 3, w_b)
+
 
 def radial_sampling(grid, n, l, w):
     """The (n, l) mode sampled from radial_profile and exp(i l phi), at
@@ -186,6 +211,16 @@ class TestHermiteGaussFactors:
         assert len(field.factors[0]) == 2 * n + abs(l) + 1
         peak = np.abs(oracle).max()
         assert np.abs(field.amplitudes - oracle).max() < 1e-12 * peak
+
+    @pytest.mark.parametrize("n, al", [(0, 1100), (2, 1040)])
+    def test_weights_beyond_float_coefficients(self, n, al):
+        # the integer coefficients of (1-t)^n (1+t)^m exceed a float here;
+        # the weights do not, and their squares sum to 1
+        weights = modes._hermite_gauss_weights(n, al)
+        assert len(weights) == 2 * n + al + 1
+        assert all(math.isfinite(abs(w)) for w in weights)
+        assert math.fsum(abs(w) ** 2 for w in weights) == pytest.approx(
+            1.0, rel=1e-12)
 
     def test_order_ceiling(self, w_b):
         with pytest.raises(UnsupportedOrderError):

@@ -21,8 +21,8 @@ from evfaraday import (BeamParameters, ComplexField, ELEMENTARY_CHARGE,
                        width_function_exact)
 from evfaraday.errors import (ContainmentError, GridMismatchError,
                               InvalidGridError, StepTooLargeError)
-from evfaraday.propagation import (BORDER_INTENSITY_LIMIT, _check_contained,
-                                   _check_field_contained)
+from evfaraday.propagation import (BORDER_INTENSITY_LIMIT, _check_extremes,
+                                   _check_field_contained, _plane_extremes)
 
 E60 = 60e3 * ELEMENTARY_CHARGE
 
@@ -655,7 +655,8 @@ class TestFactoredCore:
 
 class TestFactorForm:
     """Fields that carry only their factors (Y, X) are measured and guarded
-    from them; the plane Y.T @ X is built only when it is read."""
+    from them; the plane Y.T @ X is built only when it is read, and is not
+    kept."""
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(0, 3), l=st.integers(-4, 4),
@@ -670,31 +671,37 @@ class TestFactorForm:
         assert grid_norm(field) == pytest.approx(plane_sum, rel=1e-14)
         assert plane_sum == pytest.approx(abs(scale) ** 2, rel=1e-13)
 
-    def test_plane_built_once_on_first_read(self, w_b):
+    def test_plane_built_on_each_read_and_not_kept(self, w_b, plane_builds):
         field = mode_field(GridSpec(64, 8 * w_b), 0, 1, w_b)
-        assert field.plane is None
         y, x = field.factors
-        first = field.amplitudes
-        assert first is field.amplitudes
+        with plane_builds() as built:
+            first = field.amplitudes
+            second = field.amplitudes
+        assert built == [field, field]
+        assert first is not second
         assert np.array_equal(first, y.T @ x)
+        assert np.array_equal(second, first)
+        assert field.plane is None
 
     def test_field_needs_plane_or_factors(self, w_b):
         with pytest.raises(ValueError, match="amplitudes or its factors"):
             ComplexField(GridSpec(64, 8 * w_b), 0.0)
 
-    def test_yielded_fields_hold_their_own_factors(self, beam, w_b):
+    def test_yielded_fields_hold_their_own_factors(self, beam, w_b,
+                                                   plane_builds):
         grid = GridSpec(64, 8 * w_b)
         plan = make_plan(grid, beam, 1e-6, scheme="exact")
         s = ModeSuperposition.opposite_pair(1, w_b, beam)
         planes = []
-        for _, field in superposition_evolution(s, grid, plan, 3):
-            assert field.plane is None
-            planes.append((field, [f.copy() for f in field.factors]))
+        # every field is sampled, stepped and guarded without its plane
+        with plane_builds() as built:
+            for _, field in superposition_evolution(s, grid, plan, 3):
+                planes.append((field, [f.copy() for f in field.factors]))
+        assert not built
         # the stack stepped in place after each yield left them untouched
         for field, (y, x) in planes:
             assert np.array_equal(field.factors[0], y)
             assert np.array_equal(field.factors[1], x)
-            assert field.plane is None
 
     @staticmethod
     def guarded_field(n, centre, ratio):
@@ -712,38 +719,40 @@ class TestFactorForm:
                              ids=["peak-on-centre-lines", "peak-off-centre"])
     @pytest.mark.parametrize("ratio_rel", [1 - 1e-9, 1 + 1e-9],
                              ids=["just-below", "just-above"])
-    def test_guard_decides_as_the_plane_check(self, centre, ratio_rel):
+    def test_guard_decides_as_the_plane_check(self, centre, ratio_rel,
+                                              plane_builds):
         ratio = ratio_rel * BORDER_INTENSITY_LIMIT
         factored = self.guarded_field(128, centre, ratio)
         y, x = factored.factors
-        plane = y.T @ x
-        intensity = np.abs(plane) ** 2
+        dense = ComplexField(factored.grid, 0.0, y.T @ x)
+        intensity = dense.intensity()
         border = max(intensity[0].max(), intensity[-1].max(),
                      intensity[:, 0].max(), intensity[:, -1].max())
         assert border / intensity.max() == pytest.approx(ratio, rel=1e-12)
-        refused = []
-        for check, arg in ((_check_contained, plane),
-                           (_check_field_contained, factored)):
-            try:
-                check(arg, context="test")
-                refused.append(None)
-            except ContainmentError as exc:
-                refused.append(str(exc))
+        refused, builds = [], []
+        for field in (dense, factored):
+            with plane_builds() as built:
+                try:
+                    _check_field_contained(field, context="test")
+                    refused.append(None)
+                except ContainmentError as exc:
+                    refused.append(str(exc))
+            builds.append(len(built))
         assert refused[0] == refused[1]
         assert (refused[0] is None) == (ratio_rel < 1)
         # only a field whose peak lies on a central line is accepted from
-        # its factors; the other three are decided on the built plane
+        # its factors; the other three are decided on their plane, built
+        # once
         early = centre == 64 and ratio_rel < 1
-        assert (factored.plane is None) == early
-        if not early:
-            assert np.array_equal(factored.plane, plane)
+        assert builds == [0, 0 if early else 1]
 
     @pytest.mark.parametrize("case", ["nan pixel", "all nan",
                                       "inf border pixel"])
     def test_non_finite_plane_refused(self, case):
         # a nan or inf intensity fails every comparison with the limit, so
         # the guard must refuse it rather than find nothing above it
-        plane = self.guarded_field(64, 32, 0.0).amplitudes.copy()
+        contained = self.guarded_field(64, 32, 0.0)
+        plane = contained.amplitudes
         if case == "nan pixel":
             plane[30, 30] = np.nan
         elif case == "all nan":
@@ -751,16 +760,20 @@ class TestFactorForm:
         else:
             plane[0, 10] = np.inf
         with pytest.raises(ContainmentError, match="not finite"):
-            _check_contained(plane, context="test")
-        # also when a finite, contained plane is checked beside it
+            _check_field_contained(ComplexField(contained.grid, 0.0, plane),
+                                   context="test")
+        # also when a finite, contained plane is checked beside it, as the
+        # spherical focus search checks its three planes
         with pytest.raises(ContainmentError, match="not finite"):
-            _check_contained(self.guarded_field(64, 32, 0.0).amplitudes,
-                             plane, context="test")
+            _check_extremes([_plane_extremes(amps, "test") for amps in
+                             (contained.amplitudes, plane)], "test")
 
     def test_dark_plane_accepted(self):
         # an all-zero plane has no peak to compare its border with, and
         # nothing in it to wrap around
-        _check_contained(np.zeros((64, 64), complex), context="test")
+        _check_field_contained(
+            ComplexField(GridSpec(64, 1e-6), 0.0, np.zeros((64, 64))),
+            context="test")
 
     def test_nan_factors_refused(self):
         field = self.guarded_field(64, 32, 0.0)
