@@ -73,12 +73,12 @@ MUTANTS = [
      "               and lo + QUANTISE_BLOCK_ROWS > self.first]",
      "frame leaves lit blocks below the kept order band unfinished"),
     ("gratings.py",
-     "c = np.arange(cols[order] - half, cols[order] + half)",
-     "c = np.arange(cols[order] - half + 1, cols[order] + half + 1)",
+     "np.arange(cols[order] - half, cols[order] + half)",
+     "np.arange(cols[order] - half + 1, cols[order] + half + 1)",
      "order crop one column right of its window"),
     ("gratings.py",
-     "return _band_power(upper), int(np.count_nonzero(disk))",
-     "return _band_power(upper) / 2, int(np.count_nonzero(disk))",
+     "_band_power(_column_spectrum(disk, pad_factor, base), base, m),",
+     "_band_power(_column_spectrum(disk, pad_factor, base), base, m) / 2,",
      "aperture kernel's spread halved in the leakage estimate"),
     ("gratings.py", "z_focus = -k0 * rp / (2.0 * p2)",
      "z_focus = -1.003 * k0 * rp / (2.0 * p2)",
@@ -111,6 +111,11 @@ MUTANTS = [
      "            object.__setattr__(self, \"plane\", y.T @ x)\n"
      "            return self.plane",
      "a field built from factors keeps the first plane read from it"),
+    ("fileio.py", "handle.truncate(size)", "handle.flush()",
+     "a sparse file is not extended past its last part"),
+    ("gratings.py", "np.empty((hi - lo, m), dtype=np.uint8)",
+     "np.zeros((m, m), np.uint8)[lo:hi]",
+     "each frame piece a view that keeps a whole zeroed frame alive"),
 ]
 
 TIER1_TIMEOUT_S = 900

@@ -8,7 +8,8 @@ directory, so both sides write under the same relative paths.  The exit
 code, stdout, stderr and the bytes of every file a command leaves in its
 working directory are compared, and one table is printed: per command, the
 two exit codes, the number of files, and either "identical" or what
-differs.  Uses only the standard library and git.
+differs.  A differing CSV or JSON file is shown with the largest numeric
+delta between its two versions.  Uses only the standard library and git.
 
     python checks/outputs.py REV
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -31,7 +33,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The compared commands, each an `evf` line with relative output paths:
 #: the README's examples, rotate runs that write every kind of plane file,
 #: breathe and grating variants, the 13 benchmark hologram ops at seed 3701
-#: written out literally, and one refusal of each guard named in the
+#: written out literally, far fields whose lit rows cover the whole frame or
+#: lie below the order band, and one refusal of each guard named in the
 #: comments.
 COMMANDS = [
     # README
@@ -83,8 +86,14 @@ COMMANDS = [
     "--grid-n 512 --pad 4 -E 60keV --diffract -o out/plane11",
     "evf grating -l 1 --spherical --curvature 1.5e14m-2 --grid-n 128 "
     "-E 60keV --diffract -o out/spherical",
+    # far fields with every block of rows lit, and with lit rows below the
+    # order band
+    "evf grating -l 2 --plane --kx 2.5e8m-1 --diffract --pad 1 -o out/",
+    "evf grating -l 12 --plane --kx 2.5e8m-1 --diffract --pad 8 -o out/",
     # refusals: order leakage, a carrier too weak to separate the orders,
-    # the step total, the plane side, and modes beyond the grid
+    # the step total, the plane side, modes beyond the grid, and an |l|
+    # whose petal harmonic the probe ring cannot resolve, with a ring the
+    # grid holds and with an l no float holds
     "evf grating -l 3 --plane --kx 2.01e8m-1 --diffract -o out/",
     "evf grating -l 1 --plane --kx 2e7m-1 --diffract -o out/",
     "evf rotate --grid-n 64 --grid-side 1e-12m --w0 1e-13m --outputs 1 "
@@ -92,7 +101,12 @@ COMMANDS = [
     "evf grating --kx 2.5e8m-1 --pad 9 --diffract -o out/",
     "evf rotate -l 150 --grid-n 64 -o out/",
     "evf rotate -l 2000 --grid-n 64 -o out/",
+    "evf rotate -l 2000 --grid-n 64 --w0 10nm --grid-side 2um -o out/",
+    "evf rotate -l 1" + "0" * 400 + " --grid-n 64 -o out/",
 ]
+
+#: A decimal number as the CLI writes it in CSV and JSON files.
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 COMMAND_TIMEOUT_S = 300
 
@@ -129,14 +143,36 @@ def run(src: str, command: str) -> tuple:
     return result + (files,)
 
 
+def numeric_delta(old: bytes, new: bytes) -> str:
+    """The largest absolute and relative difference of the numbers of two
+    versions of a CSV or JSON file, taken in order of appearance; or what
+    keeps them from being paired."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    if len(a) != len(b):
+        return f"{len(a)} → {len(b)} numbers"
+    if NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new):
+        return "text between the numbers differs"
+    pairs = [(float(x), float(y)) for x, y in zip(a, b)]
+    absolute = max((abs(x - y) for x, y in pairs), default=0.0)
+    relative = max((abs(x - y) / max(abs(x), abs(y))
+                    for x, y in pairs if x != y), default=0.0)
+    return f"largest delta {absolute:.3e}, {relative:.3e} relative"
+
+
 def differences(old: tuple, new: tuple) -> list[str]:
     """What differs between two run results: 'exit', 'stdout', 'stderr'
-    and each output file whose bytes differ or that one side lacks."""
+    and each output file whose bytes differ or that one side lacks, a CSV
+    or JSON file present on both sides with its numeric delta."""
     found = [what for what, a, b in zip(("exit", "stdout", "stderr"),
                                         old, new) if a != b]
     for path in sorted(set(old[3]) | set(new[3])):
-        if old[3].get(path) != new[3].get(path):
-            found.append(path)
+        before, after = old[3].get(path), new[3].get(path)
+        if before == after:
+            continue
+        if (before is not None and after is not None
+                and path.endswith((".csv", ".json"))):
+            path += f" ({numeric_delta(before, after)})"
+        found.append(path)
     return found
 
 

@@ -191,6 +191,13 @@ def cmd_verdet_curve(args) -> int:
 
 
 def cmd_rotate(args) -> int:
+    # the orientation is read from harmonic 2|l| of a ring of this many
+    # samples, which resolves harmonics below half of it (circular_harmonic)
+    samples = 512
+    if 2 * abs(args.l) >= samples // 2:
+        raise CliUsageError(
+            f"the {samples}-sample probe ring resolves the petal harmonic "
+            f"2|l| only for |l| <= {samples // 4 - 1}")
     for option, every in (("--snapshot-every", args.snapshot_every),
                           ("--pgm-every", args.pgm_every)):
         if every < 0:
@@ -218,7 +225,7 @@ def cmd_rotate(args) -> int:
     # is kept as the factors it holds, its plane built as it is written
     zs, raw, writes = [], [], []
     for i, (z, field) in enumerate(planes):
-        profile = angular_intensity(field, radius, n_samples=512)
+        profile = angular_intensity(field, radius, n_samples=samples)
         zs.append(z)
         raw.append(pattern_orientation(profile, args.l))
         if i in snapshots:
@@ -283,7 +290,8 @@ def _plane_diffraction_outputs(pad, mask, spec, p) -> tuple[dict, list]:
     the order band."""
     far = diffract_far_field(mask, pad, spec)
     fields = extract_orders(far, spec)
-    writes = [(write_frame_pgm, "farfield.pgm", *far.frame())]
+    m = far.grid.samples_per_side
+    writes = [(write_frame_pgm, "farfield.pgm", (m, m), *far.frame())]
     report = {}
     for order, label in ((-1, "order_m1"), (0, "order_0"), (1, "order_p1")):
         field = fields[order]

@@ -16,17 +16,21 @@ from .modes import ComplexField, GridSpec
 FIELD_FORMAT_VERSION = 1
 
 
-def _atomic_write_bytes(path: str, *parts):
-    """Write the bytes-like parts, in order, to path through a temp file in
-    its directory and a rename.  An OSError on the way names path, not the
-    temp file, which is removed."""
+def _atomic_write_bytes(path: str, parts, size: int):
+    """Write a file of size bytes to path through a temp file in its
+    directory and a rename: each (offset, bytes-like data) of parts is
+    written at its offset, in order, and the file is then extended to size.
+    Bytes no part covers are a hole, which reads back as zeros.  An OSError
+    on the way names path, not the temp file, which is removed."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".evf-tmp-")
         with os.fdopen(fd, "wb") as handle:
-            for part in parts:
-                handle.write(part)
+            for offset, data in parts:
+                handle.seek(offset)
+                handle.write(data)
+            handle.truncate(size)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -38,7 +42,8 @@ def _atomic_write_bytes(path: str, *parts):
 
 
 def write_text(path: str, text: str):
-    _atomic_write_bytes(path, text.encode())
+    data = text.encode()
+    _atomic_write_bytes(path, [(0, data)], len(data))
 
 
 def save_field(path: str, field: ComplexField, energy_ev: float,
@@ -59,9 +64,9 @@ def save_field(path: str, field: ComplexField, energy_ev: float,
     }
     payload = np.ascontiguousarray(field.amplitudes, dtype="<c16")
     # a nan or inf is not JSON: refused before anything is written
-    _atomic_write_bytes(path,
-                        json.dumps(header, allow_nan=False).encode() + b"\n",
-                        memoryview(payload))
+    head = json.dumps(header, allow_nan=False).encode() + b"\n"
+    _atomic_write_bytes(path, [(0, head), (len(head), memoryview(payload))],
+                        len(head) + payload.nbytes)
 
 
 def _refuse_constant(name: str):
@@ -109,13 +114,23 @@ def load_field(path: str):
     return ComplexField(grid, z, amps), header
 
 
+def _write_pgm_rows(path: str, shape: tuple[int, int], pieces):
+    """Binary PGM (P5, maxval 255) of a rows x cols frame given as pieces
+    (first row, uint8 rows x cols array); rows no piece covers are zero."""
+    rows, cols = shape
+    header = f"P5\n{cols} {rows}\n255\n".encode()
+    parts = [(0, header)]
+    for first, gray in pieces:
+        parts.append((len(header) + first * cols,
+                      memoryview(np.ascontiguousarray(gray, dtype=np.uint8))))
+    _atomic_write_bytes(path, parts, len(header) + rows * cols)
+
+
 def write_pgm(path: str, gray: np.ndarray):
     """Binary PGM (P5, maxval 255) from a uint8 array."""
-    gray = np.ascontiguousarray(gray, dtype=np.uint8)
-    if gray.ndim != 2:
+    if np.ndim(gray) != 2:
         raise ValueError("PGM output needs a 2-D array")
-    header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode()
-    _atomic_write_bytes(path, header, memoryview(gray))
+    _write_pgm_rows(path, np.shape(gray), [(0, gray)])
 
 
 def write_mask_pgm(path: str, values: np.ndarray):
@@ -141,12 +156,15 @@ def quantise_block(intensity: np.ndarray, peak: float,
     return out
 
 
-def write_frame_pgm(path: str, gray: np.ndarray, peak: float) -> float:
-    """Quantised intensity frame plus its '<path>.json' sidecar recording the
-    peak, so frames remain quantitatively comparable; returns the peak."""
+def write_frame_pgm(path: str, shape: tuple[int, int], pieces,
+                    peak: float) -> float:
+    """Quantised intensity frame of this (rows, cols) shape, given as pieces
+    (first row, uint8 rows), plus its '<path>.json' sidecar recording the
+    peak, so frames remain quantitatively comparable; returns the peak.
+    Rows no piece covers are zero bytes, left as a hole in the file."""
     # a non-finite peak is refused before the frame is written
     sidecar = json.dumps({"max_intensity": peak}, allow_nan=False) + "\n"
-    write_pgm(path, gray)
+    _write_pgm_rows(path, shape, pieces)
     write_text(path + ".json", sidecar)
     return peak
 
@@ -157,7 +175,8 @@ def write_intensity_pgm(path: str, field: ComplexField) -> float:
     intensity = field.intensity()
     peak = float(intensity.max())
     gray = np.empty(intensity.shape, dtype=np.uint8)
-    return write_frame_pgm(path, quantise_block(intensity, peak, gray), peak)
+    return write_frame_pgm(path, gray.shape,
+                           [(0, quantise_block(intensity, peak, gray))], peak)
 
 
 def format_csv(comment: str, columns, rows) -> str:

@@ -317,35 +317,63 @@ def _finish_rows(columns: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_mirror(full: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Fill rows 2h - hi + 1..2h - lo of a 2h x m array of any dtype from its
-    rows hi - 1..lo, 1 <= lo, hi <= h: full[h + k, c] = full[h - k, (m - c)
-    % m], the point mirror about row h under which the intensity of a
-    Hermitian spectrum is invariant (h = m/2 for the whole frame; lo = 1,
-    hi = h mirrors every row); returns full."""
-    h2 = full.shape[0]
-    full[h2 - hi + 1:h2 - lo + 1, 0] = full[hi - 1:lo - 1:-1, 0]
-    full[h2 - hi + 1:h2 - lo + 1, 1:] = full[hi - 1:lo - 1:-1, :0:-1]
-    return full
+def _point_mirror(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out, of the shape of rows, the point mirror of rows, k
+    consecutive rows j..j + k - 1 of an m-column array of any dtype:
+    out[i, c] = rows[k - 1 - i, (m - c) % m], which are rows 2h - j - k +
+    1..2h - j of the array mirrored about row h.  The intensity of a
+    Hermitian spectrum is invariant under the point mirror about its zero
+    frequency, row h = m/2; returns out."""
+    out[:, 0] = rows[::-1, 0]
+    out[:, 1:] = rows[::-1, :0:-1]
+    return out
 
 
-def _band_power(upper: np.ndarray) -> np.ndarray:
-    """Column sums of the intensity of rows m/2 - half..m/2 + half - 1 of an
-    m x m far field, from its rows m/2 - half..m/2, the (half + 1) x m array
-    upper: a length-m vector.
+def _band_power(columns: np.ndarray, base: int, m: int,
+                crops=()) -> np.ndarray:
+    """Column sums of the intensity of rows base..m - base - 1 of an m x m
+    far field, from columns, bins base..m/2 of its column spectrum: a
+    length-m vector.  Each (crop, c) of crops, a (2 half) x (2 half) array
+    with half = m/2 - base and c its length-2 half column indices, gets
+    those rows at columns c.
 
-    Rows m/2 - half + 1..m/2 - 1 reappear above m/2 point-mirrored, so
-    their column power is added once more, reflected to column (m - c) % m.
-    The rows are summed QUANTISE_BLOCK_ROWS at a time, bounding the float
-    scratch.
+    Rows base..m/2 are finished (_finish_rows) in blocks of at most 2^15 / m
+    rows, at most 1 MiB with their intensity; each block adds to the power
+    and gives each crop its rows, then its buffer is reused.  Rows base +
+    1..m/2 - 1 reappear above m/2 point-mirrored: their power is added once
+    more, reflected to column (m - c) % m, and a crop's rows above m/2 are
+    their conjugates at columns (m - c) % m, reversed along the rows.  The
+    power of each QUANTISE_BLOCK_ROWS rows is folded one row at a time and
+    then added, the order numpy's sum along the rows takes, so the power
+    does not depend on the block size to the last bit.
     """
-    half = len(upper) - 1
-    power, mirrored = np.zeros(upper.shape[1]), np.zeros(upper.shape[1])
-    for lo in range(0, half + 1, QUANTISE_BLOCK_ROWS):
-        intensity = np.abs(upper[lo:lo + QUANTISE_BLOCK_ROWS])
-        np.square(intensity, out=intensity)
-        power += intensity.sum(axis=0)
-        mirrored += intensity[max(1 - lo, 0):half - lo].sum(axis=0)
+    half = m // 2 - base
+    step = max(1, min(QUANTISE_BLOCK_ROWS, 2 ** 15 // m))
+    block = np.empty((min(step, half + 1), m), dtype=np.complex128)
+    intensity = np.empty(block.shape)
+    power, mirrored = np.zeros(m), np.zeros(m)
+    group, group_mirrored = np.zeros(m), np.zeros(m)
+    for lo in range(0, half + 1, step):
+        hi = min(lo + step, half + 1)
+        rows = _finish_rows(columns[:, lo:hi], base + lo, block[:hi - lo])
+        square = np.abs(rows, out=intensity[:hi - lo])
+        np.square(square, out=square)
+        for i, row in enumerate(square, lo):
+            group += row
+            if 1 <= i < half:
+                group_mirrored += row
+            if i == half or i % QUANTISE_BLOCK_ROWS == QUANTISE_BLOCK_ROWS - 1:
+                power += group
+                mirrored += group_mirrored
+                group.fill(0.0)
+                group_mirrored.fill(0.0)
+        # band row i of 1..half - 1 is crop row 2 half - i, conjugated
+        top, bottom = max(lo, 1), min(hi, half)
+        for crop, c in crops:
+            crop[lo:hi] = rows[:, c]
+            if top < bottom:
+                np.conjugate(rows[top - lo:bottom - lo][::-1][:, (m - c) % m],
+                             out=crop[2 * half + 1 - bottom:2 * half + 1 - top])
     power[0] += mirrored[0]
     power[1:] += mirrored[:0:-1]
     return power
@@ -423,26 +451,28 @@ class FarField:
         return _finish_rows(far.columns[:, lo - far.first:hi - far.first],
                             lo, out)
 
-    def frame(self) -> tuple[np.ndarray, float]:
-        """(m x m uint8 frame, peak) of the intensity I = |amplitudes|^2:
-        rint(255 I / peak), peak the zero frequency's intensity.
+    def frame(self) -> tuple[list, float]:
+        """(pieces, peak) of the m x m uint8 frame of the intensity I =
+        |amplitudes|^2, rint(255 I / peak), peak the zero frequency's
+        intensity.  Each piece is (first row, uint8 rows); the frame's rows
+        that no piece covers are zero (write_frame_pgm).
 
         The mask is non-negative, so |F(k)| <= F(0): peak is the largest
         intensity, and it is taken in double precision from row m/2 alone,
         before any other row is finished.  The frame keeps 8 bits, so rows
         0..m/2 are finished in single precision, QUANTISE_BLOCK_ROWS at a
         time in one ascending pass, and each block is squared and quantised
-        into the frame as soon as it is finished, and its rows' point
-        mirror is copied as bytes into the frame's other rows.  A peak that
-        is not finite, or a block whose largest intensity is not within half
-        a level of peak, peak * 255.5 / 255, and so would not fit 8 bits, is
-        refused with ValueError (a nan or inf in a bin spreads along its
-        row).
+        into a piece of its own as soon as it is finished; its rows' point
+        mirror, rows m/2 + 1..m - 1 of the frame, is copied as bytes into
+        one more piece.  A peak that is not finite, or a block whose largest
+        intensity is not within half a level of peak, peak * 255.5 / 255,
+        and so would not fit 8 bits, is refused with ValueError (a nan or
+        inf in a bin spreads along its row).
 
-        A block whose rows all provably quantise to zero is left zero
-        without being finished.  Row j is the ortho length-m transform of
-        bin j of the column spectrum, so by the triangle inequality none of
-        its pixels exceeds B_j = bound[j]^2 / m, bound[j] = sum_x |C[x, j]|
+        A block whose rows all provably quantise to zero is not finished
+        and gives no piece.  Row j is the ortho length-m transform of bin j
+        of the column spectrum, so by the triangle inequality none of its
+        pixels exceeds B_j = bound[j]^2 / m, bound[j] = sum_x |C[x, j]|
         summed in double precision a block of mask columns at a time while
         the spectrum was transformed.  A row is dark when B_j < (0.5 / 255)
         peak (1 - 1e-3).  Finished in single precision, each pixel of a row
@@ -455,8 +485,8 @@ class FarField:
         and checked as above, so the frame's bytes do not change; a nan or
         inf in a bin makes its B_j non-finite, never dark.  Lit rows below
         the kept bins are finished from one spectrum, transformed again
-        from the mask from the lowest lit block up.  The frame is allocated
-        zeroed, so a dark block and its mirror rows are never written.
+        from the mask from the lowest lit block up.  No array of the
+        frame's size is held: the pieces hold the lit rows alone.
         """
         m = self.grid.samples_per_side
         rows = m // 2 + 1
@@ -473,7 +503,7 @@ class FarField:
         # lit rows below the kept bins come from one spectrum, transformed
         # again from the lowest lit block up
         far = self._widened(lit[0]) if lit and lit[0] < self.first else self
-        gray = np.zeros((m, m), dtype=np.uint8)
+        pieces = []
         block = np.empty((min(QUANTISE_BLOCK_ROWS, rows), m),
                          dtype=np.complex64)
         scratch = np.empty(block.shape, dtype=np.float32)
@@ -488,11 +518,15 @@ class FarField:
                     f"far-field intensity {largest:.6e} in rows {lo}.."
                     f"{hi - 1} is not within half a level of the zero-order "
                     f"peak {peak:.6e}")
-            quantise_block(intensity, peak, gray[lo:hi])
-            # the frame is allocated zeroed, so only finished rows are
-            # mirrored; row 0's mirror is off the frame, row m/2 is its own
-            _point_mirror(gray, max(lo, 1), min(hi, m // 2))
-        return gray, peak
+            gray = quantise_block(intensity, peak,
+                                  np.empty((hi - lo, m), dtype=np.uint8))
+            pieces.append((lo, gray))
+            # row 0's mirror is off the frame, row m/2 is its own
+            mirrored = gray[max(1 - lo, 0):min(hi, m // 2) - lo]
+            if len(mirrored):
+                pieces.append((m + 1 - min(hi, m // 2), _point_mirror(
+                    mirrored, np.empty_like(mirrored))))
+        return pieces, peak
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -502,7 +536,7 @@ class FarField:
         m = self.grid.samples_per_side
         out = np.empty((m, m), dtype=np.complex128)
         self._finish(0, m // 2 + 1, out[:m // 2 + 1])
-        mirrored = _point_mirror(out, 1, m // 2)[m // 2 + 1:]
+        mirrored = _point_mirror(out[1:m // 2], out[m // 2 + 1:])
         np.conjugate(mirrored, out=mirrored)
         return out
 
@@ -546,15 +580,14 @@ def _aperture_kernel(n: int, pad_factor: int,
     half..m/2 + half - 1 at column c (_band_power), the length-m vector
     whose column ranges extract_orders sums into window spreads.  Only
     bins m/2 - half..m/2 of the disk's column spectrum are kept
-    (_column_spectrum), and rows m/2 - half..m/2 are finished from them at
-    once, as extract_orders finishes the far field's.  By Parseval
-    power sums to the count at half = m/2."""
+    (_column_spectrum), and rows m/2 - half..m/2 are finished from them a
+    block at a time, as extract_orders finishes the far field's.  By
+    Parseval power sums to the count at half = m/2."""
     disk = _inscribed_aperture(n)
     m = n * pad_factor
     base = m // 2 - half
-    upper = _finish_rows(_column_spectrum(disk, pad_factor, base), base,
-                         np.empty((half + 1, m), dtype=np.complex128))
-    return _band_power(upper), int(np.count_nonzero(disk))
+    return (_band_power(_column_spectrum(disk, pad_factor, base), base, m),
+            int(np.count_nonzero(disk)))
 
 
 def _window_sum(power: np.ndarray, centre_col: int, half: int) -> float:
@@ -604,26 +637,34 @@ def extract_orders(far_field: FarField,
     Only plane-reference holograms separate their orders transversely;
     spherical references raise OrderSeparationError.  The window half-width
     is k_x / 2, and every window and crop spans the band of rows m/2 +-
-    k_x / 2.  Its rows up to m/2, upper, are finished once, after the
-    aperture kernel is fetched.  Window powers are sums over column ranges
-    of the band's column power (_band_power).  Each crop is upper at its
-    own columns c, and its rows above m/2 are conj(upper) reversed along
-    the rows at columns (m - c) % m.  An order's own power must be positive
-    and finite, and its estimated neighbour leakage, spread by the aperture
-    kernel at the far field's own padding, within 1 percent of it, or
-    OrderSeparationError is raised; orders are checked in the order -1, 0,
-    +1.
+    k_x / 2.  Its rows up to m/2 are finished a block at a time, after the
+    aperture kernel is fetched, and no block is held beside the next
+    (_band_power): each adds to the band's column power and gives each
+    order's crop its own columns c, whose rows above m/2 are the conjugate
+    rows below it reversed, at columns (m - c) % m.  Window powers are sums
+    over column ranges of that power.  An order's own power must be
+    positive and finite, and its estimated neighbour leakage, spread by the
+    aperture kernel at the far field's own padding, within 1 percent of it,
+    or OrderSeparationError is raised; orders are checked in the order -1,
+    0, +1.
     """
     m = far_field.grid.samples_per_side
     freq_pitch = far_field.grid.pitch   # cycles/m per far-field pixel
     half, cols = _order_windows(spec, far_field.grid)
-    # the kernel is built before the band is held, so their rows are never
-    # held together; the bounds check of the windows implies half <= m/2
+    # the kernel is built before the band is finished, so their rows are
+    # never held together; the bounds check of the windows implies half <=
+    # m/2
     kernel_power, kernel_total = _aperture_kernel(
         far_field.mask.grid.samples_per_side, far_field.pad_factor, half)
-    upper = far_field._finish(m // 2 - half, m // 2 + 1,
-                              np.empty((half + 1, m), dtype=np.complex128))
-    power = _band_power(upper)
+    base = m // 2 - half
+    if base < far_field.first:
+        far_field = far_field._widened(base)
+    crops = {order: np.empty((2 * half, 2 * half), dtype=np.complex128)
+             for order in (-1, 0, +1)}
+    power = _band_power(
+        far_field.columns[:, base - far_field.first:], base, m,
+        [(crops[order], np.arange(cols[order] - half, cols[order] + half))
+         for order in crops])
     # the powers of orders -3..3; a window that leaves the far field sums
     # to nan and adds no leakage
     powers = {o: _window_sum(power, cols[o], half) for o in range(-3, 4)}
@@ -632,7 +673,7 @@ def extract_orders(far_field: FarField,
     spreads = {d: _window_sum(kernel_power, cols[d], half) for d in range(1, 5)}
     out_grid = GridSpec(2 * half, 2 * half * freq_pitch)
     fields = {}
-    for order in (-1, 0, +1):
+    for order, crop in crops.items():
         own = powers[order]
         leak = 0.0
         for o, p in powers.items():
@@ -647,11 +688,6 @@ def extract_orders(far_field: FarField,
             raise OrderSeparationError(
                 f"estimated neighbour leakage {leak:.3e} exceeds 1% of order "
                 f"{order:+d} power {own:.3e}; increase the carrier frequency")
-        c = np.arange(cols[order] - half, cols[order] + half)
-        crop = np.empty((2 * half, 2 * half), dtype=np.complex128)
-        crop[:half + 1] = upper[:, c]
-        # row m/2 + k at column c is conj(row m/2 - k) at column m - c
-        np.conjugate(upper[half - 1:0:-1, (m - c) % m], out=crop[half + 1:])
         # the crop is the order's own window, whose power is `own`
         crop /= math.sqrt(own * freq_pitch ** 2)
         fields[order] = ComplexField(out_grid, 0.0, crop)
@@ -676,7 +712,8 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     exp(-i sign C r^2) is the outer product of one vector exp(-i sign C
     x^2) along the embed's axis, so no chirp is evaluated on the plane; the
     mask is demodulated in its own central block of the zeroed embed, which
-    is transformed, low-passed, restored and tapered in place.
+    is transformed, low-passed a block of rows at a time, restored and
+    tapered in place, its taper built in one real buffer.
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be -1 or +1")
@@ -696,11 +733,15 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     component[lo:lo + n, lo:lo + n] = mask.values * np.multiply.outer(
         inner, inner)
 
-    k = 2.0 * np.pi * np.fft.fftfreq(big.samples_per_side, d=big.pitch)
+    k_sq = np.square(2.0 * np.pi * np.fft.fftfreq(big.samples_per_side,
+                                                  d=big.pitch))
     chirp_band = 2.0 * abs(c) * (grid.physical_side_length / 2.0)
     cutoff = CHIRPED_CUTOFF_FRACTION * chirp_band
     np.fft.fft2(component, out=component)
-    component *= np.add.outer(k ** 2, k ** 2) <= cutoff ** 2
+    # the low-pass disk, a block of rows at a time
+    for row in range(0, big.samples_per_side, QUANTISE_BLOCK_ROWS):
+        rows = slice(row, row + QUANTISE_BLOCK_ROWS)
+        component[rows] *= k_sq[rows, np.newaxis] + k_sq <= cutoff ** 2
     np.fft.ifftn(component, out=component)
     # exp(i sign C r^2) is the conjugate outer product
     np.conjugate(chirp, out=chirp)
@@ -713,9 +754,15 @@ def isolate_chirped_order(mask: BinaryMask, spec: HologramSpec,
     r_border = big.physical_side_length / 2.0
     taper_from = 1.2 * r_mask
     taper_to = 0.95 * r_border
-    rr = np.sqrt(np.add.outer(np.square(x), np.square(x)))
-    ramp = np.clip((rr - taper_from) / (taper_to - taper_from), 0.0, 1.0)
-    component *= np.cos(0.5 * np.pi * ramp) ** 2
+    # cos^2(pi/2 clip((r - from) / (to - from), 0, 1)), built in one buffer
+    taper = np.sqrt(np.add.outer(np.square(x), np.square(x)))
+    taper -= taper_from
+    taper /= taper_to - taper_from
+    np.clip(taper, 0.0, 1.0, out=taper)
+    taper *= 0.5 * np.pi
+    np.cos(taper, out=taper)
+    np.square(taper, out=taper)
+    component *= taper
     norm = math.sqrt(np.vdot(component, component).real * big.pitch ** 2)
     if norm == 0.0:
         raise OrderSeparationError("isolated component vanished; check C")
@@ -736,6 +783,12 @@ def _fresnel_plane(spectrum: np.ndarray, k: np.ndarray, z: float, k0: float,
     return np.fft.ifftn(out, out=out)
 
 
+def _moment(values: np.ndarray, weights: np.ndarray) -> float:
+    """sum over y, x of (weights[y] + weights[x]) values[y, x] for a real
+    n x n array, from its row and column sums."""
+    return float(values.sum(axis=1) @ weights + values.sum(axis=0) @ weights)
+
+
 def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
                                z_max: float):
     """(z, width) of the narrowest plane of a field in free space (B = 0).
@@ -746,26 +799,43 @@ def locate_minimum_width_plane(field: ComplexField, p: BeamParameters,
     are straight, so the planes 0, z and copysign(z_max, z) bound the
     border intensity between them; as the peak changes along z, the largest
     border intensity of the three is checked against their smallest peak.
-    The two propagated planes are built one at a time in one buffer
+    The moments are read from row and column sums, so beside the field
+    only its spectrum, one complex buffer and one real one are held.  The
+    two propagated planes are built one at a time in the complex buffer
     (_fresnel_plane), each reduced to its (border, peak) pair before the
     next.  The width at z must match FOCUS_WIDTH_CROSSCHECK_RTOL.
     Non-finite moments, from a field whose scales leave floating point,
     are refused.
     """
     grid, amps, k0 = field.grid, field.amplitudes, base_wavenumber(p)
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.samples_per_side, d=grid.pitch)
-    k_sq = k[:, np.newaxis] ** 2 + k ** 2
+    n = grid.samples_per_side
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.pitch)
+    k_sq = np.square(k)
     spectrum = np.fft.fft2(amps)
     x_sq = np.square(grid.axis())
-    r_sq = np.add.outer(x_sq, x_sq)
-    intensity, power = np.abs(amps) ** 2, np.abs(spectrum) ** 2
     # <rp + pr> = sum r^2 Im(psi* L psi), L psi = -laplacian(psi)
-    # spectrally; its buffer then holds each propagated plane in turn
-    plane = spectrum * k_sq
-    l_psi = np.fft.ifftn(plane, out=plane)
-    rp = float((r_sq * (np.conj(amps) * l_psi).imag).sum() / intensity.sum())
-    r2 = float((intensity * r_sq).sum() / intensity.sum())
-    p2 = float((power * k_sq).sum() / power.sum())
+    # spectrally, k^2 added a block of rows at a time; its buffer then
+    # holds each propagated plane in turn
+    plane = np.empty_like(spectrum)
+    for row in range(0, n, QUANTISE_BLOCK_ROWS):
+        rows = slice(row, row + QUANTISE_BLOCK_ROWS)
+        np.multiply(spectrum[rows], k_sq[rows, np.newaxis] + k_sq,
+                    out=plane[rows])
+    np.fft.ifftn(plane, out=plane)
+    # Im(psi* L psi) = -Im(psi conj(L psi)), formed in place
+    np.conjugate(plane, out=plane)
+    plane *= amps
+    # each moment sums (w[y] + w[x]) v[y, x], w = x^2 or k^2 (_moment)
+    rp = -_moment(plane.imag, x_sq)
+    intensity = np.abs(amps)
+    np.square(intensity, out=intensity)
+    total = intensity.sum()
+    rp /= total
+    r2 = _moment(intensity, x_sq) / total
+    power = np.abs(spectrum, out=intensity)
+    np.square(power, out=power)
+    p2 = _moment(power, k_sq) / power.sum()
+    del intensity, power
     z_focus = -k0 * rp / (2.0 * p2)
     width = math.sqrt(2.0 * (r2 - rp ** 2 / (4.0 * p2)))
     if not (math.isfinite(z_focus) and math.isfinite(width)):

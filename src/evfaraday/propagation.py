@@ -216,7 +216,8 @@ def grid_norm(field: ComplexField) -> float:
 def _plane_extremes(amps: np.ndarray, context: str) -> tuple[float, float]:
     """(largest border intensity, peak intensity) of one plane; a plane
     whose peak is not finite is refused."""
-    intensity = np.abs(amps) ** 2
+    intensity = np.abs(amps)
+    np.square(intensity, out=intensity)
     # numpy's max propagates nan, so a plane's peak is finite only if
     # every pixel is, its border pixels included
     peak = intensity.max()

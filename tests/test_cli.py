@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from evfaraday import (ELEMENTARY_CHARGE, BeamParameters, ComplexField,
                        FarField, larmor_wavenumber, magnetic_width,
                        verdet_parameter, width_function_exact)
-from evfaraday import cli, modes, propagation
+from evfaraday import cli, gratings, modes, propagation
 from evfaraday.cli import build_parser, main
-from evfaraday.fileio import load_field, write_intensity_pgm
+from evfaraday.fileio import (load_field, quantise_block,
+                              write_intensity_pgm)
 
 
 def read_csv(path):
@@ -499,6 +500,66 @@ class TestGrating:
             assert ((tmp_path / "band" / name).read_bytes()
                     == (tmp_path / "full" / name).read_bytes())
 
+    @staticmethod
+    def dense_frame_file(far):
+        """farfield.pgm by its dense definition: every row 0..m/2 finished
+        from the whole column spectrum in single precision, a block at a
+        time, squared and quantised against the zero frequency's intensity
+        into a zeroed m x m frame, and rows m/2 + 1..m - 1 the point mirror
+        of rows m/2 - 1..1, copied as bytes."""
+        m = far.grid.samples_per_side
+        h = m // 2
+        full = gratings.diffract_far_field(far.mask, far.pad_factor)
+        zero = full._finish(h, h + 1, np.empty((1, m), dtype=np.complex128))
+        peak = float(np.abs(zero[0, h]) ** 2)
+        gray = np.zeros((m, m), dtype=np.uint8)
+        block = gratings.QUANTISE_BLOCK_ROWS
+        for lo in range(0, h + 1, block):
+            hi = min(lo + block, h + 1)
+            rows = full._finish(lo, hi, np.empty((hi - lo, m), np.complex64))
+            quantise_block(np.abs(rows) ** 2, peak, gray[lo:hi])
+        gray[h + 1:, 0] = gray[h - 1:0:-1, 0]
+        gray[h + 1:, 1:] = gray[h - 1:0:-1, :0:-1]
+        return f"P5\n{m} {m}\n255\n".encode() + gray.tobytes(), peak
+
+    @pytest.mark.parametrize("l, pad", [(1, 1), (1, 4), (1, 8), (12, 4)])
+    def test_farfield_equals_dense_definition(self, tmp_path, capsys,
+                                              monkeypatch, l, pad):
+        # the frame is written as its lit rows alone, the rest a hole in
+        # the file; it reads back byte for byte as the dense frame, where
+        # every block is lit (pad 1), where few are (pad 4 and 8), and
+        # where lit rows lie below the order band (-l 12)
+        built = []
+        diffract = cli.diffract_far_field
+
+        def recording(*args):
+            built.append(diffract(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "diffract_far_field", recording)
+        assert main(["grating", "-l", str(l), "--plane", "--kx", "2.5e8m-1",
+                     "--diffract", "--pad", str(pad), "-o",
+                     str(tmp_path)]) == 0
+        blob, peak = self.dense_frame_file(built[0])
+        assert (tmp_path / "farfield.pgm").read_bytes() == blob
+        assert json.loads((tmp_path / "farfield.pgm.json").read_text()) == {
+            "max_intensity": peak}
+
+    def test_pad8_plane_op_memory(self, tmp_path, capsys):
+        # a plane op at --pad 8 (m = 4096) holds no array of the far
+        # field's m^2 bytes: its frame keeps the lit rows alone, and its
+        # band is finished a block at a time
+        gratings._aperture_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(["grating", "-l", "3", "--plane", "--kx", "2.5e8m-1",
+                         "--diffract", "--pad", "8", "-o",
+                         str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 ** 2
+
     def test_default_carrier_cannot_be_extracted(self, tmp_path, capsys):
         # the ten-fringe default is synthesisable but refuses windowed
         # extraction on leakage grounds
@@ -895,9 +956,59 @@ class TestErrorBoundary:
         assert built == ([150] if (command, l) == ("breathe", "150") else [])
         if built:
             assert "border intensity" in err
+        elif command == "rotate":
+            # the probe ring cannot resolve the harmonic 2|l| of |l| >= 128
+            assert "probe ring" in err and "|l| <= 127" in err
         else:
             assert f"l={l})" in err and "64 x 64 grid" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("l", ["128", "-128", "2000", "1" + "0" * 400])
+    def test_unresolved_harmonic_refused_before_sampling(self, tmp_path,
+                                                         capsys, monkeypatch,
+                                                         l):
+        # the orientation is read from harmonic 2|l| of a 512-sample ring,
+        # which resolves harmonics below 256: a larger |l| is refused
+        # before any mode is sampled, on a grid wide enough for its ring
+        # and for an l that overflows a float
+        sampled = []
+        monkeypatch.setattr(propagation, "mode_field",
+                            lambda *args: sampled.append(args))
+        assert main(["rotate", f"-l={l}", "--grid-n", "64", "--w0", "10nm",
+                     "--grid-side", "2um", "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "probe ring" in err
+        assert not sampled
+        assert not (tmp_path / "out").exists()
+
+    def test_resolved_harmonic_still_sampled(self, tmp_path, capsys,
+                                             monkeypatch):
+        # |l| = 127 passes the probe-ring rule and its modes are sampled
+        sampled = []
+        mode_field = propagation.mode_field
+
+        def recording(*args):
+            sampled.append(args)
+            return mode_field(*args)
+
+        monkeypatch.setattr(propagation, "mode_field", recording)
+        main(["rotate", "-l", "127", "--grid-n", "64", "--w0", "10nm",
+              "--grid-side", "2um", "-o", str(tmp_path / "out")])
+        assert sampled
+        assert "probe ring" not in capsys.readouterr().err
+
+    def test_farfield_directory_refused(self, tmp_path, capsys,
+                                        monkeypatch):
+        # a directory where farfield.pgm goes: the sparse frame's write
+        # fails naming the file asked for, and its temp file is removed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out" / "farfield.pgm").mkdir(parents=True)
+        assert main(["grating", "-l", "1", "--plane", "--kx", "2.5e8m-1",
+                     "--grid-n", "256", "--diffract", "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'out/farfield.pgm'" in err
+        assert ".evf-tmp-" not in err
+        assert not list(tmp_path.rglob(".evf-tmp-*"))
 
     def test_l_sweep_keeps_exit_codes(self, tmp_path, capsys):
         # at --grid-n 64 rotate runs l = 1..6 and breathe l = 1; every

@@ -256,9 +256,24 @@ class TestPgm:
         # NaN and Infinity are not JSON; neither the sidecar nor its frame
         # is written
         with pytest.raises(ValueError):
-            write_frame_pgm(str(tmp_path / "f.pgm"),
-                            np.zeros((4, 4), dtype=np.uint8), peak)
+            write_frame_pgm(str(tmp_path / "f.pgm"), (4, 4),
+                            [(0, np.zeros((4, 4), dtype=np.uint8))], peak)
         assert not list(tmp_path.iterdir())
+
+    def test_frame_pieces_written_at_their_rows(self, tmp_path):
+        # rows no piece covers read back as zeros, up to the frame's full
+        # length, whether a piece ends the frame or not
+        path = tmp_path / "f.pgm"
+        one, two = np.full((2, 3), 7, np.uint8), np.full((1, 3), 9, np.uint8)
+        assert write_frame_pgm(str(path), (6, 3), [(4, two), (1, one)],
+                               2.5) == 2.5
+        assert path.read_bytes() == (b"P5\n3 6\n255\n" + bytes(3)
+                                     + bytes([7] * 6) + bytes(3)
+                                     + bytes([9] * 3) + bytes(3))
+        write_frame_pgm(str(path), (2, 3), [], 0.0)
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes(6)
+        assert json.loads((tmp_path / "f.pgm.json").read_text()) == {
+            "max_intensity": 0.0}
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
@@ -296,10 +311,12 @@ class TestCsvAndText:
         # file is removed, and a target that exists keeps its bytes
         path = tmp_path / "t.csv"
         with pytest.raises(TypeError):
-            _atomic_write_bytes(str(path), b"head\n", object())
+            _atomic_write_bytes(str(path), [(0, b"head\n"), (5, object())],
+                                6)
         assert not list(tmp_path.iterdir())
         write_text(str(path), "first\n")
         with pytest.raises(TypeError):
-            _atomic_write_bytes(str(path), b"head\n", object())
+            _atomic_write_bytes(str(path), [(0, b"head\n"), (5, object())],
+                                6)
         assert path.read_bytes() == b"first\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -425,6 +425,21 @@ def record_finishes(monkeypatch):
     return calls
 
 
+def frame_of(far):
+    """(m x m uint8 frame, peak) of far.frame(), its pieces placed at their
+    first rows of a zero frame; no two pieces share a row."""
+    pieces, peak = far.frame()
+    m = far.grid.samples_per_side
+    gray = np.zeros((m, m), dtype=np.uint8)
+    covered = np.zeros(m, dtype=bool)
+    for first, rows in pieces:
+        assert rows.dtype == np.uint8 and rows.shape[1] == m
+        assert not covered[first:first + len(rows)].any()
+        covered[first:first + len(rows)] = True
+        gray[first:first + len(rows)] = rows
+    return gray, peak
+
+
 def expected_finishes(far, peak):
     """Row m/2 for the peak, then in ascending order the blocks of rows
     0..m/2 that are not dark.  Row j is dark when (sum_x |columns[x, j]|)^2
@@ -628,7 +643,8 @@ class TestFarFieldFrame:
     @staticmethod
     def written(far, tmp_path):
         path = tmp_path / "farfield.pgm"
-        write_frame_pgm(str(path), *far.frame())
+        m = far.grid.samples_per_side
+        write_frame_pgm(str(path), (m, m), *far.frame())
         sidecar = json.loads((tmp_path / "farfield.pgm.json").read_text())
         return path.read_bytes(), sidecar["max_intensity"]
 
@@ -798,7 +814,7 @@ class TestStreamedFarField:
         expected = padded_transform_definition(mask.values, pad)
         got = far.amplitudes
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-        gray, peak = far.frame()
+        gray, peak = frame_of(far)
         intensity = np.abs(got) ** 2
         assert_zero_order_peak(peak, intensity, mask.values, pad)
         assert_quantised(gray, intensity, peak)
@@ -818,9 +834,10 @@ class TestStreamedFarField:
         else:
             rng = np.random.default_rng(31 * n + pad)
             mask = BinaryMask(grid, rng.random((n, n)) < 0.02)
-        gray, _ = diffract_far_field(mask, pad).frame()
+        gray, _ = frame_of(diffract_far_field(mask, pad))
         h = gray.shape[0] // 2
-        assert np.array_equal(gray, gratings._point_mirror(gray.copy(), 1, h))
+        assert np.array_equal(gray[h + 1:],
+                              gratings._point_mirror(gray[1:h], gray[1:h].copy()))
         assert gray[h + 1:].any()
 
     def test_frame_mirror_on_random_masks(self):
@@ -832,10 +849,10 @@ class TestStreamedFarField:
         def check(n, pad, density, mask_seed):
             rng = np.random.default_rng(mask_seed)
             mask = BinaryMask(GridSpec(n, 1e-6), rng.random((n, n)) < density)
-            gray, _ = diffract_far_field(mask, pad).frame()
+            gray, _ = frame_of(diffract_far_field(mask, pad))
             h = gray.shape[0] // 2
-            mirrored = gratings._point_mirror(gray.copy(), 1, h)
-            assert np.array_equal(gray, mirrored)
+            mirrored = gratings._point_mirror(gray[1:h], gray[1:h].copy())
+            assert np.array_equal(gray[h + 1:], mirrored)
 
         check()
 
@@ -857,7 +874,7 @@ class TestStreamedFarField:
             rng = np.random.default_rng(seed)
             mask = BinaryMask(grid, rng.random((n, n)) < density)
         far = diffract_far_field(mask, pad)
-        gray, peak = far.frame()
+        gray, peak = frame_of(far)
         intensity = np.abs(far.amplitudes) ** 2
         assert_zero_order_peak(peak, intensity, mask.values, pad)
         assert_quantised(gray, intensity, peak)
@@ -878,15 +895,19 @@ class TestStreamedFarField:
     def test_readme_plane_op_finishes_two_blocks(self, monkeypatch):
         # the README plane op (512^2 mask, pad 4, m = 2048): of the 17
         # blocks of rows 0..1024 only the two nearest the zero frequency
-        # hold a non-zero byte, and only they are finished
+        # hold a non-zero byte, and only they are finished; the pieces
+        # hold them and the mirror of rows 960..1023, nothing else
         grid = GridSpec(512, 1e-6)
         finished = record_finishes(monkeypatch)
         for l in (1, 2, 3, 4):
             spec = HologramSpec(l, 0.0, PlaneReference(2.5e8))
             far = diffract_far_field(synthesize_hologram(spec, grid), 4)
             finished.clear()
-            gray, _ = far.frame()
+            pieces, _ = far.frame()
             assert finished == [(1024, 1025), (960, 1024), (1024, 1025)]
+            assert [(first, rows.shape) for first, rows in pieces] == [
+                (960, (64, 2048)), (1025, (64, 2048)), (1024, (1, 2048))]
+            gray, _ = frame_of(far)
             assert not gray[:960].any() and not gray[1089:].any()
             assert gray[960:1089].any()
 
@@ -909,7 +930,7 @@ class TestStreamedFarField:
             mask = BinaryMask(GridSpec(n, 1e-6), rng.random((n, n)) < density)
             far = diffract_far_field(mask, pad)
             finished.clear()
-            gray, peak = far.frame()
+            gray, peak = frame_of(far)
             calls = list(finished)
             assert calls == expected_finishes(far, peak)
             intensity = np.abs(far.amplitudes) ** 2
@@ -926,25 +947,91 @@ class TestStreamedFarField:
     def test_extract_orders_finishes_one_band(self, monkeypatch):
         # the windows and crops of all three orders read one band of rows
         # m/2 - half..m/2 + half - 1; with a warm aperture kernel its rows
-        # up to m/2 are finished in one call, though they span more than
-        # one block
+        # up to m/2 are finished once, in one ascending pass of blocks of
+        # 2^15 / m = 32 rows, none through FarField._finish
         grid = GridSpec(256, 1e-6)
         spec = plane_spec(grid, fringes=40, l=2, phi0=0.3)
         far = diffract_far_field(synthesize_hologram(spec, grid), 4)
         extract_orders(far, spec)     # the aperture kernel is now cached
         calls = record_finishes(monkeypatch)
+        blocks = []
+        finish_rows = gratings._finish_rows
+
+        def recording(columns, lo, out):
+            blocks.append((lo, lo + len(out)))
+            return finish_rows(columns, lo, out)
+
+        monkeypatch.setattr(gratings, "_finish_rows", recording)
         extract_orders(far, spec)
         h = far.grid.samples_per_side // 2
         half = int(spec.reference.k_x / (2 * math.pi) / far.grid.pitch / 2)
         assert half + 1 > gratings.QUANTISE_BLOCK_ROWS
-        assert calls == [(h - half, h + 1)]
+        assert calls == []
+        assert blocks == [(lo, min(lo + 32, h + 1))
+                          for lo in range(h - half, h + 1, 32)]
+
+    @staticmethod
+    def one_band_orders(far, spec):
+        """(column power, {order: unnormalised crop}) of a plane far field,
+        as before the band was blocked: rows m/2 - half..m/2 finished in
+        one call, their intensity summed QUANTISE_BLOCK_ROWS rows at a time
+        with numpy's sum along the rows, each crop copied from the band."""
+        m = far.grid.samples_per_side
+        half, cols = gratings._order_windows(spec, far.grid)
+        upper = far._finish(m // 2 - half, m // 2 + 1,
+                            np.empty((half + 1, m), dtype=np.complex128))
+        power, mirrored = np.zeros(m), np.zeros(m)
+        for lo in range(0, half + 1, gratings.QUANTISE_BLOCK_ROWS):
+            intensity = np.abs(upper[lo:lo + gratings.QUANTISE_BLOCK_ROWS]) ** 2
+            power += intensity.sum(axis=0)
+            mirrored += intensity[max(1 - lo, 0):half - lo].sum(axis=0)
+        power[0] += mirrored[0]
+        power[1:] += mirrored[:0:-1]
+        crops = {}
+        for order in (-1, 0, 1):
+            c = np.arange(cols[order] - half, cols[order] + half)
+            crop = np.empty((2 * half, 2 * half), dtype=np.complex128)
+            crop[:half + 1] = upper[:, c]
+            crop[half + 1:] = np.conj(upper[half - 1:0:-1, (m - c) % m])
+            crops[order] = crop
+        return power, crops
+
+    # blocks of 2^15 / m rows: 32 (m = 1024), 16 (m = 2048), 21 at m =
+    # 1536, which does not divide QUANTISE_BLOCK_ROWS, and 8 (m = 4096),
+    # on bands of 80 to 319 rows
+    @pytest.mark.parametrize("n, fringes, pad", [
+        (256, 40, 4), (512, 80, 4), (192, 32, 8), (512, 80, 8)])
+    def test_blocked_band_equals_one_band(self, n, fringes, pad):
+        # the window powers, and so purity.json, and the order files do not
+        # change a bit with the band's blocks
+        grid = GridSpec(n, 1e-6)
+        spec = plane_spec(grid, fringes=fringes, l=3, phi0=0.3)
+        far = diffract_far_field(synthesize_hologram(spec, grid), pad, spec)
+        m = far.grid.samples_per_side
+        half, cols = gratings._order_windows(spec, far.grid)
+        expected_power, expected_crops = self.one_band_orders(far, spec)
+        crops = {o: np.empty((2 * half, 2 * half), dtype=np.complex128)
+                 for o in (-1, 0, 1)}
+        power = gratings._band_power(
+            far.columns, far.first, m,
+            [(crops[o], np.arange(cols[o] - half, cols[o] + half))
+             for o in crops])
+        assert np.array_equal(power, expected_power)
+        for order, field in extract_orders(far, spec).items():
+            assert np.array_equal(crops[order], expected_crops[order])
+            own = float(expected_power[cols[order] - half:
+                                       cols[order] + half].sum())
+            assert np.array_equal(
+                field.amplitudes,
+                expected_crops[order] / math.sqrt(own * far.grid.pitch ** 2))
 
     def test_plane_op_memory(self):
         # one README-sized plane op with a cold aperture kernel holds its
-        # order band's spectrum bins (0.6 MiB) and, while it is built, the
-        # frame (4 MiB) plus one block of rows (1 MiB complex64, 0.5 MiB
-        # intensity); the whole column spectrum alone would be 8 MiB, the
-        # complex half plane 32 MiB
+        # order band's spectrum bins (0.6 MiB), the transform's blocks (2.5
+        # MiB) while they are built, then the frame's lit rows and one block
+        # of rows (1 MiB complex64, 0.5 MiB intensity), and the band's
+        # blocks (0.75 MiB); the frame alone would be 4 MiB, the whole
+        # column spectrum 8 MiB, the complex half plane 32 MiB
         grid = GridSpec(512, 1e-6)
         spec = HologramSpec(3, 0.4, PlaneReference(2.5e8))
         mask = synthesize_hologram(spec, grid)
@@ -957,7 +1044,7 @@ class TestStreamedFarField:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 5 * 2 ** 20
 
     def test_cli_order_memory(self):
         # evf grating's order: the orders are extracted, and so checked,
@@ -1004,9 +1091,9 @@ class TestBandFarField:
                 full.columns[lo:lo + gratings.QUANTISE_BLOCK_ROWS]).sum(axis=0)
         assert np.array_equal(band.bound, bound)
         assert np.array_equal(full.bound, bound)
-        gray, peak = band.frame()
+        gray, peak = frame_of(band)
         assert peak == full.frame()[1]
-        assert np.array_equal(gray, full.frame()[0])
+        assert np.array_equal(gray, frame_of(full)[0])
         assert np.array_equal(band.amplitudes, full.amplitudes)
         expected = extract_orders(full, spec)
         for order, field in extract_orders(band, spec).items():
@@ -1038,14 +1125,14 @@ class TestBandFarField:
 
         monkeypatch.setattr(gratings, "_column_spectrum", recording)
         finished = record_finishes(monkeypatch)
-        gray, peak = far.frame()
+        gray, peak = frame_of(far)
         lit = np.square(far.bound) / m >= 0.5 / 255 * peak * (1 - 1e-3)
         assert np.flatnonzero(lit)[0] == lowest
         block = gratings.QUANTISE_BLOCK_ROWS
         assert transforms == [lowest // block * block]
         assert finished == expected_finishes(full, peak)
         assert finished[1][0] == lowest // block * block
-        expected = full.frame()
+        expected = frame_of(full)
         assert peak == expected[1] and np.array_equal(gray, expected[0])
 
     def test_wider_band_transformed_again(self, monkeypatch):
@@ -1058,12 +1145,22 @@ class TestBandFarField:
         mask = synthesize_hologram(strong, grid)
         far = diffract_far_field(mask, 4, weak)
         expected = extract_orders(diffract_far_field(mask, 4), strong)
-        calls = record_finishes(monkeypatch)
+        transforms = []
+        column_spectrum = gratings._column_spectrum
+
+        def recording(values, pad_factor, first=0, bound=None):
+            transforms.append(first)
+            return column_spectrum(values, pad_factor, first, bound)
+
+        monkeypatch.setattr(gratings, "_column_spectrum", recording)
+        _aperture_kernel.cache_clear()
         fields = extract_orders(far, strong)
         h = far.grid.samples_per_side // 2
-        # 24 and 32 fringes span 95.99.. and 128.0.. far-field pixels
+        # 24 and 32 fringes span 95.99.. and 128.0.. far-field pixels; the
+        # disk's band is transformed for the kernel, then the mask's band
+        # once, though it is finished in blocks
         assert far.first == h - 47
-        assert calls == [(h - 64, h + 1)]
+        assert transforms == [h - 64, h - 64]
         for order, field in fields.items():
             assert np.array_equal(field.amplitudes,
                                   expected[order].amplitudes)
@@ -1350,6 +1447,24 @@ class TestSphericalReference:
         assert gratings._fresnel_plane(in_place, k, z, k0,
                                        in_place) is in_place
         assert np.array_equal(in_place, got)
+
+    def test_focus_search_memory(self):
+        # the README spherical op (128^2 mask, 256^2 embed): beside the 1
+        # MiB isolated order the focus search holds its spectrum, one
+        # complex and one real buffer (2.5 MiB), and reads every moment
+        # from row and column sums; each 256^2 plane more is 0.5-1 MiB
+        grid = GridSpec(128, 1e-6)
+        spec = HologramSpec(1, 0.0, SphericalReference(1.5e14))
+        mask = synthesize_hologram(spec, grid)
+        expected = spherical_focus_distance(spec, BEAM)
+        tracemalloc.start()
+        try:
+            field = isolate_chirped_order(mask, spec, -1)
+            locate_minimum_width_plane(field, BEAM, 1.4 * expected)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2 ** 20
 
     def test_width_cross_check_raises(self, sph, monkeypatch):
         mask, spec = sph
